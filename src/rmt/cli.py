@@ -103,8 +103,6 @@ def cmd_density(args) -> int:
         grid = np.arange(0.01, hi, 0.01)
     dens = density_from_stieltjes(model, grid, eps=args.eps)
     _write_csv(args.out, {"x": dens.grid, "f": dens.values})
-    if dens.skipped:
-        print(f"warning: solver skipped {len(dens.skipped)} grid points", file=sys.stderr)
     if args.clusters_out:
         clusters = support_clusters(dens)
         doc = [

@@ -92,8 +92,8 @@ def gmusic_weights(eigs, n_samples: int, k: int) -> np.ndarray:
     """
     lam = np.asarray(eigs, dtype=float)
     n_dim = lam.size
-    if not (0 < k < n_dim):
-        raise ParameterError("need 0 < K < N")
+    if not (0 <= k < n_dim):
+        raise ParameterError("need 0 <= K < N")
     if np.any(np.diff(lam) < 0):
         raise ParameterError("eigenvalues must be ascending")
     if np.any(np.diff(lam) < 1e-13):
@@ -150,8 +150,8 @@ def estimate_doa(y, k: int, model: SteeringModel, grid, method: str = "gmusic") 
     if method not in ("music", "gmusic"):
         raise ParameterError(f"unknown method {method!r}")
     y = np.asarray(y, dtype=complex)
-    if k >= model.n_sensors:
-        raise ParameterError("need K < N")
+    if not (0 <= k < model.n_sensors):
+        raise ParameterError("need 0 <= K < N")
     if y.shape[0] != model.n_sensors:
         raise DimensionError("observation rows must match the sensor count")
     svecs = steering_matrix(model, grid)

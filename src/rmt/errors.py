@@ -21,17 +21,5 @@ class DegeneracyError(RmtError):
     """Coincident eigenvalues make the requested weights ill-defined."""
 
 
-class ConvergenceError(RmtError):
-    """An iterative solver did not reach its tolerance.
-
-    Carries the last residual so callers can report or skip the point.
-    """
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(f"{message} (residual={residual:.3e} after {iterations} iterations)")
-        self.residual = residual
-        self.iterations = iterations
-
-
 class RegimeError(ParameterError):
     """The asymptotic regime required by the statistic does not hold."""

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import ParameterError
 from .stieltjes import SpectralModel, density_from_stieltjes, support_clusters
@@ -238,6 +237,8 @@ def clt_check(estimate_fn, k: int, trials: int, truth: float, n_dim: int) -> Clt
     ``estimate_fn(trial)`` must return the estimate vector for one seeded
     trial.  Fewer than 100 trials is refused as underpowered.
     """
+    from scipy import stats as sstats  # deferred: its import costs ~0.5 s and only this check uses it
+
     if trials < 100:
         raise ParameterError("clt_check needs at least 100 trials")
     sample = np.empty(trials)

@@ -3,17 +3,21 @@ matrices.
 
 A discrete population spectrum (atoms t_k with weights w_k) together with the
 dimension ratio c = lim N/n determines the limiting eigenvalue distribution
-of the sample covariance matrix through a scalar fixed-point equation in the
-companion transform m_under(z):
+of the sample covariance matrix through the companion transform m_under(z),
+the solution of
 
-    m_under(z) = -1 / ( z - c * sum_k w_k * t_k / (1 + t_k * m_under(z)) )
+    z = -1 / m_under + c * sum_k w_k * t_k / (1 + t_k * m_under)
 
-valid on the upper half-plane.  The transform of the N x N spectrum follows
-from the companion by m_F(z) = (m_under(z) - (c-1)/z) / c, and the density is
-recovered on the real line from f(x) = (1/pi) Im m_F(x + i*eps).
+on the upper half-plane.  Multiplying by m * prod_k (1 + t_k m) turns this
+into a polynomial of degree K+1 in m whose coefficients are affine in z; for
+Im z > 0 the transform is its unique root with Im m > 0 (Silverstein & Bai,
+J. Multivariate Anal. 54, 1995), so it is found exactly as a companion-matrix
+eigenvalue rather than by iteration.  The transform of the N x N spectrum
+follows from the companion by m_F(z) = (m_under(z) - (c-1)/z) / c, and the
+density is recovered on the real line from f(x) = (1/pi) Im m_F(x + i*eps).
 
-For the white (single-atom) population the fixed point collapses to the
-quadratic c*z*m^2 + (z+c-1)*m + 1 = 0 whose Im>0 root is the closed-form
+For the white (single-atom) population the polynomial is the quadratic
+c*z*m^2 + (z+c-1)*m + 1 = 0 whose Im>0 root is the closed-form
 Marchenko-Pastur transform; it serves as the oracle for the generic solver.
 """
 
@@ -26,11 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConvergenceError, ParameterError, SingularityError
+from .errors import ParameterError, SingularityError
 
 __all__ = [
     "SpectralModel",
-    "SolverConfig",
     "StieltjesSolution",
     "Density",
     "SupportClusters",
@@ -50,9 +53,10 @@ __all__ = [
 class SpectralModel:
     """Discrete population spectrum: atoms (value, weight) plus ratio c = lim N/n.
 
-    Atom values must be strictly positive and increasing; weights positive and
-    summing to one.  Atoms at zero are disallowed — any zero mass in the
-    limiting spectrum is the c>1 rank deficiency, reported separately.
+    Atom values must be finite, strictly positive and increasing; weights
+    finite, positive and summing to one; the ratio finite and positive.  Atoms
+    at zero are disallowed — any zero mass in the limiting spectrum is the c>1
+    rank deficiency, reported separately.
     """
 
     atoms: tuple
@@ -63,6 +67,8 @@ class SpectralModel:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ParameterError("spectral model needs at least one atom")
+        if not all(math.isfinite(x) for atom in atoms for x in atom):
+            raise ParameterError("atom values and weights must be finite")
         values = [t for t, _ in atoms]
         weights = [w for _, w in atoms]
         if any(t <= 0 for t in values):
@@ -73,8 +79,8 @@ class SpectralModel:
             raise ParameterError("atom weights must be positive")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ParameterError("atom weights must sum to 1 within 1e-12")
-        if not (self.ratio > 0):
-            raise ParameterError("ratio c must be positive")
+        if not (self.ratio > 0 and math.isfinite(self.ratio)):
+            raise ParameterError("ratio c must be positive and finite")
 
     @classmethod
     def from_multiplicities(cls, values, multiplicities, ratio: float) -> "SpectralModel":
@@ -89,34 +95,25 @@ class SpectralModel:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    tolerance: float = 1e-10
-    max_iterations: int = 10_000
-    damping: float = 0.5
-
-    def __post_init__(self):
-        if not (self.tolerance > 0):
-            raise ParameterError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ParameterError("max_iterations must be >= 1")
-        if not (0 < self.damping <= 1):
-            raise ParameterError("damping must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class StieltjesSolution:
-    """Fixed-point solution at one evaluation point z."""
+    """Companion transform at one evaluation point z.
+
+    ``residual`` is |companion map(m_under) - m_under|, the fixed-point form of
+    the equation evaluated at the root.
+    """
 
     z: complex
     m_under: complex
     m: complex
     residual: float
-    iterations: int
 
 
 @dataclass(frozen=True)
 class Density:
-    """Reconstructed limiting density on a grid, plus any Dirac mass at zero."""
+    """Reconstructed limiting density on a grid, plus any Dirac mass at zero.
+
+    ``skipped`` lists grid points left unsolved; the exact solver leaves none.
+    """
 
     grid: np.ndarray
     values: np.ndarray
@@ -202,72 +199,75 @@ def _companion_map(model: SpectralModel, z: complex, m: complex) -> complex:
     return -1.0 / (z - model.ratio * integral)
 
 
-def solve_companion_stieltjes(
-    model: SpectralModel,
-    z: complex,
-    config: SolverConfig = SolverConfig(),
-    warm_start: complex | None = None,
-) -> StieltjesSolution:
-    """Damped fixed-point solve of the companion transform at z (Im z > 0).
+def _companion_polynomial(model: SpectralModel):
+    """Coefficients (a, b), highest degree first, of the degree-(K+1) polynomial
+    a(m) + z*b(m) = 0 equivalent to the companion equation at z.
 
-    The undamped map is neutrally stable near the real axis; averaging with
-    damping < 1 restores contraction away from support edges.  Non-convergence
-    raises :class:`ConvergenceError` carrying the final residual — a residual
-    plateau is also how multi-root suspicion shows up, so it is reported, not
-    resolved.
+    With P(m) = prod_k (1 + t_k m) and Q(m) = sum_k w_k t_k P(m)/(1 + t_k m),
+    the equation times m*P reads (P - c*m*Q) + z*m*P = 0.  Its leading
+    coefficient z*prod_k t_k and its constant 1 are nonzero, so the degree is
+    exactly K+1 and m = 0 is never a root.
+    """
+    t = model.values()
+    w = model.weights()
+    p = np.ones(1)
+    mq = np.zeros(1)
+    for tk, wk in zip(t, w):
+        # P and m*Q over the atoms seen so far; np.append(p, 0.0) is m*P
+        mq = np.convolve(mq, [tk, 1.0]) + wk * tk * np.append(p, 0.0)
+        p = np.convolve(p, [tk, 1.0])
+    a = np.append(0.0, p - model.ratio * mq)
+    b = np.append(p, 0.0)
+    return a, b
+
+
+def _companion_roots(model: SpectralModel, z: np.ndarray) -> np.ndarray:
+    """m_under at every point of z (Im z > 0) by one batched eigensolve.
+
+    One companion matrix per point; of its K+1 eigenvalues the transform is the
+    only one in the upper half-plane, taken as the largest imaginary part.
+    """
+    a, b = _companion_polynomial(model)
+    coeffs = a + z[:, None] * b
+    degree = b.size - 1
+    companion = np.zeros((z.size, degree, degree), dtype=complex)
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    return roots[np.arange(z.size), np.argmax(roots.imag, axis=1)]
+
+
+def solve_companion_stieltjes(model: SpectralModel, z: complex) -> StieltjesSolution:
+    """Companion transform at z (Im z > 0) as the Im>0 root of the companion
+    polynomial; the one-point case of :func:`density_from_stieltjes`.
     """
     z = complex(z)
     if z.imag <= 0:
         raise ParameterError("z must lie in the open upper half-plane")
     c = model.ratio
-    m = complex(warm_start) if warm_start is not None else -1.0 / z
-    if m.imag <= 0:
-        m = -1.0 / z
-    d = config.damping
-    residual = math.inf
-    for it in range(1, config.max_iterations + 1):
-        nxt = _companion_map(model, z, m)
-        residual = abs(nxt - m)
-        m = (1 - d) * m + d * nxt
-        if residual <= config.tolerance:
-            break
-    else:
-        raise ConvergenceError(f"companion fixed point stalled at z={z}", residual, config.max_iterations)
+    m = complex(_companion_roots(model, np.array([z]))[0])
+    residual = abs(_companion_map(model, z, m) - m)
     m_f = (m - (c - 1) / z) / c
-    return StieltjesSolution(z=z, m_under=m, m=m_f, residual=residual, iterations=it)
+    return StieltjesSolution(z=z, m_under=m, m=m_f, residual=residual)
 
 
-def density_from_stieltjes(
-    model: SpectralModel,
-    grid,
-    eps: float = 1e-3,
-    config: SolverConfig = SolverConfig(),
-) -> Density:
+def density_from_stieltjes(model: SpectralModel, grid, eps: float = 1e-3) -> Density:
     """Reconstruct the limiting density on a real grid via f = Im m_F(x+i*eps)/pi.
 
-    Grid points are solved left to right, each warm-started from its
-    neighbour's solution.  Points where the fixed point stalls are skipped and
-    reported in ``Density.skipped``.
+    All grid points are solved together as one batch of companion-polynomial
+    roots at z = x + i*eps; every point is solved, so ``Density.skipped`` is
+    empty.
     """
-    if not (eps > 0):
-        raise ParameterError("eps must be positive")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
-        raise ParameterError("grid must be a nonempty ascending 1-d vector")
+    if not (0 < eps < math.inf):
+        raise ParameterError("eps must be positive and finite")
+    grid = np.array(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        raise ParameterError("grid must be a nonempty ascending finite 1-d vector")
     c = model.ratio
-    xs, vals, skipped = [], [], []
-    warm = None
-    for x in grid:
-        try:
-            sol = solve_companion_stieltjes(model, complex(x, eps), config, warm_start=warm)
-        except ConvergenceError:
-            skipped.append(float(x))
-            continue
-        warm = sol.m_under
-        xs.append(float(x))
-        vals.append(max(0.0, sol.m.imag / np.pi))
+    z = grid + 1j * eps
+    m_f = (_companion_roots(model, z) - (c - 1) / z) / c
     mass0 = max(0.0, 1 - 1 / c)
-    return Density(np.array(xs), np.array(vals), mass0, tuple(skipped))
+    return Density(grid, np.maximum(m_f.imag / np.pi, 0.0), mass0)
 
 
 def support_clusters(density: Density, threshold: float | None = None) -> SupportClusters:

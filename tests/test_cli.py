@@ -56,6 +56,8 @@ def test_bad_grid_is_usage_error(tmp_path):
 def test_bad_parameter_is_runtime_error(tmp_path):
     out = tmp_path / "x.csv"
     assert run_cli("density", "--atoms", "1:1.0", "--c", "-2", "--out", str(out)) == 1
+    # non-finite model inputs are refused before any grid point is solved
+    assert run_cli("density", "--atoms", "1:nan", "--c", "0.1", "--out", str(out)) == 1
 
 
 # --- estimate / detect / doa -------------------------------------------------------
@@ -127,6 +129,7 @@ def test_doa_command(tmp_path):
     header, data = read_csv(cost)
     assert header == ["theta_deg", "cost_db"]
     assert data.shape[0] == 3601
+    assert run_cli("doa", "--input", str(path), "--K", "-1", "--method", "music", "--grid=-90:90:0.05") == 1
 
 
 def test_localize_command(tmp_path):

@@ -155,9 +155,25 @@ def test_estimate_doa_global_phase_invariance():
 
 
 def test_estimate_doa_k_zero():
+    # with no signal subspace G-MUSIC weighs every eigenvector by 1, as MUSIC does
     y = doa_observation(MODEL20, (0.0,), 10.0, 100, seed=45)
-    res = estimate_doa(y, 0, MODEL20, np.arange(-10.0, 10.0001, 0.1), "music")
-    assert res.angles == () and res.complete
+    grid = np.arange(-10.0, 10.0001, 0.1)
+    results = [estimate_doa(y, 0, MODEL20, grid, method) for method in ("music", "gmusic")]
+    for res in results:
+        assert res.angles == () and res.complete
+    assert np.allclose(results[0].costs, results[1].costs, atol=1e-12)
+    lam = hermitian_eig(sample_covariance(y)).eigenvalues
+    assert np.array_equal(gmusic_weights(lam, 100, 0), np.ones(20))
+
+
+def test_estimate_doa_refuses_negative_k():
+    y = doa_observation(MODEL20, (0.0,), 10.0, 100, seed=45)
+    for method in ("music", "gmusic"):
+        with pytest.raises(ParameterError):
+            estimate_doa(y, -1, MODEL20, np.arange(-10.0, 10.0001, 0.1), method)
+    lam = hermitian_eig(sample_covariance(y)).eigenvalues
+    with pytest.raises(ParameterError):
+        gmusic_weights(lam, 100, -1)
 
 
 def test_estimate_doa_incomplete_flagged():

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from rmt.errors import ConvergenceError, ParameterError, SingularityError
+from rmt.errors import ParameterError, SingularityError
 from rmt.linalg import RngStream, complex_gaussian
 from rmt.stieltjes import (
     Density,
-    SolverConfig,
     SpectralModel,
     capacity_identity,
     density_from_stieltjes,
@@ -149,34 +148,64 @@ def test_companion_c_to_zero_gives_minus_inv_z():
     assert abs(sol.m_under + 1.0 / z) < 1e-6
 
 
+def random_atoms(rng, k):
+    vals = np.sort(rng.uniform(0.2, 9.0, k))
+    vals += np.arange(k) * 1e-3  # enforce strict increase
+    w = rng.uniform(0.1, 1.0, k)
+    w /= w.sum()
+    w[-1] = 1.0 - w[:-1].sum()
+    return tuple(zip(vals, w))
+
+
 def test_companion_stieltjes_positivity_random_models():
     rng = RngStream(21).generator()
     for trial in range(10):
         k = rng.integers(1, 5)
-        vals = np.sort(rng.uniform(0.2, 9.0, k))
-        vals += np.arange(k) * 1e-3  # enforce strict increase
-        w = rng.uniform(0.1, 1.0, k)
-        w /= w.sum()
-        w[-1] = 1.0 - w[:-1].sum()
-        model = SpectralModel(tuple(zip(vals, w)), float(rng.uniform(0.05, 3.0)))
+        model = SpectralModel(random_atoms(rng, k), float(rng.uniform(0.05, 3.0)))
         for z in random_upper_half_points(10, seed=100 + trial):
             sol = solve_companion_stieltjes(model, z)
             assert sol.m_under.imag > 0
             assert sol.m.imag > 0
 
 
-def test_companion_nonconvergence_reports_residual():
-    model = SpectralModel(SINGLE_ATOM, 0.5)
-    with pytest.raises(ConvergenceError) as err:
-        solve_companion_stieltjes(model, 1.0 + 1e-5j, SolverConfig(max_iterations=3))
-    assert err.value.residual > 0
+def damped_fixed_point(model, z, start=None, tol=1e-12, max_iterations=200_000):
+    """Reference oracle: the damped companion fixed point m <- (m + map(m)) / 2."""
+    t, w, c = model.values(), model.weights(), model.ratio
+    m = start if start is not None and start.imag > 0 else -1.0 / z
+    for _ in range(max_iterations):
+        nxt = -1.0 / (z - c * np.sum(w * t / (1.0 + t * m)))
+        if abs(nxt - m) <= tol:
+            return nxt
+        m = 0.5 * (m + nxt)
+    raise AssertionError(f"reference fixed point stalled at z={z}")
 
 
-def test_solver_config_validation():
-    with pytest.raises(ParameterError):
-        SolverConfig(damping=0.0)
-    with pytest.raises(ParameterError):
-        SolverConfig(tolerance=-1.0)
+def test_companion_roots_match_fixed_point_oracle():
+    # K = 1..5, c log-uniform on [1e-8, 5], Im z log-uniform on [1e-4, 10]
+    rng = RngStream(22).generator()
+    for _ in range(200):
+        atoms = random_atoms(rng, rng.integers(1, 6))
+        model = SpectralModel(atoms, float(10 ** rng.uniform(-8, np.log10(5))))
+        z = complex(rng.uniform(-2.0, 15.0), 10 ** rng.uniform(-4, 1))
+        sol = solve_companion_stieltjes(model, z)
+        assert abs(sol.m_under - damped_fixed_point(model, z)) < 1e-8, (model, z)
+        assert sol.residual < 1e-8
+
+
+def test_density_matches_fixed_point_oracle_fig3():
+    grid = np.arange(0.05, 11.0, 0.01)
+    for values in ((1.0, 3.0, 7.0), (1.0, 3.0, 4.0)):
+        model = SpectralModel.from_multiplicities(values, (1, 1, 1), 0.1)
+        c = model.ratio
+        for eps in (1e-3, 1e-4):
+            dens = density_from_stieltjes(model, grid, eps=eps)
+            ref, m = [], None
+            for x in grid:
+                z = complex(x, eps)
+                m = damped_fixed_point(model, z, start=m)
+                ref.append(max(0.0, ((m - (c - 1) / z) / c).imag / np.pi))
+            assert np.array_equal(dens.grid, grid) and not dens.skipped
+            assert np.max(np.abs(dens.values - np.array(ref))) < 1e-8, (values, eps)
 
 
 # --- density reconstruction ----------------------------------------------------
@@ -234,6 +263,10 @@ def test_density_rejects_bad_grid():
         density_from_stieltjes(model, [1.0, 0.5], eps=1e-3)
     with pytest.raises(ParameterError):
         density_from_stieltjes(model, [0.5, 1.0], eps=-1.0)
+    with pytest.raises(ParameterError):
+        density_from_stieltjes(model, [0.5, 1.0], eps=np.inf)
+    with pytest.raises(ParameterError):
+        density_from_stieltjes(model, [0.5, np.nan, 1.0], eps=1e-3)
 
 
 # --- support clusters -----------------------------------------------------------
@@ -320,3 +353,15 @@ def test_spectral_model_validation():
         SpectralModel(((1.0, 0.7), (2.0, 0.7)), 0.5)  # weights exceed 1
     with pytest.raises(ParameterError):
         SpectralModel(SINGLE_ATOM, -0.1)
+
+
+def test_spectral_model_refuses_non_finite():
+    for atoms, ratio in (
+        (((1.0, np.nan),), 0.1),
+        (((np.nan, 1.0),), 0.1),
+        (((1.0, 0.5), (np.inf, 0.5)), 0.1),
+        (SINGLE_ATOM, np.inf),
+        (SINGLE_ATOM, np.nan),
+    ):
+        with pytest.raises(ParameterError):
+            SpectralModel(atoms, ratio)
