@@ -37,7 +37,7 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"bad grid spec {text!r}, expected lo:hi:step") from exc
-    if step <= 0 or hi <= lo:
+    if not (np.isfinite([lo, hi, step]).all() and step > 0 and hi > lo):
         raise UsageError(f"bad grid spec {text!r}")
     return np.arange(lo, hi + step / 2, step)
 
@@ -104,7 +104,7 @@ def cmd_density(args) -> int:
     dens = density_from_stieltjes(model, grid, eps=args.eps)
     _write_csv(args.out, {"x": dens.grid, "f": dens.values})
     if args.clusters_out:
-        clusters = support_clusters(dens)
+        clusters = support_clusters(model)
         doc = [
             {"lo": lo, "hi": hi_, "mass": mass}
             for (lo, hi_), mass in zip(clusters.intervals, clusters.masses)
@@ -117,8 +117,13 @@ def cmd_density(args) -> int:
 def cmd_estimate(args) -> int:
     y = _load_matrix(args.input)
     n_dim = y.shape[0]
-    n_samples = args.n or y.shape[1]
-    mult = tuple(int(m) for m in args.mult.split(","))
+    n_samples = args.n if args.n is not None else y.shape[1]
+    if n_samples < 1:
+        raise UsageError("--n must be at least 1")
+    try:
+        mult = tuple(int(m) for m in args.mult.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad --mult {args.mult!r}, expected comma-separated integers") from exc
     if len(mult) != args.K:
         raise UsageError("--mult must list K multiplicities")
     eigs = np.clip(np.linalg.eigvalsh(sample_covariance(y)), 0.0, None)

@@ -21,13 +21,12 @@ outcome is attached to estimates as warnings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
-from .stieltjes import SpectralModel, density_from_stieltjes, support_clusters
+from .stieltjes import SpectralModel, support_clusters
 
 __all__ = [
     "ClusterAssignment",
@@ -261,19 +260,16 @@ def clt_check(estimate_fn, k: int, trials: int, truth: float, n_dim: int) -> Clt
 def separation_warnings(p_values, multiplicities, n_dim: int, n_samples: int) -> tuple:
     """Advisory separability check via the limiting support of the estimated model.
 
-    Builds the discrete spectrum from the estimates and counts support
-    clusters of its limiting density; fewer clusters than distinct values
-    means the estimates live in a merged-cluster regime where the estimator
-    contract degrades.
+    Builds the discrete spectrum from the estimates and counts the exact
+    support clusters of its limiting density; fewer clusters than distinct
+    values means the estimates live in a merged-cluster regime where the
+    estimator contract degrades.
     """
     values = [float(v) for v in p_values]
     if any(v <= 0 for v in values) or sorted(values) != values or len(set(values)) != len(values):
         return ("estimated powers are not positive strictly-increasing; separability not assessable",)
     model = SpectralModel.from_multiplicities(values, multiplicities, n_dim / n_samples)
-    hi = max(values) * (1 + math.sqrt(model.ratio)) ** 2 * 1.5
-    grid = np.linspace(min(values) * 0.05, hi, 600)
-    dens = density_from_stieltjes(model, grid, eps=1e-4)
-    found = len(support_clusters(dens).intervals)
+    found = len(support_clusters(model).intervals)
     if found < len(values):
         return (
             f"limiting density of the estimated model shows {found} clusters for "

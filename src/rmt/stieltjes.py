@@ -15,6 +15,8 @@ J. Multivariate Anal. 54, 1995), so it is found exactly as a companion-matrix
 eigenvalue rather than by iteration.  The transform of the N x N spectrum
 follows from the companion by m_F(z) = (m_under(z) - (c-1)/z) / c, and the
 density is recovered on the real line from f(x) = (1/pi) Im m_F(x + i*eps).
+Its support needs no grid: the cluster edges are the right-hand side, read as
+a real function x(m), at its real critical points.
 
 For the white (single-atom) population the polynomial is the quadratic
 c*z*m^2 + (z+c-1)*m + 1 = 0 whose Im>0 root is the closed-form
@@ -146,8 +148,8 @@ def empirical_stieltjes(eigs, z: complex) -> complex:
 
 def mp_support(c: float):
     """Marchenko-Pastur support edges and mass at zero: (a, b, (1-1/c)^+)."""
-    if not (c > 0):
-        raise ParameterError("ratio c must be positive")
+    if not (0 < c < math.inf):
+        raise ParameterError("ratio c must be positive and finite")
     sq = math.sqrt(c)
     return (1 - sq) ** 2, (1 + sq) ** 2, max(0.0, 1 - 1 / c)
 
@@ -170,8 +172,8 @@ def mp_density(c: float, x):
 
 def mp_stieltjes(c: float, z: complex) -> complex:
     """Closed-form MP transform: Im>0 root of c*z*m^2 + (z+c-1)*m + 1 = 0."""
-    if not (c > 0):
-        raise ParameterError("ratio c must be positive")
+    if not (0 < c < math.inf):
+        raise ParameterError("ratio c must be positive and finite")
     z = complex(z)
     if z.imag <= 0:
         raise ParameterError("z must lie in the open upper half-plane")
@@ -270,38 +272,33 @@ def density_from_stieltjes(model: SpectralModel, grid, eps: float = 1e-3) -> Den
     return Density(grid, np.maximum(m_f.imag / np.pi, 0.0), mass0)
 
 
-def support_clusters(density: Density, threshold: float | None = None) -> SupportClusters:
-    """Maximal grid runs with density above threshold, bridged over 1-point dips.
+def support_clusters(model: SpectralModel) -> SupportClusters:
+    """Exact support intervals of the limiting density, with their masses.
 
-    Default threshold is 1e-3 of the peak density.  Interval masses come from
-    the trapezoid rule restricted to each run.
+    The edges are x(m) = -a(m)/b(m) (see :func:`_companion_polynomial`) at the
+    real roots of a'b - ab' (Silverstein & Choi, J. Multivariate Anal. 54,
+    1995), solved in u = 1/m so that the root running off to m = infinity as
+    c -> 1 stays well conditioned; at c = 1 it gives the lowest edge x = 0.
+    A cluster holds the weights of the poles u = -t_k between its edges, less
+    the (1 - 1/c)^+ mass at zero if it spans u = 0 (m = +-infinity).
     """
-    f = density.values
-    x = density.grid
-    if threshold is None:
-        peak = float(f.max()) if f.size else 0.0
-        threshold = 1e-3 * peak if peak > 0 else math.inf
-    if not (threshold > 0):
-        raise ParameterError("threshold must be positive")
-    above = f > threshold
-    # bridge single-point dips so grid noise cannot split a cluster
-    for i in range(1, len(above) - 1):
-        if not above[i] and above[i - 1] and above[i + 1]:
-            above[i] = True
-    intervals, masses = [], []
-    i = 0
-    n = len(above)
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and above[j + 1]:
-            j += 1
-        intervals.append((float(x[i]), float(x[j])))
-        masses.append(float(np.trapezoid(f[i : j + 1], x[i : j + 1])) if j > i else 0.0)
-        i = j + 1
-    return SupportClusters(tuple(intervals), tuple(masses))
+    a, b = _companion_polynomial(model)
+    critical = np.polysub(np.polymul(np.polyder(a), b), np.polymul(a, np.polyder(b)))
+    u = np.roots(critical[::-1])
+    # a[0] = 0 zeroes the leading coefficient of a'b - ab', so u = 0 is a spurious root
+    u = u[(np.abs(u.imag) <= 1e-9 * np.abs(u)) & (u != 0)].real
+    t, w, c = model.values(), model.weights(), model.ratio
+    x = u * (c * np.sum(w * t / (t + u[:, None]), axis=1) - 1)  # x(m) at m = 1/u
+    order = np.argsort(x)
+    order = order[x[order] > 0]
+    x, u = x[order], u[order]
+    if x.size % 2:  # c = 1: the lowest edge is x = 0, at u = 0
+        x, u = np.append(0.0, x), np.append(0.0, u)
+    lo, hi = u[0::2, None], u[1::2, None]
+    poles_inside = (-t - lo) * (-t - hi) < 0
+    spans_zero = (lo * hi < 0)[:, 0]
+    masses = poles_inside @ w - spans_zero * max(0.0, 1 - 1 / c)
+    return SupportClusters(tuple(map(tuple, x.reshape(-1, 2).tolist())), tuple(masses.tolist()))
 
 
 def capacity_identity(h, noise_var: float):

@@ -49,8 +49,25 @@ def test_density_command(tmp_path):
     assert all(set(entry) == {"lo", "hi", "mass"} for entry in doc)
 
 
+def test_density_clusters_exact_above_c_one(tmp_path):
+    # at c = 2 the only cluster is the MP support; the Dirac mass at zero is
+    # not a cluster and takes half of the mass
+    clusters = tmp_path / "clusters.json"
+    code = run_cli(
+        "density", "--atoms", "1:1", "--c", "2", "--out", str(tmp_path / "d.csv"),
+        "--clusters-out", str(clusters),
+    )
+    assert code == 0
+    doc = json.loads(clusters.read_text())
+    assert len(doc) == 1
+    assert abs(doc[0]["lo"] - (1 - 2**0.5) ** 2) < 1e-9 and abs(doc[0]["hi"] - (1 + 2**0.5) ** 2) < 1e-9
+    assert abs(doc[0]["mass"] - 0.5) < 1e-9
+
+
 def test_bad_grid_is_usage_error(tmp_path):
     assert run_cli("mp-density", "--c", "0.5", "--grid", "nonsense") == 2
+    assert run_cli("mp-density", "--c", "0.5", "--grid", "0:inf:0.01") == 2
+    assert run_cli("density", "--atoms", "1:1", "--c", "0.5", "--grid", "nan:1:0.01") == 2
 
 
 def test_bad_parameter_is_runtime_error(tmp_path):
@@ -58,6 +75,7 @@ def test_bad_parameter_is_runtime_error(tmp_path):
     assert run_cli("density", "--atoms", "1:1.0", "--c", "-2", "--out", str(out)) == 1
     # non-finite model inputs are refused before any grid point is solved
     assert run_cli("density", "--atoms", "1:nan", "--c", "0.1", "--out", str(out)) == 1
+    assert run_cli("mp-density", "--c", "inf", "--grid", "0:1:0.5", "--out", str(out)) == 1
 
 
 # --- estimate / detect / doa -------------------------------------------------------
@@ -85,6 +103,13 @@ def test_estimate_command(masses_csv, tmp_path, capsys):
     p_hat = doc["P_hat"]
     for got, want in zip(p_hat, (1.0, 3.0, 7.0)):
         assert abs(got - want) / want < 0.25
+
+
+def test_estimate_bad_arguments_are_usage_errors(masses_csv):
+    base = ("estimate", "--input", str(masses_csv), "--K", "3")
+    # --n 0 is refused, not replaced by the column count
+    assert run_cli(*base, "--mult", "20,20,20", "--n", "0") == 2
+    assert run_cli(*base, "--mult", "a,b,c") == 2
 
 
 def test_detect_command_noise_and_signal(tmp_path):

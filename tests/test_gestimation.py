@@ -258,3 +258,7 @@ def test_separation_warning_detects_merge():
     assert warn and "2 clusters" in warn[0]
     clean = separation_warnings((1.0, 3.0, 7.0), (1, 1, 1), 30, 300)
     assert clean == ()
+    # at c = 10 the three clusters merge into one; the smoothed Dirac mass at
+    # zero must not count as a cluster of its own
+    merged = separation_warnings((1.0, 3.0, 7.0), (1, 1, 1), 300, 30)
+    assert merged and "shows 1 clusters" in merged[0]

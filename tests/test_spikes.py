@@ -313,11 +313,10 @@ def test_exact_separation_three_mass_scenario():
     # each limiting support interval captures exactly its population
     # multiplicity of sample eigenvalues in >= 99% of trials
     from rmt.simulate import ScenarioSpec, generate_trial
-    from rmt.stieltjes import SpectralModel, density_from_stieltjes, support_clusters
+    from rmt.stieltjes import SpectralModel, support_clusters
 
     model = SpectralModel.from_multiplicities((1.0, 3.0, 7.0), (1, 1, 1), 0.1)
-    dens = density_from_stieltjes(model, np.arange(0.05, 11.0, 0.01), eps=1e-4)
-    intervals = support_clusters(dens).intervals
+    intervals = support_clusters(model).intervals
     assert len(intervals) == 3
     spec = ScenarioSpec("masses", 300, 3000, 100, 57, {"atoms": [(1.0, 100), (3.0, 100), (7.0, 100)]})
     good = 0

@@ -4,7 +4,6 @@ import pytest
 from rmt.errors import ParameterError, SingularityError
 from rmt.linalg import RngStream, complex_gaussian
 from rmt.stieltjes import (
-    Density,
     SpectralModel,
     capacity_identity,
     density_from_stieltjes,
@@ -81,6 +80,16 @@ def test_mp_density_outside_support_zero():
         mp_density(-1.0, 1.0)
     with pytest.raises(ParameterError):
         mp_density(0.5, -0.5)
+
+
+def test_mp_closed_forms_refuse_non_finite_ratio():
+    for c in (np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            mp_support(c)
+        with pytest.raises(ParameterError):
+            mp_stieltjes(c, 1j)
+        with pytest.raises(ParameterError):
+            mp_density(c, 1.0)
 
 
 def test_mp_density_integrates_to_one():
@@ -241,7 +250,7 @@ def test_density_cluster_counts_fig3():
     for values, expected in (((1.0, 3.0, 7.0), 3), ((1.0, 3.0, 4.0), 2)):
         model = SpectralModel.from_multiplicities(values, (1, 1, 1), 0.1)
         dens = density_from_stieltjes(model, grid, eps=1e-4)
-        clusters = support_clusters(dens)
+        clusters = support_clusters(model)
         assert len(clusters.intervals) == expected, (values, clusters.intervals)
         assert abs(dens.total_mass() - 1.0) < 2e-2
         # interval masses account for everything but the (empty here) zero mass
@@ -249,10 +258,8 @@ def test_density_cluster_counts_fig3():
 
 
 def test_density_third_cluster_near_seven():
-    grid = np.arange(0.05, 11.0, 0.01)
     model = SpectralModel.from_multiplicities((1.0, 3.0, 7.0), (1, 1, 1), 0.1)
-    dens = density_from_stieltjes(model, grid, eps=1e-4)
-    clusters = support_clusters(dens)
+    clusters = support_clusters(model)
     lo, hi = clusters.intervals[-1]
     assert lo < 7.0 * 0.8 and hi > 7.0 * 1.2
 
@@ -273,28 +280,58 @@ def test_density_rejects_bad_grid():
 
 
 def test_support_clusters_mp_single_interval():
-    c = 0.5
-    a, b, _ = mp_support(c)
-    grid = np.arange(0.0, 3.2, 0.005)
-    dens = Density(grid, mp_density(c, grid), 0.0)
-    clusters = support_clusters(dens, threshold=1e-3)
-    assert len(clusters.intervals) == 1
-    lo, hi = clusters.intervals[0]
-    assert abs(lo - a) < 0.02 and abs(hi - b) < 0.02
-    assert abs(clusters.masses[0] - 1.0) < 2e-2
+    for c in (0.1, 0.5, 2.0, 10.0):
+        a, b, mass0 = mp_support(c)
+        clusters = support_clusters(SpectralModel(SINGLE_ATOM, c))
+        assert len(clusters.intervals) == 1
+        lo, hi = clusters.intervals[0]
+        assert abs(lo - a) < 1e-12 and abs(hi - b) < 1e-12, c
+        assert abs(clusters.masses[0] - (1.0 - mass0)) < 1e-12, c
 
 
-def test_support_clusters_flat_zero_empty():
-    dens = Density(np.linspace(0, 1, 50), np.zeros(50), 0.0)
-    assert support_clusters(dens, threshold=1e-3).intervals == ()
+def test_support_clusters_c_one_reaches_zero():
+    # at c = 1 one critical point sits at m = infinity and the lowest edge at 0
+    clusters = support_clusters(SpectralModel(SINGLE_ATOM, 1.0))
+    assert np.allclose(clusters.intervals, ((0.0, 4.0),), rtol=0.0, atol=1e-12)
+    assert np.allclose(clusters.masses, (1.0,), rtol=0.0, atol=1e-12)
+    # reference edges from a 60-digit solve of the same critical-point equation
+    model = SpectralModel.from_multiplicities((1.0, 2.0, 3.0, 50.0, 51.0), (1,) * 5, 1.0)
+    clusters = support_clusters(model)
+    want = ((0.0, 5.194793424525635), (8.19733471034072, 135.83390480851108))
+    assert np.allclose(clusters.intervals, want, rtol=1e-9, atol=0.0)
+    assert np.allclose(clusters.masses, (0.6, 0.4), atol=1e-12)
 
 
-def test_support_clusters_bridges_single_point_dip():
-    x = np.linspace(0, 1, 11)
-    f = np.ones(11)
-    f[5] = 0.0  # lone dip from grid noise must not split the run
-    clusters = support_clusters(Density(x, f, 0.0), threshold=0.5)
-    assert len(clusters.intervals) == 1
+def continuous_density(model, grid, eps=1e-9):
+    """Grid oracle for the support: the smoothed density with the smoothed
+    (1 - 1/c)^+ Dirac mass at zero taken off, positive only on the support."""
+    mass0 = max(0.0, 1 - 1 / model.ratio)
+    dens = density_from_stieltjes(model, grid, eps=eps)
+    return dens.values - mass0 * eps / (np.pi * (grid**2 + eps**2))
+
+
+def test_support_clusters_match_grid_oracle():
+    # K = 1..5, c log-uniform on [0.01, 5], and every fifth model at c = 1
+    rng = RngStream(23).generator()
+    for trial in range(50):
+        atoms = random_atoms(rng, rng.integers(1, 6))
+        c = 1.0 if trial % 5 == 0 else float(10 ** rng.uniform(-2, np.log10(5)))
+        model = SpectralModel(atoms, c)
+        clusters = support_clusters(model)
+        edges = np.ravel(clusters.intervals)
+        grid = np.linspace(1e-3, 1.2 * edges[-1], 4000)
+        inside = np.zeros(grid.size, dtype=bool)
+        for lo, hi in clusters.intervals:
+            inside |= (grid > lo) & (grid < hi)
+        away = np.min(np.abs(grid[:, None] - edges), axis=1) > 1e-3 * edges[-1]
+        positive = continuous_density(model, grid) > 1e-6
+        assert np.array_equal(positive[away], inside[away]), (model, clusters)
+        for (lo, hi), mass in zip(clusters.intervals, clusters.masses):
+            # x = s^2 with cosine-spaced s: the grid crowds into the square-root
+            # edges, and the 1/sqrt(x) density at a c = 1 edge at 0 stays finite
+            s = np.sqrt(lo) + (np.sqrt(hi) - np.sqrt(lo)) * (1 - np.cos(np.linspace(0.0, np.pi, 801))) / 2
+            integral = np.trapezoid(continuous_density(model, s**2) * 2 * s, s)
+            assert abs(integral - mass) < 2e-3, (model, lo, hi)
 
 
 # --- support monotonicity / edge identities -------------------------------------
