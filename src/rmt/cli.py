@@ -21,7 +21,7 @@ from . import gestimation as ge
 from . import simulate as sim
 from . import spikes as sp
 from .doa import SteeringModel, estimate_doa
-from .errors import ParameterError, RmtError
+from .errors import ParameterError, RegimeError, RmtError
 from .linalg import RngStream, load_matrix_bin, load_matrix_csv, sample_covariance
 from .schemas import validate
 from .stieltjes import SpectralModel, density_from_stieltjes, mp_density, mp_support, support_clusters
@@ -203,7 +203,7 @@ def cmd_localize(args) -> int:
     for i, hyp in enumerate(hyps):
         try:
             st = sp.calibrate_fluctuations(hyp.omega, c, y.shape[0], args.trials, RngStream(args.seed, i))
-        except RmtError:
+        except RegimeError:
             skipped.append(i)
             continue
         usable.append(hyp)
@@ -260,16 +260,6 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-_DEFAULT_BINDINGS = {
-    "mp-null": lambda spec: sim.EigBinding("mp-null"),
-    "masses": lambda spec: sim.GEstimatorBinding(),
-    "spike": lambda spec: sim.EigBinding("spike"),
-    "iid-channel": lambda spec: sim.PowerNmseBinding(),
-    "doa": lambda spec: sim.DoaResolutionBinding(np.arange(-90.0, 90.0001, 0.05)),
-    "failure": lambda spec: sim.FailureBinding(float(spec.params.get("far", 1e-2))),
-}
-
-
 def _jsonable(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
@@ -282,7 +272,7 @@ def _jsonable(value):
 
 def cmd_simulate(args) -> int:
     spec = ScenarioSpec.from_json(pathlib.Path(args.spec).read_text())
-    binding = _DEFAULT_BINDINGS[spec.kind](spec)
+    binding = sim.MODELS[spec.kind].binding(spec)
     summary = run_monte_carlo(spec, binding, workers=args.workers)
     doc = validate(
         "summary",

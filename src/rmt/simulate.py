@@ -8,28 +8,21 @@ binding over all trials, reducing per-trial records into aggregates.  Trials
 use independent counter-based streams keyed (seed, trial), so results are
 bit-identical for any worker count.
 
-Observation models:
-
-* ``mp-null``      Y with i.i.d. unit-variance proper Gaussian entries.
-* ``masses``       y_t = U x_t, U Haar per trial, x_t Gaussian with diagonal
-                   covariance of K weighted masses.
-* ``spike``        Y = T^(1/2) X for T = I plus a few spiked entries.
-* ``iid-channel``  y(t) = sum_k sqrt(P_k) H_k x_k(t) + sigma w(t), channel
-                   entries of variance 1/N, redrawn per trial.
-* ``doa``          y(t) = sum_k s(theta_k) x_k(t) + sigma w(t) on a ULA.
-* ``failure``      whitened network observations T^(-1/2) x(t) with an
-                   optional variance change alpha on one parameter; the
-                   network H is drawn once per scenario (reserved stream) so
-                   hypotheses stay fixed across trials.
+Each observation model is one class in :data:`MODELS`: ``setup(spec, params)``
+validates the parameters once and builds ``spec.state`` (made with the spec and
+pickled with it), ``draw(spec, state, g)`` draws one trial, ``covariance(spec,
+truth)`` rebuilds E[y y^H] and ``binding(spec)`` is ``rmt simulate``'s default.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,15 +50,201 @@ __all__ = [
     "FIGURE_IDS",
 ]
 
-KINDS = ("mp-null", "masses", "spike", "iid-channel", "doa", "failure")
-
-# stream index reserved for scenario-level draws (never used by a trial)
+# stream index reserved for scenario-level draws; a spec's trial streams stay below it
 SETUP_STREAM = 2**48
+
+
+def _integer(value, what: str, lo: int = 0, hi: float = math.inf) -> int:
+    """``value`` as an int in [lo, hi]; bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ParameterError(f"{what} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str, lo: float = -math.inf) -> float:
+    """``value`` as a finite float >= lo; bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (math.isfinite(value) and value >= lo):
+        bound = f" >= {lo:g}" if lo > -math.inf else ""
+        raise ParameterError(f"{what} must be a finite number{bound}, got {value!r}")
+    return float(value)
+
+
+def _items(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ParameterError(f"{what} must be a non-empty list")
+    return list(value)
+
+
+def _snr_sigma(p: dict) -> float:
+    # SNR is defined as 1/sigma^2, reported in dB
+    return 10 ** (-_real(p.get("snr_db"), "snr_db") / 20.0)
+
+
+class MpNullModel:
+    """Y with i.i.d. unit-variance proper Gaussian entries; an optional
+    ``snr_db`` sets the noise level of :class:`DetectionRocBinding`."""
+
+    def setup(self, spec, p):
+        return SimpleNamespace(sigma=_snr_sigma(p) if "snr_db" in p else 1.0)
+
+    def draw(self, spec, s, g):
+        return complex_gaussian(spec.n_dim, spec.n_samples, g), {"kind": spec.kind}
+
+    def covariance(self, spec, truth):
+        return np.eye(spec.n_dim)
+
+    def binding(self, spec):
+        return EigBinding(spec.kind)
+
+
+class MassesModel:
+    """y_t = U x_t, U Haar per trial, x_t Gaussian with the diagonal covariance
+    of ``atoms=[(value, multiplicity), ...]``."""
+
+    def setup(self, spec, p):
+        atoms = _items(p.get("atoms"), "masses atoms")
+        if any(not isinstance(a, (list, tuple)) or len(a) != 2 for a in atoms):
+            raise ParameterError("masses scenario needs atoms=[(value, multiplicity), ...]")
+        values = tuple(_real(v, "atom value", 0.0) for v, _ in atoms)
+        mults = tuple(_integer(m, "atom multiplicity", 1) for _, m in atoms)
+        if sum(mults) != spec.n_dim:
+            raise ParameterError("mass multiplicities must sum to N")
+        diag = np.repeat(values, mults)
+        return SimpleNamespace(values=values, mults=mults, diag=diag, scale=np.sqrt(diag)[:, None])
+
+    def draw(self, spec, s, g):
+        u = haar_unitary(spec.n_dim, g)
+        x = complex_gaussian(spec.n_dim, spec.n_samples, g)
+        return u @ (s.scale * x), {"kind": spec.kind, "unitary": u, "pop_eigs": s.diag}
+
+    def covariance(self, spec, truth):
+        return (truth["unitary"] * truth["pop_eigs"]) @ truth["unitary"].conj().T
+
+    def binding(self, spec):
+        return GEstimatorBinding()
+
+
+class SpikeModel:
+    """Y = T^(1/2) X for T = I plus the positive ``omegas`` on its leading diagonal."""
+
+    def setup(self, spec, p):
+        omegas = tuple(_real(w, "omega") for w in _items(p.get("omegas"), "spike omegas"))
+        if any(w <= 0 for w in omegas) or len(omegas) >= spec.n_dim:
+            raise ParameterError("spike scenario needs a short positive omega list")
+        diag = np.concatenate([1.0 + np.asarray(omegas), np.ones(spec.n_dim - len(omegas))])
+        return SimpleNamespace(omegas=omegas, diag=diag, scale=np.sqrt(diag)[:, None])
+
+    def draw(self, spec, s, g):
+        y = s.scale * complex_gaussian(spec.n_dim, spec.n_samples, g)
+        return y, {"kind": spec.kind, "pop_eigs": s.diag, "omegas": list(s.omegas)}
+
+    def covariance(self, spec, truth):
+        return np.diag(truth["pop_eigs"]).astype(complex)
+
+    def binding(self, spec):
+        return EigBinding(spec.kind)
+
+
+class IidChannelModel:
+    """y(t) = sum_k sqrt(P_k) H_k x_k(t) + sigma w(t) for ``powers`` P_k with
+    source ``multiplicities``; channel entries of variance 1/N, redrawn per trial."""
+
+    def setup(self, spec, p):
+        powers = tuple(_real(v, "power", 0.0) for v in _items(p.get("powers"), "powers"))
+        mults = tuple(_integer(m, "multiplicity", 1) for m in _items(p.get("multiplicities"), "multiplicities"))
+        if len(powers) != len(mults):
+            raise ParameterError("iid-channel needs matching powers and multiplicities")
+        if sum(mults) > spec.n_dim:
+            raise ParameterError("total source antennas must not exceed N")
+        pdiag = np.repeat(powers, mults)
+        return SimpleNamespace(powers=powers, mults=mults, pdiag=pdiag, scale=np.sqrt(pdiag)[:, None], sigma=_snr_sigma(p))
+
+    def draw(self, spec, s, g):
+        # channel entries have variance 1/N so receive power stays bounded in N
+        h = complex_gaussian(spec.n_dim, s.pdiag.size, g) / math.sqrt(spec.n_dim)
+        x = complex_gaussian(s.pdiag.size, spec.n_samples, g)
+        w = complex_gaussian(spec.n_dim, spec.n_samples, g)
+        y = h @ (s.scale * x) + s.sigma * w
+        return y, {"kind": spec.kind, "channel": h, "pop_powers": s.pdiag, "noise_var": s.sigma**2}
+
+    def covariance(self, spec, truth):
+        h = truth["channel"]
+        return (h * truth["pop_powers"]) @ h.conj().T + truth["noise_var"] * np.eye(spec.n_dim)
+
+    def binding(self, spec):
+        return PowerNmseBinding()
+
+
+class DoaModel:
+    """y(t) = sum_k s(theta_k) x_k(t) + sigma w(t) on a ULA of N sensors
+    ``spacing`` half-wavelengths apart (default 1)."""
+
+    def setup(self, spec, p):
+        angles = tuple(_real(a, "angle") for a in _items(p.get("angles_deg"), "doa angles_deg"))
+        model = SteeringModel(spec.n_dim, _real(p.get("spacing", 1.0), "spacing"))
+        return SimpleNamespace(angles=angles, model=model, steering=steering_matrix(model, angles), sigma=_snr_sigma(p))
+
+    def draw(self, spec, s, g):
+        x = complex_gaussian(len(s.angles), spec.n_samples, g)
+        w = complex_gaussian(spec.n_dim, spec.n_samples, g)
+        return s.steering @ x + s.sigma * w, {"kind": spec.kind, "angles_deg": list(s.angles),
+                                              "noise_var": s.sigma**2, "steering": s.steering}
+
+    def covariance(self, spec, truth):
+        return truth["steering"] @ truth["steering"].conj().T + truth["noise_var"] * np.eye(spec.n_dim)
+
+    def binding(self, spec):
+        return DoaResolutionBinding(np.arange(-90.0, 90.0001, 0.05))
+
+
+class FailureModel:
+    """Whitened network observations T^(-1/2) x(t) with an optional variance change
+    ``alpha`` on parameter ``failed_index``; the network H in T = HH^H + noise_var I
+    is drawn once per scenario (reserved stream), so hypotheses stay fixed across trials."""
+
+    def setup(self, spec, p):
+        m = _integer(p.get("n_params"), "failure n_params", 1)
+        failed = p.get("failed_index")
+        if failed is not None and _integer(failed, "failed_index") >= m:
+            raise ParameterError("failed_index out of range")
+        alpha = _real(p.get("alpha", -1.0), "alpha", -1.0)
+        sigma2 = _real(p.get("noise_var", 1.0), "noise_var", 0.0)
+        g = RngStream(spec.seed, SETUP_STREAM).generator()
+        h = complex_gaussian(spec.n_dim, m, g)
+        t_cov = h @ h.conj().T + sigma2 * np.eye(spec.n_dim)
+        te = np.linalg.eigh(t_cov)
+        inv_sqrt = (te.eigenvectors / np.sqrt(te.eigenvalues)) @ te.eigenvectors.conj().T
+        gain = np.where(np.arange(m) == failed, 1.0 + alpha, 1.0)[:, None]  # all ones if failed is None
+        return SimpleNamespace(n_params=m, failed=failed, alpha=alpha, noise_var=sigma2, network=h, t_cov=t_cov,
+                               gain=gain, inv_sqrt=inv_sqrt)
+
+    def draw(self, spec, s, g):
+        theta = complex_gaussian(s.n_params, spec.n_samples, g)
+        w = complex_gaussian(spec.n_dim, spec.n_samples, g)
+        x = s.network @ (s.gain * theta) + math.sqrt(s.noise_var) * w
+        return s.inv_sqrt @ x, {"kind": spec.kind, "network": s.network, "t_cov": s.t_cov,
+                                "noise_var": s.noise_var, "failed_index": s.failed, "alpha": s.alpha}
+
+    def covariance(self, spec, truth):
+        if truth["failed_index"] is None:
+            return np.eye(spec.n_dim).astype(complex)
+        v = spec.state.inv_sqrt @ truth["network"][:, truth["failed_index"]]
+        w = (1.0 + truth["alpha"]) ** 2 - 1.0
+        return np.eye(spec.n_dim) + w * np.outer(v, v.conj())
+
+    def binding(self, spec):
+        return FailureBinding(_real(spec.params.get("far", 1e-2), "far"))
+
+
+MODELS = {"mp-null": MpNullModel(), "masses": MassesModel(), "spike": SpikeModel(),
+          "iid-channel": IidChannelModel(), "doa": DoaModel(), "failure": FailureModel()}
+KINDS = tuple(MODELS)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One frozen Monte-Carlo experiment."""
+    """One frozen Monte-Carlo experiment; ``params`` stay as given and
+    ``state`` holds their validated scenario-level form."""
 
     kind: str
     n_dim: int
@@ -73,15 +252,21 @@ class ScenarioSpec:
     trials: int
     seed: int
     params: dict = field(default_factory=dict)
+    state: SimpleNamespace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown scenario kind {self.kind!r}")
-        if self.n_dim < 1 or self.n_samples < 1:
-            raise ParameterError("dimensions must be >= 1")
-        if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
-        _validate_params(self.kind, self.n_dim, dict(self.params))
+        for value, what, lo, hi in ((self.n_dim, "N", 1, math.inf), (self.n_samples, "n", 1, math.inf),
+                                    (self.trials, "trials", 1, SETUP_STREAM), (self.seed, "seed", 0, 2**64 - 1)):
+            _integer(value, what, lo, hi)
+        if not isinstance(self.params, dict):
+            raise ParameterError("params must be a dict")
+        state = MODELS[self.kind].setup(self, self.params)
+        for value in vars(state).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # every trial's truth record shares them
+        object.__setattr__(self, "state", state)
 
     @property
     def ratio(self) -> float:
@@ -105,184 +290,22 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        raw = json.loads(text)
-        return cls(
-            kind=raw["kind"],
-            n_dim=int(raw["N"]),
-            n_samples=int(raw["n"]),
-            trials=int(raw["trials"]),
-            seed=int(raw["seed"]),
-            params=dict(raw.get("params", {})),
-        )
-
-
-def _validate_params(kind: str, n_dim: int, p: dict) -> None:
-    if kind == "mp-null":
-        return
-    if kind == "masses":
-        atoms = p.get("atoms")
-        if not atoms or any(len(a) != 2 for a in atoms):
-            raise ParameterError("masses scenario needs atoms=[(value, multiplicity), ...]")
-        if sum(m for _, m in atoms) != n_dim:
-            raise ParameterError("mass multiplicities must sum to N")
-        return
-    if kind == "spike":
-        omegas = p.get("omegas")
-        if not omegas or any(w <= 0 for w in omegas) or len(omegas) >= n_dim:
-            raise ParameterError("spike scenario needs a short positive omega list")
-        return
-    if kind == "iid-channel":
-        powers, mults = p.get("powers"), p.get("multiplicities")
-        if not powers or not mults or len(powers) != len(mults):
-            raise ParameterError("iid-channel needs matching powers and multiplicities")
-        if sum(mults) > n_dim:
-            raise ParameterError("total source antennas must not exceed N")
-        if "snr_db" not in p:
-            raise ParameterError("iid-channel needs snr_db")
-        return
-    if kind == "doa":
-        if not p.get("angles_deg"):
-            raise ParameterError("doa scenario needs angles_deg")
-        if "snr_db" not in p:
-            raise ParameterError("doa scenario needs snr_db")
-        return
-    if kind == "failure":
-        m = p.get("n_params")
-        if not m or m < 1:
-            raise ParameterError("failure scenario needs n_params")
-        idx = p.get("failed_index")
-        if idx is not None and not (0 <= idx < m):
-            raise ParameterError("failed_index out of range")
-        if p.get("alpha", -1.0) < -1:
-            raise ParameterError("alpha must be >= -1")
-        return
-
-
-def _snr_sigma(p: dict) -> float:
-    # SNR is defined as 1/sigma^2, reported in dB
-    return 10 ** (-float(p["snr_db"]) / 20.0)
-
-
-def _failure_network(spec: ScenarioSpec):
-    """Scenario-level network draw: H (unit-variance entries) and T = HH^H + s2 I."""
-    p = dict(spec.params)
-    m = int(p["n_params"])
-    sigma2 = float(p.get("noise_var", 1.0))
-    g = RngStream(spec.seed, SETUP_STREAM).generator()
-    h = complex_gaussian(spec.n_dim, m, g)
-    t_cov = h @ h.conj().T + sigma2 * np.eye(spec.n_dim)
-    return h, t_cov, sigma2
+        raw, keys = json.loads(text), ("kind", "N", "n", "trials", "seed")
+        if not isinstance(raw, dict) or not raw.keys() >= set(keys):
+            raise ParameterError(f"a scenario is a JSON object with keys {', '.join(keys)} and optional params")
+        return cls(raw["kind"], raw["N"], raw["n"], raw["trials"], raw["seed"], raw.get("params", {}))
 
 
 def generate_trial(spec: ScenarioSpec, trial: int):
     """Draw observation matrix Y (N x n) and the trial's ground-truth record."""
     if not (0 <= trial < spec.trials):
         raise ParameterError("trial index out of range")
-    g = spec.stream(trial).generator()
-    n_dim, n_samples = spec.n_dim, spec.n_samples
-    p = dict(spec.params)
-
-    if spec.kind == "mp-null":
-        y = complex_gaussian(n_dim, n_samples, g)
-        return y, {"kind": spec.kind}
-
-    if spec.kind == "masses":
-        atoms = [(float(v), int(m)) for v, m in p["atoms"]]
-        diag = np.concatenate([np.full(m, v) for v, m in atoms])
-        u = haar_unitary(n_dim, g)
-        x = complex_gaussian(n_dim, n_samples, g)
-        y = u @ (np.sqrt(diag)[:, None] * x)
-        return y, {"kind": spec.kind, "unitary": u, "pop_eigs": diag}
-
-    if spec.kind == "spike":
-        omegas = [float(w) for w in p["omegas"]]
-        diag = np.ones(n_dim)
-        diag[: len(omegas)] += np.asarray(omegas)
-        x = complex_gaussian(n_dim, n_samples, g)
-        y = np.sqrt(diag)[:, None] * x
-        return y, {"kind": spec.kind, "pop_eigs": diag, "omegas": omegas}
-
-    if spec.kind == "iid-channel":
-        powers = [float(v) for v in p["powers"]]
-        mults = [int(m) for m in p["multiplicities"]]
-        sigma = _snr_sigma(p)
-        m_total = sum(mults)
-        # channel entries have variance 1/N so receive power stays bounded in N
-        h = complex_gaussian(n_dim, m_total, g) / math.sqrt(n_dim)
-        pdiag = np.concatenate([np.full(m, v) for v, m in zip(powers, mults)])
-        x = complex_gaussian(m_total, n_samples, g)
-        w = complex_gaussian(n_dim, n_samples, g)
-        y = h @ (np.sqrt(pdiag)[:, None] * x) + sigma * w
-        return y, {
-            "kind": spec.kind,
-            "channel": h,
-            "pop_powers": pdiag,
-            "noise_var": sigma**2,
-        }
-
-    if spec.kind == "doa":
-        angles = [float(a) for a in p["angles_deg"]]
-        sigma = _snr_sigma(p)
-        model = SteeringModel(n_dim, float(p.get("spacing", 1.0)))
-        smat = steering_matrix(model, angles)
-        x = complex_gaussian(len(angles), n_samples, g)
-        w = complex_gaussian(n_dim, n_samples, g)
-        y = smat @ x + sigma * w
-        return y, {"kind": spec.kind, "angles_deg": angles, "noise_var": sigma**2, "steering": smat}
-
-    if spec.kind == "failure":
-        m = int(p["n_params"])
-        alpha = float(p.get("alpha", -1.0))
-        failed = p.get("failed_index")
-        h, t_cov, sigma2 = _failure_network(spec)
-        gain = np.ones(m)
-        if failed is not None:
-            gain[int(failed)] = 1.0 + alpha
-        theta = complex_gaussian(m, n_samples, g)
-        w = complex_gaussian(n_dim, n_samples, g)
-        x = h @ (gain[:, None] * theta) + math.sqrt(sigma2) * w
-        te = np.linalg.eigh(t_cov)
-        inv_sqrt = (te.eigenvectors / np.sqrt(te.eigenvalues)) @ te.eigenvectors.conj().T
-        y = inv_sqrt @ x
-        return y, {
-            "kind": spec.kind,
-            "network": h,
-            "t_cov": t_cov,
-            "noise_var": sigma2,
-            "failed_index": failed,
-            "alpha": alpha,
-        }
-
-    raise ParameterError(f"unknown scenario kind {spec.kind!r}")
+    return MODELS[spec.kind].draw(spec, spec.state, spec.stream(trial).generator())
 
 
 def rebuild_population_covariance(spec: ScenarioSpec, truth: dict) -> np.ndarray:
     """Reassemble E[y y^H] from a trial's ground-truth record."""
-    kind = truth["kind"]
-    if kind == "mp-null":
-        return np.eye(spec.n_dim)
-    if kind == "masses":
-        u = truth["unitary"]
-        return (u * truth["pop_eigs"]) @ u.conj().T
-    if kind == "spike":
-        return np.diag(truth["pop_eigs"]).astype(complex)
-    if kind == "iid-channel":
-        h = truth["channel"]
-        return (h * truth["pop_powers"]) @ h.conj().T + truth["noise_var"] * np.eye(spec.n_dim)
-    if kind == "doa":
-        s = truth["steering"]
-        return s @ s.conj().T + truth["noise_var"] * np.eye(spec.n_dim)
-    if kind == "failure":
-        h, t_cov = truth["network"], truth["t_cov"]
-        te = np.linalg.eigh(t_cov)
-        inv_sqrt = (te.eigenvectors / np.sqrt(te.eigenvalues)) @ te.eigenvectors.conj().T
-        if truth["failed_index"] is None:
-            return np.eye(spec.n_dim).astype(complex)
-        k = int(truth["failed_index"])
-        v = inv_sqrt @ h[:, k]
-        w = (1.0 + truth["alpha"]) ** 2 - 1.0
-        return np.eye(spec.n_dim) + w * np.outer(v, v.conj())
-    raise ParameterError(f"unknown truth kind {kind!r}")
+    return MODELS[spec.kind].covariance(spec, truth)
 
 
 @dataclass(frozen=True)
@@ -368,8 +391,7 @@ class PowerNmseBinding:
     kind = "iid-channel"
 
     def per_trial(self, spec, trial, y, truth):
-        p = spec.params
-        mults = tuple(int(m) for m in p["multiplicities"])
+        mults = spec.state.mults
         eigs = np.linalg.eigvalsh(sample_covariance(y))
         clusters = ge.ClusterAssignment.top_ranges(spec.n_dim, mults)
         gvals = ge.power_estimate_iid_channel(eigs, spec.n_dim, spec.n_samples, clusters).values
@@ -379,7 +401,7 @@ class PowerNmseBinding:
         return {"g": gvals, "classical": cvals}
 
     def reduce(self, spec, records):
-        powers = np.asarray(spec.params["powers"], dtype=float)
+        powers = np.asarray(spec.state.powers)
         g = np.array([r["g"] for r in records])
         c = np.array([r["classical"] for r in records])
         nmse_g = np.mean((g - powers) ** 2, axis=0) / powers**2
@@ -398,7 +420,7 @@ class GEstimatorBinding:
     kind = "masses"
 
     def per_trial(self, spec, trial, y, truth):
-        mults = tuple(int(m) for _, m in spec.params["atoms"])
+        mults = spec.state.mults
         eigs = np.linalg.eigvalsh(sample_covariance(y))
         clusters = ge.clusters_from_gaps(eigs, len(mults), mults)
         return {
@@ -408,7 +430,7 @@ class GEstimatorBinding:
         }
 
     def reduce(self, spec, records):
-        values = np.asarray([v for v, _ in spec.params["atoms"]], dtype=float)
+        values = np.asarray(spec.state.values)
         g = np.array([r["g"] for r in records])
         c = np.array([r["classical"] for r in records])
         return {
@@ -431,7 +453,7 @@ class DetectionRocBinding:
         # channel, signal and noise so trials stay self-contained.
         g = RngStream(spec.seed, trial + SETUP_STREAM).generator()
         n_dim, n_samples = spec.n_dim, spec.n_samples
-        sigma = _snr_sigma(spec.params) if "snr_db" in spec.params else 1.0
+        sigma = spec.state.sigma
         h = complex_gaussian(n_dim, 1, g)[:, 0]
         x = complex_gaussian(1, n_samples, g)
         w = complex_gaussian(n_dim, n_samples, g)
@@ -474,16 +496,11 @@ class DoaResolutionBinding:
         self.window = window_deg
 
     def per_trial(self, spec, trial, y, truth):
-        model = SteeringModel(spec.n_dim, float(spec.params.get("spacing", 1.0)))
-        k = len(spec.params["angles_deg"])
-        out = {}
-        for method in ("music", "gmusic"):
-            res = estimate_doa(y, k, model, self.grid, method)
-            out[method] = res.angles
-        return out
+        s = spec.state
+        return {m: estimate_doa(y, len(s.angles), s.model, self.grid, m).angles for m in ("music", "gmusic")}
 
     def reduce(self, spec, records):
-        true = np.sort(np.asarray(spec.params["angles_deg"], dtype=float))
+        true = np.sort(np.asarray(spec.state.angles))
         out = {}
         for method in ("music", "gmusic"):
             hits = []
@@ -516,10 +533,7 @@ class FailureBinding:
         key = (spec.seed, spec.n_dim, spec.n_samples)
         if key in self._cache:
             return self._cache[key]
-        h, t_cov, _ = _failure_network(spec)
-        alpha = float(spec.params.get("alpha", -1.0))
-        m = int(spec.params["n_params"])
-        hyps = sp.failure_hypotheses(h, t_cov, [alpha] * m)
+        hyps = sp.failure_hypotheses(spec.state.network, spec.state.t_cov, [spec.state.alpha] * spec.state.n_params)
         c = spec.ratio
         usable, stats = [], []
         for i, hyp in enumerate(hyps):
@@ -550,7 +564,7 @@ class FailureBinding:
         return {"detected": detected, "k_hat": k_hat, "lam_min": lam_min}
 
     def reduce(self, spec, records):
-        truth_k = spec.params.get("failed_index")
+        truth_k = spec.state.failed
         det = np.array([r["detected"] for r in records])
         out = {"detection_rate": float(np.mean(det))}
         if truth_k is not None:

@@ -269,7 +269,9 @@ def density_from_stieltjes(model: SpectralModel, grid, eps: float = 1e-3) -> Den
     z = grid + 1j * eps
     m_f = (_companion_roots(model, z) - (c - 1) / z) / c
     mass0 = max(0.0, 1 - 1 / c)
-    return Density(grid, np.maximum(m_f.imag / np.pi, 0.0), mass0)
+    # at c > 1 the eps-smoothed Dirac mass at zero is taken out: it is mass_at_zero
+    values = m_f.imag / np.pi - mass0 * eps / (np.pi * (grid**2 + eps**2))
+    return Density(grid, np.maximum(values, 0.0), mass0)
 
 
 def support_clusters(model: SpectralModel) -> SupportClusters:

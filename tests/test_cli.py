@@ -196,6 +196,26 @@ def test_localize_command(tmp_path):
     assert doc["k_hat"] == 2
 
 
+def test_localize_reports_the_calibration_error(tmp_path, capsys):
+    # a too-small --trials is a parameter error, not "no hypothesis is detectable"
+    g = RngStream(8).generator()
+    h = complex_gaussian(4, 4, g)
+    t_cov = h @ h.conj().T + np.eye(4)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({
+        "H": [[[z.real, z.imag] for z in row] for row in h],
+        "T": [[[z.real, z.imag] for z in row] for row in t_cov],
+        "alphas": [-1.0] * 4,
+    }))
+    y_path = tmp_path / "y.csv"
+    save_matrix_csv(y_path, complex_gaussian(4, 40, g))
+    capsys.readouterr()
+    assert run_cli("localize", "--input", str(y_path), "--model", str(model_path), "--trials", "10") == 1
+    err = capsys.readouterr().err
+    assert "at least 1000 trials" in err
+    assert "detectable regime" not in err
+
+
 # --- reproduce / simulate ------------------------------------------------------------
 
 
@@ -236,3 +256,22 @@ def test_simulate_command_reproducible(tmp_path):
     b = json.loads(out2.read_text())
     validate("summary", a)
     assert a["aggregates"]["all_eigs"] == b["aggregates"]["all_eigs"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "mp-null", "N": 8, "trials": 2, "seed": 1},  # no "n"
+    {"kind": "masses", "N": 4, "n": 8, "trials": 2, "seed": 1, "params": {"atoms": [[1.0, "two"], [2.0, 2]]}},
+    {"kind": "masses", "N": 4, "n": 8, "trials": 2, "seed": 1, "params": {"atoms": [[1.0, -2], [2.0, 6]]}},
+    {"kind": "spike", "N": 8, "n": 16, "trials": 2, "seed": 1, "params": {"omegas": ["2.0"]}},
+    {"kind": "mp-null", "N": 8, "n": 16, "trials": 2, "seed": -1},
+    {"kind": "failure", "N": 8, "n": 16, "trials": 2, "seed": 1, "params": {"n_params": 2, "failed_index": 1.5}},
+    {"kind": "mp-null", "N": 8, "n": 16, "trials": 2, "seed": 1, "params": [1, 2]},
+    [1, 2, 3],
+], ids=["missing-key", "string-mult", "negative-mult", "string-omega", "negative-seed", "fractional-index",
+        "list-params", "not-an-object"])
+def test_simulate_malformed_spec_is_runtime_error(tmp_path, capsys, doc):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("simulate", "--spec", str(spec_path)) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -5,6 +5,7 @@ import pytest
 
 from rmt.errors import ParameterError
 from rmt.simulate import (
+    SETUP_STREAM,
     DetectionRocBinding,
     EigBinding,
     FailureBinding,
@@ -42,6 +43,43 @@ def test_spec_validation():
         ScenarioSpec("iid-channel", 8, 16, 1, 0, {"powers": [1.0], "multiplicities": [4]})
     with pytest.raises(ParameterError):
         ScenarioSpec("failure", 8, 16, 1, 0, {"n_params": 4, "failed_index": 9})
+
+
+def test_spec_refuses_malformed_params():
+    bad = [
+        ("masses", {"atoms": [(1.0, "a"), (3.0, 6)]}),  # non-numeric multiplicity
+        ("masses", {"atoms": [(1.0, -2), (3.0, 12)]}),  # negative multiplicity
+        ("masses", {"atoms": [(1.0, 5.5), (3.0, 4.5)]}),  # fractional multiplicity
+        ("spike", {"omegas": ["2"]}),
+        ("spike", {"omegas": [float("nan")]}),
+        ("iid-channel", {"powers": [1.0], "multiplicities": [True], "snr_db": 0.0}),
+        ("doa", {"angles_deg": [10.0], "snr_db": "high"}),
+        ("mp-null", {"snr_db": float("inf")}),
+    ]
+    for kind, params in bad:
+        with pytest.raises(ParameterError):
+            ScenarioSpec(kind, 10, 20, 1, 0, params)
+    with pytest.raises(ParameterError):
+        ScenarioSpec("mp-null", 4, 8, 1, -1)  # RngStream needs an unsigned seed
+    with pytest.raises(ParameterError):
+        ScenarioSpec("mp-null", 4, 8.5, 1, 0)
+    with pytest.raises(ParameterError):
+        ScenarioSpec("mp-null", 4, 8, 1, 0, params=[("snr_db", 0.0)])
+
+
+def test_failure_index_must_be_an_integer():
+    # int() used to truncate 1.5 in every draw, so no localization could match it
+    for idx in (1.5, True, "1"):
+        with pytest.raises(ParameterError):
+            ScenarioSpec("failure", 8, 16, 1, 0, {"n_params": 2, "failed_index": idx})
+    spec = ScenarioSpec("failure", 8, 16, 1, 0, {"n_params": 2, "failed_index": np.int64(1)})
+    assert spec.state.failed == 1
+
+
+def test_trials_never_reach_the_reserved_stream():
+    ScenarioSpec("mp-null", 4, 8, SETUP_STREAM, 0)
+    with pytest.raises(ParameterError):
+        ScenarioSpec("mp-null", 4, 8, SETUP_STREAM + 1, 0)
 
 
 def test_generate_trial_shapes_and_determinism():
@@ -100,6 +138,43 @@ def test_ground_truth_rebuild_consistency():
     assert np.max(np.abs(rebuild_population_covariance(spec, truth) - np.diag(truth["pop_eigs"]))) < 1e-12
 
 
+# y[0, 0], y[-1, -1], y[2, 3] of trial 1 and the rebuilt covariance's [0, 0],
+# [-1, 0], [-1, -1], as drawn before the observation models became classes
+REFERENCE_DRAWS = [
+    (ScenarioSpec("mp-null", 5, 7, 2, 21), [
+        0.6738928155510209 - 0.2989904930947202j, -0.13642356945774456 + 0.8656946943279196j,
+        -0.7549485741141436 + 0.14958912520226025j, 1, 0, 1]),
+    (ScenarioSpec("masses", 6, 9, 2, 22, {"atoms": [(1.0, 3), (4.0, 3)]}), [
+        0.6267073182923413 + 0.2927418777969838j, -1.3496913324296553 + 0.43433927500841046j,
+        -0.3619538654191004 + 0.7341323371955129j, 2.9261635490823874,
+        0.004789714407894913 + 0.2001875703069363j, 2.1766457139925515 + 8.966306990425887e-18j]),
+    (ScenarioSpec("spike", 6, 9, 2, 23, {"omegas": [3.0, 0.5]}), [
+        1.4971614696663826 - 1.4850077253127292j, 0.8620988353000689 + 1.04602869033385j,
+        1.0521601674562324 - 1.4409351591526829j, 4, 0, 1]),
+    (ScenarioSpec("iid-channel", 6, 9, 2, 24, {"powers": [0.5, 2.0], "multiplicities": [1, 2], "snr_db": 6.0}), [
+        -1.6386908562748215 - 0.8321086595276938j, -0.9677762529117802 - 0.40082870110712565j,
+        -1.0431805863124681 + 0.7568482814359264j, 1.2124130793711534,
+        -0.20871877277192757 + 0.5891165787105046j, 0.7192197923594641 - 3.0290897210495123e-18j]),
+    (ScenarioSpec("doa", 6, 9, 2, 25, {"angles_deg": [-20.0, 40.0], "snr_db": 3.0, "spacing": 0.8}), [
+        0.18499577979477735 - 0.011343992633658317j, 1.2548022625676993 + 0.07363515630912451j,
+        0.7623367804896188 - 0.5425668209688274j, 0.8345205669606057,
+        -0.10405728769869607 + 0.31507751743865764j, 0.8345205669606056 - 2.2174497755163163e-18j]),
+    (ScenarioSpec("failure", 6, 9, 2, 26, {"n_params": 4, "alpha": 0.5, "failed_index": 3, "noise_var": 2.0}), [
+        0.2404434915688139 + 0.4636007106965776j, -0.8730930572508836 + 0.35265550161282266j,
+        0.9671581324669034 + 0.4952340290452599j, 1.0045302195308894 - 7.146878496498929e-20j,
+        0.009139980862879076 - 0.02697296625808785j, 1.1790377162526804 - 5.60529318047611e-19j]),
+]
+
+
+@pytest.mark.parametrize("spec, want", REFERENCE_DRAWS, ids=[s.kind for s, _ in REFERENCE_DRAWS])
+def test_generate_trial_matches_reference_draws(spec, want):
+    y, truth = generate_trial(spec, 1)
+    cov = rebuild_population_covariance(spec, truth)
+    got = np.array([y[0, 0], y[-1, -1], y[2, 3], cov[0, 0], cov[-1, 0], cov[-1, -1]])
+    want = np.array(want, dtype=complex)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_iid_channel_power_bookkeeping():
     spec = ScenarioSpec(
         "iid-channel", 24, 2000, 6, 11,
@@ -129,6 +204,15 @@ def test_run_monte_carlo_worker_count_invariance():
     two = run_monte_carlo(spec, EigBinding("mp-null"), workers=2)
     assert np.array_equal(one.aggregates["all_eigs"], two.aggregates["all_eigs"])
     assert np.array_equal(one.aggregates["per_trial_max"], two.aggregates["per_trial_max"])
+
+
+def test_failure_worker_count_invariance():
+    # the scenario network and T^(-1/2) reach the workers inside the pickled spec
+    spec = ScenarioSpec("failure", 6, 60, 8, 4, {"n_params": 6, "alpha": -1.0, "failed_index": 1})
+    one = run_monte_carlo(spec, FailureBinding(far=1e-2, calibration_trials=1000), workers=1)
+    two = run_monte_carlo(spec, FailureBinding(far=1e-2, calibration_trials=1000), workers=2)
+    assert one.records == two.records
+    assert one.aggregates == two.aggregates
 
 
 def test_run_monte_carlo_binding_compatibility():

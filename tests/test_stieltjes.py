@@ -243,6 +243,17 @@ def test_density_normalization_and_mass_at_zero():
     assert np.all(dens.values >= 0)
 
 
+def test_density_above_c_one_leaves_out_the_mass_at_zero():
+    # the eps-smoothed Dirac tail near x = 0 is mass_at_zero, not continuous density
+    model = SpectralModel(SINGLE_ATOM, 2.0)
+    grid = np.arange(0.01, (1 + 2**0.5) ** 2 * 1.4, 0.01)  # the CLI's default grid
+    dens = density_from_stieltjes(model, grid, eps=1e-3)
+    assert dens.values[0] < 1e-3
+    assert abs(dens.total_mass() - 1.0) < 1e-3
+    below = (grid > 0.05) & (grid < mp_support(2.0)[0] - 0.01)
+    assert np.max(dens.values[below]) < 5e-3
+
+
 def test_density_cluster_counts_fig3():
     # three masses {1,3,7} at c=0.1 resolve into 3 support intervals,
     # {1,3,4} into 2 (the 3 and 4 clusters merge)
