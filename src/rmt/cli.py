@@ -188,6 +188,9 @@ def cmd_detect(args) -> int:
 def cmd_localize(args) -> int:
     y = _load_matrix(args.input)
     model = json.loads(pathlib.Path(args.model).read_text())
+    missing = [key for key in ("H", "T", "alphas") if not isinstance(model, dict) or key not in model]
+    if missing:
+        raise ParameterError(f"model file lacks {', '.join(missing)} (it must hold H, T and alphas)")
     h = _json_to_complex(model["H"])
     t_cov = _json_to_complex(model["T"])
     alphas = [float(a) for a in model["alphas"]]

@@ -530,10 +530,11 @@ class FailureBinding:
     def prepare(self, spec):
         """Calibrate hypotheses once; hypotheses below the detectability
         threshold |omega| > sqrt(c) cannot be localized and are excluded."""
-        key = (spec.seed, spec.n_dim, spec.n_samples)
+        s = spec.state  # the hypotheses depend on every setup value but failed_index
+        key = (spec.seed, spec.n_dim, spec.n_samples, s.n_params, s.alpha, s.noise_var)
         if key in self._cache:
             return self._cache[key]
-        hyps = sp.failure_hypotheses(spec.state.network, spec.state.t_cov, [spec.state.alpha] * spec.state.n_params)
+        hyps = sp.failure_hypotheses(s.network, s.t_cov, [s.alpha] * s.n_params)
         c = spec.ratio
         usable, stats = [], []
         for i, hyp in enumerate(hyps):

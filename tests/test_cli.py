@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -214,6 +215,37 @@ def test_localize_reports_the_calibration_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "at least 1000 trials" in err
     assert "detectable regime" not in err
+
+
+@pytest.mark.parametrize("key", ["H", "T", "alphas"])
+def test_localize_model_missing_key_is_runtime_error(tmp_path, capsys, key):
+    g = RngStream(8).generator()
+    h = complex_gaussian(4, 4, g)
+    model = {
+        "H": [[[z.real, z.imag] for z in row] for row in h],
+        "T": [[[z.real, z.imag] for z in row] for row in h @ h.conj().T + np.eye(4)],
+        "alphas": [-1.0] * 4,
+    }
+    del model[key]
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    y_path = tmp_path / "y.csv"
+    save_matrix_csv(y_path, complex_gaussian(4, 40, g))
+    capsys.readouterr()
+    assert run_cli("localize", "--input", str(y_path), "--model", str(model_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"lacks {key} " in err
+
+
+@pytest.mark.parametrize("tail", [b"\x01\x00", struct.pack("<qq", 2, 3) + bytes(16 * 6 + 1)],
+                         ids=["short-header", "byte-over"])
+def test_malformed_binary_input_is_runtime_error(tmp_path, capsys, tail):
+    # every malformed layout is refused in load_matrix_bin (see test_linalg); the CLI reports it
+    path = tmp_path / "y.bin"
+    path.write_bytes(b"RMTM" + tail)
+    capsys.readouterr()
+    assert run_cli("detect", "--input", str(path), "--far", "0.01") == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # --- reproduce / simulate ------------------------------------------------------------

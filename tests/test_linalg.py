@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,83 @@ def test_matrix_bin_roundtrip(tmp_path):
     save_matrix_bin(path, a)
     b = load_matrix_bin(path)
     assert np.array_equal(a, b)
+
+
+# --- Gram, draw and file layout against reference formulas -----------------------
+
+
+def zgemm_covariance(y):
+    """The complex-product sample covariance, kept as the oracle."""
+    c = y @ y.conj().T / y.shape[1]
+    return (c + c.conj().T) / 2
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (4, 11), (30, 12), (64, 200), (256, 768)])
+def test_sample_covariance_matches_complex_product(shape):
+    y = complex_gaussian(*shape, RngStream(31, shape[0] * 1000 + shape[1]))
+    want = zgemm_covariance(y)
+    got = sample_covariance(y)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(got, got.conj().T)
+    assert np.all(np.diagonal(got).imag == 0)
+
+
+def test_sample_covariance_accepts_real_and_strided_input():
+    y = complex_gaussian(6, 20, RngStream(4))
+    for x in (y[:, ::2], y.T[::2].T, y.real):
+        want = zgemm_covariance(x.astype(complex))
+        assert np.max(np.abs(sample_covariance(x) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_complex_gaussian_bit_identical_to_two_draws():
+    g = RngStream(77, 3).generator()
+    re = g.standard_normal((256, 768))
+    im = g.standard_normal((256, 768))
+    want = (re + 1j * im) * np.sqrt(0.5)
+    assert complex_gaussian(256, 768, RngStream(77, 3)).tobytes() == want.tobytes()
+
+
+def special_values_matrix():
+    a = np.empty((2, 4), dtype=complex)
+    a.real = [[1.0, -0.0, 5e-324, np.nan], [-np.inf, 0.0, 2.5e-310, -3.0]]
+    a.imag = [[np.inf, -0.0, 1.0, 2.0], [np.nan, -0.0, -5e-324, np.inf]]
+    return a
+
+
+@pytest.mark.parametrize("save, load, name", [(save_matrix_bin, load_matrix_bin, "m.bin"),
+                                               (save_matrix_csv, load_matrix_csv, "m.csv")])
+def test_matrix_roundtrip_byte_exact_on_special_values(tmp_path, save, load, name):
+    a = special_values_matrix()
+    save(tmp_path / name, a)
+    b = load(tmp_path / name)
+    assert b.dtype == np.complex128 and b.shape == a.shape
+    assert b.tobytes() == a.tobytes()
+
+
+def test_matrix_bin_layout_is_interleaved_float64(tmp_path):
+    a = special_values_matrix()
+    path = tmp_path / "m.bin"
+    save_matrix_bin(path, a)
+    pairs = b"".join(struct.pack("<dd", z.real, z.imag) for z in a.ravel())
+    assert path.read_bytes() == b"RMTM" + struct.pack("<qq", 2, 4) + pairs
+
+
+@pytest.mark.parametrize("tail", [
+    b"\x01\x00",                                   # header cut short
+    struct.pack("<qq", 2, -3),                     # negative dims
+    struct.pack("<qq", 2, 3) + bytes(16 * 5),      # one element short
+    struct.pack("<qq", 2, 3) + bytes(16 * 6 + 1),  # one byte too long
+    struct.pack("<qq", 2, 3) + bytes(1),           # a one-byte payload
+], ids=["short-header", "negative-dims", "element-short", "byte-over", "one-byte"])
+def test_malformed_matrix_bin_refused(tmp_path, tail):
+    path = tmp_path / "m.bin"
+    path.write_bytes(b"RMTM" + tail)
+    with pytest.raises(DimensionError):
+        load_matrix_bin(path)
+
+
+def test_matrix_bin_bad_magic_refused(tmp_path):
+    path = tmp_path / "m.bin"
+    path.write_bytes(b"NOPE" + struct.pack("<qq", 1, 1) + bytes(16))
+    with pytest.raises(ParameterError):
+        load_matrix_bin(path)

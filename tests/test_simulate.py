@@ -282,6 +282,22 @@ def test_failure_binding_smoke():
     assert 0.0 <= agg["localization_rate"] <= agg["detection_rate"] <= 1.0
 
 
+def test_failure_binding_cache_tells_scenarios_apart():
+    # one binding reused across failure scenarios that differ only in alpha,
+    # n_params or noise_var gives each scenario its own hypotheses
+    base = {"n_params": 4, "alpha": -1.0, "failed_index": 0, "noise_var": 1.0}
+    specs = [ScenarioSpec("failure", 4, 40, 1, 3, dict(base, **change))
+             for change in ({}, {"alpha": 1.0}, {"n_params": 3}, {"noise_var": 2.0})]
+
+    def hypotheses(binding, spec):
+        return [(h.index, h.omega, h.alpha) for h in binding.prepare(spec)[0]]
+
+    shared = FailureBinding(far=1e-2, calibration_trials=1000)
+    got = [hypotheses(shared, spec) for spec in specs]
+    assert got == [hypotheses(FailureBinding(far=1e-2, calibration_trials=1000), spec) for spec in specs]
+    assert len({tuple(g) for g in got}) == len(specs)
+
+
 # --- figure reproduction ------------------------------------------------------------------
 
 
