@@ -9,6 +9,7 @@ JSON documents validate against the shipped schemas.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import subprocess
@@ -293,6 +294,7 @@ def cmd_simulate(args) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rmt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rmt {__version__}")
@@ -327,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--method", choices=("music", "gmusic"), default="gmusic")
-    p.add_argument("--grid", default="-90:90:0.05")
+    p.add_argument("--grid", default="-90:90:0.05",
+                   help="lo:hi:step in degrees: the search range (minima strictly inside it) "
+                        "and the --cost-out samples")
     p.add_argument("--spacing", type=float, default=1.0)
     p.add_argument("--cost-out", default=None)
     p.add_argument("--out", default=None)

@@ -6,7 +6,7 @@ half-wavelengths; the unit-norm steering vector at electrical angle theta is
 
     s(theta)_m = exp(i pi d (m-1) sin theta) / sqrt(N).
 
-MUSIC scans the projection of s(theta) onto the sample noise subspace;
+MUSIC minimizes the projection of s(theta) onto the sample noise subspace;
 G-MUSIC replaces the 0/1 subspace indicator with weights phi(i) built from
 the sample eigenvalues and their rank-one downdate, which de-biases the
 projector when N and n are comparable.
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError, ParameterError
 from .gestimation import mu_eigenvalues
-from .linalg import hermitian_eig, sample_covariance
+from .linalg import sample_covariance
 
 __all__ = [
     "SteeringModel",
@@ -45,8 +45,8 @@ class SteeringModel:
     def __post_init__(self):
         if self.n_sensors < 2:
             raise ParameterError("need at least 2 sensors")
-        if not (self.spacing > 0):
-            raise ParameterError("spacing must be positive")
+        if not (0 < self.spacing <= 1):
+            raise ParameterError("spacing must be in (0, 1] half-wavelengths: a wider spacing aliases directions")
 
 
 @dataclass(frozen=True)
@@ -119,53 +119,53 @@ def weighted_cost(eigvecs: np.ndarray, weights, svecs: np.ndarray) -> np.ndarray
     return np.asarray(weights) @ (np.abs(proj) ** 2)
 
 
-def _local_minima(costs: np.ndarray) -> np.ndarray:
-    c = costs
-    idx = np.flatnonzero((c[1:-1] < c[:-2]) & (c[1:-1] <= c[2:])) + 1
-    return idx
-
-
-def _parabolic_refine(grid: np.ndarray, costs: np.ndarray, i: int) -> float:
-    x0, x1, x2 = grid[i - 1], grid[i], grid[i + 1]
-    y0, y1, y2 = costs[i - 1], costs[i], costs[i + 1]
-    denom = (y0 - 2 * y1 + y2)
-    if denom <= 0:
-        return float(x1)
-    shift = 0.5 * (y0 - y2) / denom
-    step = x1 - x0
-    return float(x1 + np.clip(shift, -1, 1) * step)
-
-
 def estimate_doa(y, k: int, model: SteeringModel, grid, method: str = "gmusic") -> DoaResult:
-    """Grid-search the chosen cost and return the K deepest refined minima.
+    """Return the K deepest minima of the chosen cost, sorted, inside the grid's range.
 
-    The grid must resolve at most 0.1 degrees.  If fewer than K local minima
+    On a ULA, s^H(theta) Q s(theta) with Q = sum_i w_i u_i u_i^H equals
+    (r_0 + 2 Re sum_{k>=1} r_k z^k)/N at z = exp(i pi d sin theta), where r_k is
+    the sum of Q's k-th superdiagonal (root-MUSIC, Barabell 1983).  Its
+    stationary points are the unit-circle roots of z^(N-1) (g(z) - conj g(1/conj z)),
+    g = sum_k k r_k z^k.  A root is a minimum when the slope -Im g(e^{i psi}) is
+    negative at the midpoint before it and positive at the one after it (sorted
+    root angles, wrapping); off-circle pairs (z, 1/conj z) show no sign change,
+    so no |z| - 1 tolerance decides anything.  The grid only bounds the search
+    (minima strictly inside it) and samples ``costs``.  If fewer than K minima
     exist the result carries all of them with ``complete=False``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0):
         raise ParameterError("angle grid must be ascending with >= 3 points")
-    if np.max(np.diff(grid)) > 0.1 + 1e-12:
-        raise ParameterError("grid resolution must be <= 0.1 degrees")
     if method not in ("music", "gmusic"):
         raise ParameterError(f"unknown method {method!r}")
     y = np.asarray(y, dtype=complex)
-    if not (0 <= k < model.n_sensors):
+    n_dim = model.n_sensors
+    if not (0 <= k < n_dim):
         raise ParameterError("need 0 <= K < N")
-    if y.shape[0] != model.n_sensors:
+    if y.shape[0] != n_dim:
         raise DimensionError("observation rows must match the sensor count")
-    svecs = steering_matrix(model, grid)
-    eig = hermitian_eig(sample_covariance(y))
+    lam, u = np.linalg.eigh(sample_covariance(y))
     if method == "music":
-        weights = np.zeros(model.n_sensors)
-        weights[: model.n_sensors - k] = 1.0
+        weights = np.zeros(n_dim)
+        weights[: n_dim - k] = 1.0
     else:
-        weights = gmusic_weights(eig.eigenvalues, y.shape[1], k)
-    costs = weighted_cost(eig.eigenvectors, weights, svecs)
+        weights = gmusic_weights(lam, y.shape[1], k)
+    q = (u * weights) @ u.conj().T
+    r = np.array([np.trace(q, j) for j in range(n_dim)])
+    psi_max = math.pi * model.spacing  # psi = psi_max * sin(theta)
+    cost_coef = np.concatenate([r[:1], 2 * r[1:]])[::-1] / n_dim
+    costs = np.polyval(cost_coef, np.exp(1j * psi_max * np.sin(np.radians(grid)))).real
     if k == 0:
         return DoaResult((), grid, costs, method, True)
-    minima = _local_minima(costs)
-    order = minima[np.argsort(costs[minima], kind="stable")]
-    chosen = order[:k]
-    angles = tuple(sorted(_parabolic_refine(grid, costs, i) for i in chosen))
+    g_coef = (np.arange(n_dim) * r)[::-1]
+    psi = np.sort(np.angle(np.roots(np.concatenate([g_coef[:-1], [0.0], -g_coef[-2::-1].conj()]))))
+    mid = (psi + np.concatenate([psi[-1:] - 2 * math.pi, psi[:-1]])) / 2
+    slope = -np.polyval(g_coef, np.exp(1j * mid)).imag
+    psi = psi[(slope < 0) & (np.roll(slope, -1) > 0)]
+    psi = psi[np.abs(psi) <= psi_max]
+    theta = np.degrees(np.arcsin(psi / psi_max))
+    inside = (theta > grid[0]) & (theta < grid[-1])
+    theta, psi = theta[inside], psi[inside]
+    depth = np.polyval(cost_coef, np.exp(1j * psi)).real
+    angles = tuple(sorted(float(t) for t in theta[np.argsort(depth, kind="stable")[:k]]))
     return DoaResult(angles, grid, costs, method, complete=len(angles) == k)

@@ -70,10 +70,6 @@ class HermitianEigen:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def descending(self) -> "HermitianEigen":
-        """View with eigenvalues sorted descending (columns reordered to match)."""
-        return HermitianEigen(self.eigenvalues[::-1].copy(), self.eigenvectors[:, ::-1].copy())
-
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
         return (u * self.eigenvalues) @ u.conj().T

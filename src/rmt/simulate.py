@@ -208,6 +208,11 @@ class FailureModel:
         if failed is not None and _integer(failed, "failed_index") >= m:
             raise ParameterError("failed_index out of range")
         alpha = _real(p.get("alpha", -1.0), "alpha", -1.0)
+        if alpha == 0:
+            raise ParameterError("alpha must be nonzero: alpha = 0 is no variance change")
+        if alpha < 0 and spec.n_samples <= spec.n_dim:
+            raise ParameterError("a variance drop (alpha < 0) is read off the smallest eigenvalue, "
+                                 "which separates from zero only for n > N (c < 1)")
         sigma2 = _real(p.get("noise_var", 1.0), "noise_var", 0.0)
         g = RngStream(spec.seed, SETUP_STREAM).generator()
         h = complex_gaussian(spec.n_dim, m, g)
@@ -513,7 +518,8 @@ class DoaResolutionBinding:
 
 
 class FailureBinding:
-    """Backs the fig8 experiment: smallest-eigenvalue failure detection plus localization.
+    """Backs the fig8 experiment: extreme-eigenvalue failure detection plus localization,
+    on the smallest eigenpair for a variance drop (alpha < 0) and the largest for a rise.
 
     Hypotheses and their fluctuation calibrations are built once per scenario
     from the scenario-level network draw.
@@ -554,15 +560,15 @@ class FailureBinding:
     def per_trial(self, spec, trial, y, truth):
         hyps, stats, threshold = self.prepare(spec)
         eig = np.linalg.eigh(sample_covariance(y))
-        lam_min = float(eig.eigenvalues[0])
-        u_min = eig.eigenvectors[:, 0]
-        std = sp.tw_standardize_smallest(lam_min, spec.n_dim, spec.ratio)
-        detected = std > threshold
+        side = -1 if spec.state.alpha > 0 else 0
+        lam = float(eig.eigenvalues[side])
+        standardize = sp.tw_standardize if side else sp.tw_standardize_smallest
+        detected = standardize(lam, spec.n_dim, spec.ratio) > threshold
         k_hat = None
         if detected and hyps:
-            best, _ = sp.localize_failure(lam_min, u_min, hyps, stats)
+            best, _ = sp.localize_failure(lam, eig.eigenvectors[:, side], hyps, stats)
             k_hat = hyps[best].index
-        return {"detected": detected, "k_hat": k_hat, "lam_min": lam_min}
+        return {"detected": detected, "k_hat": k_hat, "lam_min": float(eig.eigenvalues[0])}
 
     def reduce(self, spec, records):
         truth_k = spec.state.failed

@@ -331,11 +331,9 @@ def calibrate_fluctuations(omega: float, c: float, n_dim: int, trials: int, rng:
         g = RngStream(int(base), t).generator()
         x = complex_gaussian(n_dim, n_samples, g)
         x[0, :] *= scale
-        eig = hermitian_eig(x @ x.conj().T / n_samples)
+        lam, vecs = np.linalg.eigh(x @ x.conj().T / n_samples)
         idx = -1 if take_largest else 0
-        lam = eig.eigenvalues[idx]
-        proj = abs(eig.eigenvectors[0, idx]) ** 2
-        pairs[t] = (proj - limit.xi, lam - limit.rho)
+        pairs[t] = (abs(vecs[0, idx]) ** 2 - limit.xi, lam[idx] - limit.rho)
     pairs *= math.sqrt(n_dim)
     sigma = np.cov(pairs.T)
     if np.linalg.eigvalsh(sigma)[0] <= 0:

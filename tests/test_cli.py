@@ -156,6 +156,7 @@ def test_doa_command(tmp_path):
     assert header == ["theta_deg", "cost_db"]
     assert data.shape[0] == 3601
     assert run_cli("doa", "--input", str(path), "--K", "-1", "--method", "music", "--grid=-90:90:0.05") == 1
+    assert run_cli("doa", "--input", str(path), "--K", "2", "--spacing", "1.5") == 1  # aliased directions
 
 
 def test_localize_command(tmp_path):

@@ -62,11 +62,6 @@ def test_non_square_and_non_hermitian_rejected():
         hermitian_eig(bad)
 
 
-def test_descending_view():
-    eig = hermitian_eig(np.diag([2.0, 5.0, 1.0]))
-    assert np.allclose(eig.descending().eigenvalues, [5, 2, 1])
-
-
 def test_sample_covariance_identity_case():
     assert np.allclose(sample_covariance(np.eye(2)), np.eye(2) / 2)
 

@@ -59,6 +59,8 @@ def test_spec_refuses_malformed_params():
     for kind, params in bad:
         with pytest.raises(ParameterError):
             ScenarioSpec(kind, 10, 20, 1, 0, params)
+    with pytest.raises(ParameterError, match="alias"):
+        ScenarioSpec("doa", 10, 20, 1, 0, {"angles_deg": [10.0], "snr_db": 0.0, "spacing": 1.5})
     with pytest.raises(ParameterError):
         ScenarioSpec("mp-null", 4, 8, 1, -1)  # RngStream needs an unsigned seed
     with pytest.raises(ParameterError):
@@ -280,6 +282,25 @@ def test_failure_binding_smoke():
     )
     agg = run_monte_carlo(spec, FailureBinding(far=1e-2, calibration_trials=1000)).aggregates
     assert 0.0 <= agg["localization_rate"] <= agg["detection_rate"] <= 1.0
+
+
+def test_failure_binding_localizes_a_variance_rise():
+    # a rise is a spike above the bulk: it is read off the largest eigenpair
+    spec = ScenarioSpec(
+        "failure", 10, 102, 200, 11,
+        {"n_params": 10, "alpha": 1.0, "failed_index": 0, "noise_var": 1.0},
+    )
+    agg = run_monte_carlo(spec, FailureBinding(far=1e-2, calibration_trials=1000)).aggregates
+    assert agg["detection_rate"] >= 0.95 and agg["localization_rate"] >= 0.95, agg
+
+
+def test_failure_setup_refuses_unlocalizable_scenarios():
+    with pytest.raises(ParameterError, match="nonzero"):
+        ScenarioSpec("failure", 10, 102, 1, 0, {"n_params": 10, "alpha": 0.0})
+    for n in (8, 10):
+        with pytest.raises(ParameterError, match="smallest eigenvalue"):
+            ScenarioSpec("failure", 10, n, 1, 0, {"n_params": 10, "alpha": -1.0})
+    ScenarioSpec("failure", 10, 10, 1, 0, {"n_params": 10, "alpha": 1.0})
 
 
 def test_failure_binding_cache_tells_scenarios_apart():
