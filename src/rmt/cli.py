@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import pathlib
-import subprocess
 import sys
 
 import numpy as np
@@ -62,9 +61,11 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _write_csv(path, columns: dict) -> None:
+    """Header line of names, then one ``%.18e`` row per point: ``np.savetxt``'s bytes, one format call."""
     names = list(columns)
     data = np.column_stack([np.asarray(columns[n], dtype=float) for n in names])
-    np.savetxt(path, data, delimiter=",", header=",".join(names), comments="")
+    row = ",".join(["%.18e"] * len(names)) + "\n"
+    pathlib.Path(path).write_text(",".join(names) + "\n" + (row * len(data)) % tuple(data.ravel().tolist()))
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
@@ -233,6 +234,8 @@ def cmd_localize(args) -> int:
 
 
 def _git_describe() -> str:
+    import subprocess  # deferred: only `reproduce` runs git
+
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

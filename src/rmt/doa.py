@@ -99,18 +99,18 @@ def gmusic_weights(eigs, n_samples: int, k: int) -> np.ndarray:
     if np.any(np.diff(lam) < 1e-13):
         raise DegeneracyError("coincident sample eigenvalues: weights are singular")
     mu = mu_eigenvalues(lam, n_samples)
-    noise = np.arange(n_dim - k)
-    signal = np.arange(n_dim - k, n_dim)
-    phi = np.empty(n_dim)
-    for i in range(n_dim):
-        others = signal if i < n_dim - k else noise
-        dl = lam[i] - lam[others]
-        dm = lam[i] - mu[others]
+    split = n_dim - k
+
+    def cross_sum(rows, cols):
+        # sum over j in cols of lam_j/(lam_i - lam_j) - mu_j/(lam_i - mu_j), one row per i
+        dl = lam[rows, None] - lam[None, cols]
+        dm = lam[rows, None] - mu[None, cols]
         if np.any(np.abs(dl) < 1e-13) or np.any(np.abs(dm) < 1e-13):
             raise DegeneracyError("lambda/mu collision: weights are singular")
-        s = np.sum(lam[others] / dl - mu[others] / dm)
-        phi[i] = 1.0 + s if i < n_dim - k else -s
-    return phi
+        return np.sum(lam[cols] / dl - mu[cols] / dm, axis=1)
+
+    noise, signal = slice(0, split), slice(split, n_dim)
+    return np.concatenate((1.0 + cross_sum(noise, signal), -cross_sum(signal, noise)))
 
 
 def weighted_cost(eigvecs: np.ndarray, weights, svecs: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -347,6 +346,8 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
         binding.prepare(spec)  # expensive one-time state travels with the pickled binding
     jobs = [(spec, binding, t) for t in range(spec.trials)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: keeps the pool off the import path
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs, chunksize=max(1, spec.trials // (8 * workers))))
     else:

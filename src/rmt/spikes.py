@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import ParameterError, RegimeError, SingularityError
 from .linalg import RngStream, complex_gaussian, hermitian_eig
@@ -134,9 +133,35 @@ def downward_spike_limits(omega: float, c: float) -> SpikeLimit:
 # --- Tracy-Widom table ------------------------------------------------------
 
 
+def _pchip_coefficients(x, y) -> np.ndarray:
+    """Per-interval cubic coefficients (t^3, t^2, t, 1) in t = s - x_i, for nondecreasing y.
+
+    PCHIP's slopes, which on nondecreasing data reduce to: inside, the
+    weighted harmonic mean of the two neighbouring secants (0 when either is
+    0: its reciprocal term is infinite); at each end, the one-sided
+    three-point slope clipped at 0.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.empty_like(y)
+    with np.errstate(divide="ignore"):
+        d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d[0] = max(0.0, ((2 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1]))
+    d[-1] = max(0.0, ((2 * h[-1] + h[-2]) * m[-1] - h[-1] * m[-2]) / (h[-1] + h[-2]))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.column_stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 @dataclass(frozen=True)
 class TracyWidomTable:
-    """Tabulated complex Tracy-Widom CDF with monotone-cubic interpolation."""
+    """Tabulated complex Tracy-Widom CDF with monotone-cubic interpolation.
+
+    The interpolant is Fritsch & Carlson's monotone piecewise cubic with
+    PCHIP's slopes, built once in numpy; on any table accepted here it equals
+    ``scipy.interpolate.PchipInterpolator`` bit for bit.
+    """
 
     s: np.ndarray
     cdf: np.ndarray
@@ -145,17 +170,19 @@ class TracyWidomTable:
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
         cdf = np.asarray(self.cdf, dtype=float)
-        if s.ndim != 1 or s.size < 4 or np.any(np.diff(s) <= 0):
+        if s.ndim != 1 or s.size < 4 or not np.all(np.diff(s) > 0):
             raise ParameterError("table grid must be ascending with >= 4 points")
         if s[0] > -10 or s[-1] < 6:
             raise ParameterError("table must cover at least [-10, 6]")
-        if np.any(np.diff(cdf) < 0) or np.any(cdf < 0) or np.any(cdf > 1):
+        if not (np.all(np.diff(cdf) >= 0) and np.all((cdf >= 0) & (cdf <= 1))):
             raise ParameterError("table cdf must be nondecreasing within [0, 1]")
         if not (cdf[0] < 1e-6 and cdf[-1] > 1 - 1e-6):
             raise ParameterError("table cdf must be ~0 at -10 and ~1 at 6")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "cdf", cdf)
-        object.__setattr__(self, "_interp", PchipInterpolator(s, cdf, extrapolate=False))
+        object.__setattr__(self, "_knots", s.tolist())
+        object.__setattr__(self, "_levels", cdf.tolist())
+        object.__setattr__(self, "_coef", _pchip_coefficients(s, cdf).tolist())
 
     @classmethod
     def load(cls, path=None) -> "TracyWidomTable":
@@ -193,30 +220,51 @@ _DEFAULT_TABLE = None
 
 
 def default_tw_table() -> TracyWidomTable:
+    """The bundled table, loaded once; a ``RMT_TW_TABLE`` file is read afresh on each call."""
     global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None or os.environ.get(TW_TABLE_ENV):
+    if os.environ.get(TW_TABLE_ENV):
+        return TracyWidomTable.load()
+    if _DEFAULT_TABLE is None:
         _DEFAULT_TABLE = TracyWidomTable.load()
     return _DEFAULT_TABLE
 
 
 def tracy_widom(table: TracyWidomTable, s: float) -> float:
     """CDF value at s, monotone-cubic interpolated; clamped to {0,1} off-table."""
-    if s <= table.s[0]:
+    knots = table._knots
+    if s <= knots[0]:
         return 0.0
-    if s >= table.s[-1]:
+    if s >= knots[-1]:
         return 1.0
-    return float(np.clip(table._interp(s), 0.0, 1.0))
+    i = min(bisect_right(knots, s), len(knots) - 1) - 1  # the clamp only catches nan
+    t = s - knots[i]
+    c3, c2, c1, c0 = table._coef[i]
+    # the order scipy's PPoly sums the terms in, so values match it bit for bit
+    return float(min(max(c0 + c1 * t + c2 * (t * t) + c3 * (t * t * t), 0.0), 1.0))
 
 
 def tw_quantile(table: TracyWidomTable, p: float) -> float:
-    """Inverse CDF by bisection to 1e-8 in s."""
+    """Inverse CDF: the root of one interval's cubic.
+
+    The interval is the first whose right-hand CDF value reaches p, so it is
+    not flat and its cubic is monotone there.  Of the cubic's three roots the
+    one nearest the real segment [0, h] (|Im r| plus distance to [0, h]) is
+    taken and clipped into it.  p at or below the first tabulated value maps
+    to the first knot, above the last to the last knot.
+    """
     if not (0 < p < 1):
         raise ParameterError("p must lie strictly inside (0, 1)")
-    lo, hi = float(table.s[0]), float(table.s[-1])
-    flo = tracy_widom(table, lo)
-    if p <= flo:
-        return lo
-    return float(brentq(lambda s: tracy_widom(table, s) - p, lo, hi, xtol=1e-8))
+    knots = table._knots
+    k = bisect_left(table._levels, p)
+    if k == 0:
+        return knots[0]
+    if k == len(knots):
+        return knots[-1]
+    h = knots[k] - knots[k - 1]
+    c3, c2, c1, c0 = table._coef[k - 1]
+    roots = np.roots([c3, c2, c1, c0 - p])
+    off = np.abs(roots.imag) + np.maximum(0.0, np.maximum(-roots.real, roots.real - h))
+    return knots[k - 1] + min(max(float(roots[np.argmin(off)].real), 0.0), h)
 
 
 def tw_standardize(lambda1: float, n_dim: int, c: float) -> float:
@@ -290,6 +338,8 @@ def spike_outlier_root(omega: float, c: float) -> float:
         raise ParameterError("omega and c must be positive")
     if omega <= math.sqrt(c):
         raise RegimeError(f"no outlier root for omega <= sqrt(c) = {math.sqrt(c):.6g}")
+    from scipy.optimize import brentq  # deferred: only this oracle needs scipy
+
     _, b, _ = mp_support(c)
 
     def f(z):

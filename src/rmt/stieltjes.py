@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ParameterError, SingularityError
 
@@ -310,6 +309,8 @@ def capacity_identity(h, noise_var: float):
     resolvent-trace identity from s2 upward with an analytic truncation whose
     tail is bounded by tr(H H^H)/(N t) < 1e-8.
     """
+    from scipy.integrate import quad  # deferred: only this oracle needs scipy
+
     if not (noise_var > 0):
         raise ParameterError("noise variance must be positive")
     h = np.asarray(h, dtype=complex)

@@ -1,10 +1,14 @@
 import json
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from rmt.cli import main
+import rmt
+from rmt.cli import _write_csv, main
 from rmt.linalg import RngStream, complex_gaussian, save_matrix_csv
 from rmt.schemas import validate
 from rmt.simulate import ScenarioSpec, generate_trial
@@ -19,6 +23,31 @@ def read_csv(path):
         header = fh.readline().strip().split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return header, data
+
+
+def test_import_path_loads_no_scipy_pool_or_subprocess():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import rmt.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'subprocess') "
+        "or m == 'concurrent.futures.process'))"
+    )
+    src = str(pathlib.Path(rmt.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_write_csv_bytes_match_savetxt(tmp_path):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(1096) * 10.0 ** rng.integers(-300, 300, 1096)
+    x[:6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324]
+    columns = {"x": x, "f": rng.standard_normal(1096)}
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    _write_csv(ours, columns)
+    np.savetxt(ref, np.column_stack(list(columns.values())), delimiter=",", header="x,f", comments="")
+    assert ours.read_bytes() == ref.read_bytes()
+    _write_csv(ours, {"only": np.array([1.5])})
+    np.savetxt(ref, np.array([[1.5]]), delimiter=",", header="only", comments="")
+    assert ours.read_bytes() == ref.read_bytes()
 
 
 # --- densities -------------------------------------------------------------------

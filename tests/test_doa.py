@@ -13,6 +13,7 @@ from rmt.doa import (
     weighted_cost,
 )
 from rmt.errors import DegeneracyError, ParameterError
+from rmt.gestimation import mu_eigenvalues
 from rmt.linalg import RngStream, complex_gaussian, hermitian_eig, sample_covariance
 
 MODEL20 = SteeringModel(20)
@@ -118,6 +119,52 @@ def test_gmusic_degeneracy_error():
     lam = np.array([1.0, 1.0 + 1e-14, 2.0, 3.0])
     with pytest.raises(DegeneracyError):
         gmusic_weights(lam, 100, 1)
+
+
+def gmusic_weights_loop(lam, n_samples, k):
+    """Per-eigenvalue loop form of the G-MUSIC weights, the oracle for the vectorised one."""
+    n_dim = lam.size
+    if np.any(np.diff(lam) < 1e-13):
+        raise DegeneracyError("coincident sample eigenvalues: weights are singular")
+    mu = mu_eigenvalues(lam, n_samples)
+    noise = np.arange(n_dim - k)
+    signal = np.arange(n_dim - k, n_dim)
+    phi = np.empty(n_dim)
+    for i in range(n_dim):
+        others = signal if i < n_dim - k else noise
+        dl = lam[i] - lam[others]
+        dm = lam[i] - mu[others]
+        if np.any(np.abs(dl) < 1e-13) or np.any(np.abs(dm) < 1e-13):
+            raise DegeneracyError("lambda/mu collision: weights are singular")
+        s = np.sum(lam[others] / dl - mu[others] / dm)
+        phi[i] = 1.0 + s if i < n_dim - k else -s
+    return phi
+
+
+def test_gmusic_weights_match_loop_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n_dim = int(rng.integers(2, 25))
+        k = int(rng.integers(0, n_dim))
+        lam = np.sort(rng.exponential(1.0, n_dim) + rng.uniform(0, 3) * (np.arange(n_dim) >= n_dim - k))
+        n_samples = int(rng.integers(n_dim // 2 + 1, 20 * n_dim))
+        np.testing.assert_array_equal(gmusic_weights(lam, n_samples, k), gmusic_weights_loop(lam, n_samples, k))
+
+
+@pytest.mark.parametrize(
+    "lam, k, reason",
+    [
+        (np.array([1.0, 1.0 + 1e-14, 2.0, 3.0]), 1, "coincident"),
+        # gaps above 1e-13 with a mu within 1e-13 of a lambda across the split
+        (np.array([1.0, 2.0, 3.0, 3.0 + 1.5e-13, 5.0]), 2, "collision"),
+        (np.array([0.5, 1.0, 1.0 + 1.2e-13, 4.0]), 2, "collision"),
+    ],
+)
+def test_gmusic_weights_degenerate_inputs_raise_like_the_loop(lam, k, reason):
+    with pytest.raises(DegeneracyError, match=reason):
+        gmusic_weights_loop(lam, 50, k)
+    with pytest.raises(DegeneracyError, match=reason):
+        gmusic_weights(lam, 50, k)
 
 
 def test_indicator_weights_reproduce_music():

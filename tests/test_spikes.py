@@ -6,7 +6,9 @@ import pytest
 from rmt.errors import ParameterError, RegimeError, SingularityError
 from rmt.linalg import RngStream, complex_gaussian, hermitian_eig, sample_covariance
 from rmt.spikes import (
+    TW_TABLE_ENV,
     FailureHypothesis,
+    TracyWidomTable,
     calibrate_fluctuations,
     condition_number_statistic,
     default_tw_table,
@@ -124,6 +126,92 @@ def test_quantile_roundtrip():
     for s in np.linspace(-4.5, 3.5, 30):
         p = tracy_widom(TABLE, s)
         assert abs(tw_quantile(TABLE, p) - s) < 1e-6
+
+
+def pchip_reference(table):
+    from scipy.interpolate import PchipInterpolator
+
+    return PchipInterpolator(table.s, table.cdf)
+
+
+def quantile_oracle(table, ps):
+    """brentq roots of the scipy interpolant at xtol 1e-13, far tighter than the 1e-8 checked."""
+    from scipy.optimize import brentq
+
+    ref = pchip_reference(table)
+    return [brentq(lambda s: float(ref(s)) - p, table.s[0], table.s[-1], xtol=1e-13) for p in ps]
+
+
+def interpolation_points(table, n_random, seed):
+    s = table.s
+    rng = np.random.default_rng(seed)
+    inner = np.concatenate([s[1:-1], (s[1:] + s[:-1]) / 2, rng.uniform(s[0], s[-1], n_random)])
+    return inner[(inner > s[0]) & (inner < s[-1])]
+
+
+def flat_run_table():
+    # uneven spacing, flat runs (zero interior slopes) and one-sided end slopes
+    # that come out negative and are clipped: the end secant is under a third
+    # of its neighbour's, from the logistic tail on the left and by hand on the right
+    s = np.concatenate([np.linspace(-10, -3, 15), np.linspace(-2.7, 6, 30)])
+    cdf = 1 / (1 + np.exp(-3 * s))
+    cdf[8:12] = cdf[8]
+    cdf[25:29] = cdf[25]
+    cdf[-2:] = (1 - 1e-12, 1.0)
+    return s, cdf
+
+
+def test_tracy_widom_matches_scipy_pchip_bit_for_bit():
+    xs = interpolation_points(TABLE, 20_000, seed=5)
+    ours = np.array([tracy_widom(TABLE, x) for x in xs])
+    np.testing.assert_array_equal(ours, np.clip(pchip_reference(TABLE)(xs), 0.0, 1.0))
+
+
+def test_env_table_with_flat_runs_matches_scipy_pchip(tmp_path, monkeypatch):
+    s, cdf = flat_run_table()
+    path = tmp_path / "tw.csv"
+    path.write_text("s,cdf\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(s.tolist(), cdf.tolist())))
+    monkeypatch.setenv(TW_TABLE_ENV, str(path))
+    table = default_tw_table()
+    np.testing.assert_array_equal(table.cdf, cdf)
+    xs = interpolation_points(table, 5_000, seed=6)
+    ours = np.array([tracy_widom(table, x) for x in xs])
+    np.testing.assert_array_equal(ours, np.clip(pchip_reference(table)(xs), 0.0, 1.0))
+    ps = np.random.default_rng(7).uniform(1e-6, 1 - 1e-6, 300)
+    for p, root in zip(ps, quantile_oracle(table, ps)):
+        assert abs(tw_quantile(table, p) - root) < 1e-8, p
+    # a plateau level maps to the plateau's first knot, where the CDF first reaches it
+    for start in (8, 25):
+        assert abs(tw_quantile(table, cdf[start]) - s[start]) < 1e-8
+    monkeypatch.delenv(TW_TABLE_ENV)
+    assert default_tw_table().provenance.startswith("bundled")
+
+
+def test_quantile_matches_root_oracle():
+    ps = np.concatenate([np.random.default_rng(8).uniform(1e-6, 1 - 1e-6, 300), [0.5, 0.9, 0.95, 0.99, 0.999]])
+    ps = np.concatenate([ps, TABLE.cdf[(TABLE.cdf > 1e-6) & (TABLE.cdf < 1 - 1e-6)][::25]])
+    for p, root in zip(ps, quantile_oracle(TABLE, ps)):
+        assert abs(tw_quantile(TABLE, p) - root) < 1e-8, p
+
+
+def test_quantile_off_table_ends():
+    s, cdf = TABLE.s, TABLE.cdf
+    for p in (cdf[0] / 2, cdf[0]):
+        assert tw_quantile(TABLE, p) == s[0]
+    near_one = [tw_quantile(TABLE, p) for p in (1 - 1e-9, 1 - 1e-11, cdf[-1])]
+    assert near_one == sorted(near_one) and near_one[-1] <= s[-1]
+    for p in ((1 + cdf[-1]) / 2, np.nextafter(1.0, 0.0)):
+        assert tw_quantile(TABLE, p) == s[-1]
+
+
+def test_table_refuses_unordered_or_nan_rows():
+    s, cdf = flat_run_table()
+    TracyWidomTable(s, cdf)
+    for column, row, value in (("s", 20, np.nan), ("cdf", 20, np.nan), ("cdf", 20, 0.9), ("s", 20, s[19])):
+        bad = {"s": s.copy(), "cdf": cdf.copy()}
+        bad[column][row] = value
+        with pytest.raises(ParameterError):
+            TracyWidomTable(bad["s"], bad["cdf"])
 
 
 def test_quantile_rejects_bad_p():
