@@ -21,8 +21,8 @@ from . import gestimation as ge
 from . import simulate as sim
 from . import spikes as sp
 from .doa import SteeringModel, estimate_doa
-from .errors import ParameterError, RegimeError, RmtError
-from .linalg import RngStream, load_matrix_bin, load_matrix_csv, sample_covariance
+from .errors import DimensionError, ParameterError, RmtError
+from .linalg import load_matrix_bin, load_matrix_csv, sample_covariance
 from .schemas import validate
 from .stieltjes import SpectralModel, density_from_stieltjes, mp_density, mp_support, support_clusters
 from .simulate import FIGURE_IDS, ScenarioSpec, reproduce_figure, run_monte_carlo
@@ -195,24 +195,16 @@ def cmd_localize(args) -> int:
         raise ParameterError(f"model file lacks {', '.join(missing)} (it must hold H, T and alphas)")
     h = _json_to_complex(model["H"])
     t_cov = _json_to_complex(model["T"])
-    alphas = [float(a) for a in model["alphas"]]
-    hyps = sp.failure_hypotheses(h, t_cov, alphas)
+    if y.shape[0] != h.shape[0]:
+        raise DimensionError(f"the observations have {y.shape[0]} rows but H has {h.shape[0]}: they must match")
+    hyps = sp.failure_hypotheses(h, t_cov, model["alphas"])
     if all(hyp.omega <= 0 for hyp in hyps):
         side = "smallest"
     elif all(hyp.omega >= 0 for hyp in hyps):
         side = "largest"
     else:
         raise ParameterError("mixed-sign failure hypotheses are not supported")
-    c = y.shape[0] / y.shape[1]
-    usable, stats, skipped = [], [], []
-    for i, hyp in enumerate(hyps):
-        try:
-            st = sp.calibrate_fluctuations(hyp.omega, c, y.shape[0], args.trials, RngStream(args.seed, i))
-        except RegimeError:
-            skipped.append(i)
-            continue
-        usable.append(hyp)
-        stats.append(st)
+    usable, stats, skipped = sp.localizable_hypotheses(hyps, y.shape[0] / y.shape[1])
     if not usable:
         raise ParameterError("no hypothesis is in the detectable regime at this N/n")
     eig = np.linalg.eigh(sample_covariance(y))
@@ -349,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("localize", help="failure localization from a model file")
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True, help="JSON with H, T, alphas")
-    p.add_argument("--trials", type=int, default=2000, help="calibration trials per hypothesis")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_localize)
 

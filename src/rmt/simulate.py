@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ParameterError, RegimeError
+from .errors import ParameterError
 from .linalg import RngStream, complex_gaussian, haar_unitary, sample_covariance
 from . import gestimation as ge
 from . import spikes as sp
@@ -193,13 +193,14 @@ class DoaModel:
         return truth["steering"] @ truth["steering"].conj().T + truth["noise_var"] * np.eye(spec.n_dim)
 
     def binding(self, spec):
-        return DoaResolutionBinding(np.arange(-90.0, 90.0001, 0.05))
+        return DoaResolutionBinding()
 
 
 class FailureModel:
     """Whitened network observations T^(-1/2) x(t) with an optional variance change
     ``alpha`` on parameter ``failed_index``; the network H in T = HH^H + noise_var I
-    is drawn once per scenario (reserved stream), so hypotheses stay fixed across trials."""
+    is drawn once per scenario (reserved stream), and with it the localizable
+    failure hypotheses and their fluctuation stats, so they stay fixed across trials."""
 
     def setup(self, spec, p):
         m = _integer(p.get("n_params"), "failure n_params", 1)
@@ -219,8 +220,9 @@ class FailureModel:
         te = np.linalg.eigh(t_cov)
         inv_sqrt = (te.eigenvectors / np.sqrt(te.eigenvalues)) @ te.eigenvectors.conj().T
         gain = np.where(np.arange(m) == failed, 1.0 + alpha, 1.0)[:, None]  # all ones if failed is None
+        hypotheses, stats, _ = sp.localizable_hypotheses(sp.failure_hypotheses(h, t_cov, [alpha] * m), spec.ratio)
         return SimpleNamespace(n_params=m, failed=failed, alpha=alpha, noise_var=sigma2, network=h, t_cov=t_cov,
-                               gain=gain, inv_sqrt=inv_sqrt)
+                               gain=gain, inv_sqrt=inv_sqrt, hypotheses=hypotheses, stats=stats)
 
     def draw(self, spec, s, g):
         theta = complex_gaussian(s.n_params, spec.n_samples, g)
@@ -342,8 +344,6 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
     if getattr(binding, "kind", spec.kind) != spec.kind:
         raise ParameterError(f"binding for kind {binding.kind!r} is incompatible with {spec.kind!r}")
     t0 = time.perf_counter()
-    if hasattr(binding, "prepare"):
-        binding.prepare(spec)  # expensive one-time state travels with the pickled binding
     jobs = [(spec, binding, t) for t in range(spec.trials)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: keeps the pool off the import path
@@ -497,13 +497,14 @@ class DoaResolutionBinding:
 
     kind = "doa"
 
-    def __init__(self, grid, window_deg: float = 1.0):
-        self.grid = np.asarray(grid, dtype=float)
+    def __init__(self, window_deg: float = 1.0):
         self.window = window_deg
 
     def per_trial(self, spec, trial, y, truth):
         s = spec.state
-        return {m: estimate_doa(y, len(s.angles), s.model, self.grid, m).angles for m in ("music", "gmusic")}
+        # only the angles are kept: a 3-point search range samples no cost curve
+        return {m: estimate_doa(y, len(s.angles), s.model, (-90.0, 0.0, 90.0), m).angles
+                for m in ("music", "gmusic")}
 
     def reduce(self, spec, records):
         true = np.sort(np.asarray(spec.state.angles))
@@ -522,53 +523,27 @@ class FailureBinding:
     """Backs the fig8 experiment: extreme-eigenvalue failure detection plus localization,
     on the smallest eigenpair for a variance drop (alpha < 0) and the largest for a rise.
 
-    Hypotheses and their fluctuation calibrations are built once per scenario
-    from the scenario-level network draw.
+    The scenario state holds the hypotheses and their fluctuation stats;
+    hypotheses below the detectability threshold |omega| > sqrt(c) cannot be
+    localized and are left out of it.
     """
 
     kind = "failure"
 
-    def __init__(self, far: float, calibration_trials: int = 2000, table=None):
-        self.far = far
-        self.calibration_trials = calibration_trials
-        self.table = table or sp.default_tw_table()
-        self._cache = {}
-
-    def prepare(self, spec):
-        """Calibrate hypotheses once; hypotheses below the detectability
-        threshold |omega| > sqrt(c) cannot be localized and are excluded."""
-        s = spec.state  # the hypotheses depend on every setup value but failed_index
-        key = (spec.seed, spec.n_dim, spec.n_samples, s.n_params, s.alpha, s.noise_var)
-        if key in self._cache:
-            return self._cache[key]
-        hyps = sp.failure_hypotheses(s.network, s.t_cov, [s.alpha] * s.n_params)
-        c = spec.ratio
-        usable, stats = [], []
-        for i, hyp in enumerate(hyps):
-            try:
-                st = sp.calibrate_fluctuations(
-                    hyp.omega, c, spec.n_dim, self.calibration_trials,
-                    RngStream(spec.seed, SETUP_STREAM + 1 + i),
-                )
-            except RegimeError:
-                continue
-            usable.append(hyp)
-            stats.append(st)
-        threshold = sp.tw_quantile(self.table, 1 - self.far)
-        self._cache[key] = (usable, stats, threshold)
-        return self._cache[key]
+    def __init__(self, far: float):
+        self.threshold = sp.tw_quantile(sp.default_tw_table(), 1 - far)
 
     def per_trial(self, spec, trial, y, truth):
-        hyps, stats, threshold = self.prepare(spec)
+        s = spec.state
         eig = np.linalg.eigh(sample_covariance(y))
-        side = -1 if spec.state.alpha > 0 else 0
+        side = -1 if s.alpha > 0 else 0
         lam = float(eig.eigenvalues[side])
         standardize = sp.tw_standardize if side else sp.tw_standardize_smallest
-        detected = standardize(lam, spec.n_dim, spec.ratio) > threshold
+        detected = standardize(lam, spec.n_dim, spec.ratio) > self.threshold
         k_hat = None
-        if detected and hyps:
-            best, _ = sp.localize_failure(lam, eig.eigenvectors[:, side], hyps, stats)
-            k_hat = hyps[best].index
+        if detected and s.hypotheses:
+            best, _ = sp.localize_failure(lam, eig.eigenvectors[:, side], s.hypotheses, s.stats)
+            k_hat = s.hypotheses[best].index
         return {"detected": detected, "k_hat": k_hat, "lam_min": float(eig.eigenvalues[0])}
 
     def reduce(self, spec, records):
@@ -673,7 +648,7 @@ def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: in
         for method in ("music", "gmusic"):
             res = estimate_doa(y, 2, model, grid, method)
             out[method] = {"theta_deg": grid, "cost_db": 10 * np.log10(np.maximum(res.costs, 1e-300))}
-        agg = run_monte_carlo(spec, DoaResolutionBinding(grid), workers).aggregates
+        agg = run_monte_carlo(spec, DoaResolutionBinding(), workers).aggregates
         out["resolution"] = agg
         return out
 

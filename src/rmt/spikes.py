@@ -50,8 +50,10 @@ __all__ = [
     "glrt_test",
     "condition_number_statistic",
     "spike_outlier_root",
+    "fluctuation_stats",
     "calibrate_fluctuations",
     "failure_hypotheses",
+    "localizable_hypotheses",
     "localize_failure",
 ]
 
@@ -71,14 +73,13 @@ class SpikeLimit:
 
 @dataclass(frozen=True)
 class FluctuationStats:
-    """Monte-Carlo calibrated covariance of sqrt(N)(|u^H u_hat|^2 - xi, lam - rho)."""
+    """Covariance ``sigma`` of sqrt(N)(|u^H u_hat|^2 - xi, lam - rho) for one spike."""
 
     omega: float
     ratio: float
     xi: float
     rho: float
     sigma: np.ndarray
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -352,27 +353,67 @@ def spike_outlier_root(omega: float, c: float) -> float:
     return float(brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16))
 
 
-# --- fluctuation calibration and localization --------------------------------
+# --- spike fluctuations and localization ------------------------------------
+
+
+def _detectable_limit(omega: float, c: float) -> SpikeLimit:
+    limit = spike_limits(omega, c) if omega > 0 else downward_spike_limits(omega, c)
+    if not limit.detectable:
+        raise RegimeError("fluctuations are Gaussian only for |omega| > sqrt(c)")
+    return limit
+
+
+def fluctuation_stats(omega: float, c: float) -> FluctuationStats:
+    """Limiting covariance of sqrt(N)(|u^H u_hat|^2 - xi, lam - rho) for one spike.
+
+    With Q(z) the resolvent of the unspiked sample covariance and x the spike
+    direction, the outlier lam solves 1 + (1+omega) x^H Q(lam) x / n = 0 and
+    |u^H u_hat|^2 = n / ((1+omega) lam x^H Q(lam)^2 x).  Their sqrt(N)
+    fluctuations are those of Gaussian quadratic forms with covariances
+    tr Q^(i+j) / n (Couillet & Hachem, IEEE T-IT 59(1), 2013; the eigenvalue
+    entry as in Paul, Stat. Sinica 17, 2007), which are derivatives of the
+    companion Marchenko-Pastur Stieltjes transform m at rho.  They follow from
+    its inverse z(m) = -1/m + c/(1+m) at m0 = -1/(1+omega), where z(m0) = rho:
+    a = m'(rho) = 1/z', b = m''(rho) = -z''/z'^3, d = m'''(rho) =
+    (3 z''^2 - z' z''')/z'^5 and, with k = 1/rho + b/a,
+
+        Sigma = c [[(xi/a)^2 (k^2 a - k b + d/6), -(xi/a^2)(k a - b/2)],
+                   [-(xi/a^2)(k a - b/2),          1/a                 ]].
+
+    So Sigma_22 = c (1+omega)^2 (1 - c/omega^2), and Sigma is positive
+    definite wherever xi > 0.  Regimes as :func:`calibrate_fluctuations`:
+    :class:`RegimeError` unless |omega| > sqrt(c), and c < 1 for a downward
+    spike.
+    """
+    if not (omega > -1):
+        raise ParameterError("need omega > -1: at -1 the spike direction carries no variance")
+    limit = _detectable_limit(omega, c)
+    m0 = -1.0 / (1.0 + omega)
+    z1 = 1 / m0**2 - c / (1 + m0) ** 2
+    z2 = -2 / m0**3 + 2 * c / (1 + m0) ** 3
+    z3 = 6 / m0**4 - 6 * c / (1 + m0) ** 4
+    a, b, d = 1 / z1, -z2 / z1**3, (3 * z2**2 - z1 * z3) / z1**5
+    k = 1 / limit.rho + b / a
+    xi = limit.xi
+    cross = -c * (xi / a**2) * (k * a - b / 2)
+    sigma = np.array([[c * (xi / a) ** 2 * (k * k * a - k * b + d / 6), cross], [cross, c / a]])
+    return FluctuationStats(omega, c, xi, limit.rho, sigma)
 
 
 def calibrate_fluctuations(omega: float, c: float, n_dim: int, trials: int, rng: RngStream) -> FluctuationStats:
-    """Monte-Carlo covariance of sqrt(N)(|u^H u_hat|^2 - xi, lam - rho).
+    """Monte-Carlo covariance of sqrt(N)(|u^H u_hat|^2 - xi, lam - rho) at N x round(N/c).
 
-    Requires the detectable regime |omega| > sqrt(c); downward spikes use the
-    smallest eigenvalue and need c < 1.  The calibrated matrix is ridged by
-    1e-9 if needed to stay positive definite.
+    The test oracle of :func:`fluctuation_stats`.  Requires the detectable
+    regime |omega| > sqrt(c); downward spikes use the smallest eigenvalue and
+    need c < 1.  The calibrated matrix is ridged by 1e-9 if needed to stay
+    positive definite.
     """
     if trials < 1000:
         raise ParameterError("calibration needs at least 1000 trials")
     if n_dim < 2:
         raise ParameterError("need N >= 2")
-    if omega > 0:
-        limit = spike_limits(omega, c)
-    else:
-        limit = downward_spike_limits(omega, c)
-    if not limit.detectable:
-        raise RegimeError("fluctuations are Gaussian only for |omega| > sqrt(c)")
-    n_samples = max(n_dim + 1, int(round(n_dim / c)))
+    limit = _detectable_limit(omega, c)
+    n_samples = max(1, int(round(n_dim / c)))
     scale = math.sqrt(1.0 + omega)
     take_largest = omega > 0
     pairs = np.empty((trials, 2))
@@ -388,7 +429,7 @@ def calibrate_fluctuations(omega: float, c: float, n_dim: int, trials: int, rng:
     sigma = np.cov(pairs.T)
     if np.linalg.eigvalsh(sigma)[0] <= 0:
         sigma = sigma + 1e-9 * np.eye(2)
-    return FluctuationStats(omega, c, limit.xi, limit.rho, sigma, trials)
+    return FluctuationStats(omega, c, limit.xi, limit.rho, sigma)
 
 
 def failure_hypotheses(h, t_cov, alphas) -> list[FailureHypothesis]:
@@ -403,17 +444,22 @@ def failure_hypotheses(h, t_cov, alphas) -> list[FailureHypothesis]:
     t_cov = np.asarray(t_cov, dtype=complex)
     if h.ndim != 2 or t_cov.shape != (h.shape[0], h.shape[0]):
         raise ParameterError("H must be N x M and T must be N x N")
-    alphas = [float(a) for a in alphas]
-    if len(alphas) != h.shape[1]:
+    try:
+        alphas = np.asarray(alphas, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"alphas must be a list of numbers, got {alphas!r}") from exc
+    if alphas.ndim != 1:
+        raise ParameterError(f"alphas must be a list of numbers, got {alphas.tolist()!r}")
+    if alphas.size != h.shape[1]:
         raise ParameterError("need one alpha per column of H")
-    if any(a < -1 for a in alphas):
-        raise ParameterError("alphas must be >= -1")
+    if not np.all(np.isfinite(alphas) & (alphas >= -1)):
+        raise ParameterError(f"alphas must be finite numbers >= -1, got {alphas.tolist()!r}")
     te = hermitian_eig(t_cov)
     if te.eigenvalues[0] <= 1e-14 * te.eigenvalues[-1]:
         raise SingularityError("T must be positive definite")
     inv_sqrt = (te.eigenvectors / np.sqrt(te.eigenvalues)) @ te.eigenvectors.conj().T
     out = []
-    for k, alpha in enumerate(alphas):
+    for k, alpha in enumerate(alphas.tolist()):
         v = inv_sqrt @ h[:, k]
         norm2 = float(np.vdot(v, v).real)
         u = v / math.sqrt(norm2)
@@ -422,6 +468,24 @@ def failure_hypotheses(h, t_cov, alphas) -> list[FailureHypothesis]:
         omega = ((1.0 + alpha) ** 2 - 1.0) * norm2
         out.append(FailureHypothesis(k, omega, u, alpha))
     return out
+
+
+def localizable_hypotheses(hypotheses, c: float) -> tuple[list, list, list]:
+    """Split hypotheses at ratio c into (usable, their fluctuation stats, skipped indices).
+
+    A hypothesis outside the detectable regime (|omega| <= sqrt(c), or a
+    downward spike at c >= 1) has no outlier to localize and is skipped.
+    """
+    usable, stats, skipped = [], [], []
+    for hyp in hypotheses:
+        try:
+            st = fluctuation_stats(hyp.omega, c)
+        except RegimeError:
+            skipped.append(hyp.index)
+            continue
+        usable.append(hyp)
+        stats.append(st)
+    return usable, stats, skipped
 
 
 def localize_failure(lam: float, u_hat, hypotheses, stats) -> tuple[int, np.ndarray]:
@@ -434,17 +498,17 @@ def localize_failure(lam: float, u_hat, hypotheses, stats) -> tuple[int, np.ndar
     if len(hypotheses) == 0:
         raise ParameterError("need at least one hypothesis")
     if len(stats) != len(hypotheses):
-        raise ParameterError("need calibrated stats for every hypothesis")
+        raise ParameterError("need fluctuation stats for every hypothesis")
     u_hat = np.asarray(u_hat, dtype=complex)
     scores = np.empty(len(hypotheses))
     for i, (hyp, st) in enumerate(zip(hypotheses, stats)):
         if st is None:
-            raise ParameterError(f"hypothesis {i} is missing calibration")
+            raise ParameterError(f"hypothesis {i} has no fluctuation stats")
         n_dim = u_hat.size
         proj = abs(np.vdot(hyp.u, u_hat)) ** 2
         delta = np.array([proj - st.xi, lam - st.rho])
         sign, logdet = np.linalg.slogdet(st.sigma)
         if sign <= 0:
-            raise ParameterError(f"calibrated covariance {i} is not positive definite")
+            raise ParameterError(f"fluctuation covariance {i} is not positive definite")
         scores[i] = -n_dim * float(delta @ np.linalg.solve(st.sigma, delta)) - logdet
     return int(np.argmax(scores)), scores

@@ -224,7 +224,7 @@ def test_criterion_09_gmusic_resolution():
     t0 = time.perf_counter()
     grid = np.arange(-90.0, 90.0001, 0.05)
     spec = ScenarioSpec("doa", 20, 150, 500, seed=9, params={"angles_deg": [35.0, 37.0], "snr_db": 10.0})
-    agg = run_monte_carlo(spec, DoaResolutionBinding(grid, window_deg=1.0)).aggregates
+    agg = run_monte_carlo(spec, DoaResolutionBinding(window_deg=1.0)).aggregates
     # noiseless oracle: sigma^2 = 1e-6, n >> N recovers the angle to 0.05 deg
     model = SteeringModel(20)
     g = RngStream(901).generator()
@@ -257,7 +257,7 @@ def test_criterion_11_failure_localization():
         "failure", 10, 102, 5000, seed=11,
         params={"n_params": 10, "alpha": -1.0, "failed_index": 0, "noise_var": 1.0},
     )
-    agg = run_monte_carlo(spec, FailureBinding(far=1e-2, calibration_trials=2000)).aggregates
+    agg = run_monte_carlo(spec, FailureBinding(far=1e-2)).aggregates
     cdr, clr = agg["detection_rate"], agg["localization_rate"]
     ok = {f"clr={clr:.4f}>=0.95*cdr={0.95 * cdr:.4f}": clr >= 0.95 * cdr and cdr > 0}
     report(11, ok, t0)

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import struct
 import subprocess
@@ -217,8 +218,7 @@ def test_localize_command(tmp_path):
 
     out = tmp_path / "loc.json"
     code = run_cli(
-        "localize", "--input", str(y_path), "--model", str(model_path),
-        "--trials", "1000", "--seed", "11", "--out", str(out),
+        "localize", "--input", str(y_path), "--model", str(model_path), "--out", str(out),
     )
     assert code == 0
     doc = json.loads(out.read_text())
@@ -227,24 +227,29 @@ def test_localize_command(tmp_path):
     assert doc["k_hat"] == 2
 
 
-def test_localize_reports_the_calibration_error(tmp_path, capsys):
-    # a too-small --trials is a parameter error, not "no hypothesis is detectable"
+@pytest.mark.parametrize("change, message", [
+    ({"alphas": 1.0}, "alphas must be a list"),
+    ({"alphas": None}, "alphas must be a list"),
+    ({"alphas": [math.nan, -1.0, -1.0, -1.0]}, "alphas must be finite"),
+    ({"y_rows": 6}, "the observations have 6 rows but H has 4"),
+], ids=["scalar-alphas", "null-alphas", "nan-alpha", "y-rows"])
+def test_localize_refuses_a_malformed_model(tmp_path, capsys, change, message):
     g = RngStream(8).generator()
     h = complex_gaussian(4, 4, g)
-    t_cov = h @ h.conj().T + np.eye(4)
-    model_path = tmp_path / "model.json"
-    model_path.write_text(json.dumps({
+    model = {
         "H": [[[z.real, z.imag] for z in row] for row in h],
-        "T": [[[z.real, z.imag] for z in row] for row in t_cov],
+        "T": [[[z.real, z.imag] for z in row] for row in h @ h.conj().T + np.eye(4)],
         "alphas": [-1.0] * 4,
-    }))
+    }
+    model.update({k: v for k, v in change.items() if k != "y_rows"})
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
     y_path = tmp_path / "y.csv"
-    save_matrix_csv(y_path, complex_gaussian(4, 40, g))
+    save_matrix_csv(y_path, complex_gaussian(change.get("y_rows", 4), 40, g))
     capsys.readouterr()
-    assert run_cli("localize", "--input", str(y_path), "--model", str(model_path), "--trials", "10") == 1
+    assert run_cli("localize", "--input", str(y_path), "--model", str(model_path)) == 1
     err = capsys.readouterr().err
-    assert "at least 1000 trials" in err
-    assert "detectable regime" not in err
+    assert err.startswith("error: ") and message in err, err
 
 
 @pytest.mark.parametrize("key", ["H", "T", "alphas"])

@@ -211,8 +211,8 @@ def test_run_monte_carlo_worker_count_invariance():
 def test_failure_worker_count_invariance():
     # the scenario network and T^(-1/2) reach the workers inside the pickled spec
     spec = ScenarioSpec("failure", 6, 60, 8, 4, {"n_params": 6, "alpha": -1.0, "failed_index": 1})
-    one = run_monte_carlo(spec, FailureBinding(far=1e-2, calibration_trials=1000), workers=1)
-    two = run_monte_carlo(spec, FailureBinding(far=1e-2, calibration_trials=1000), workers=2)
+    one = run_monte_carlo(spec, FailureBinding(far=1e-2), workers=1)
+    two = run_monte_carlo(spec, FailureBinding(far=1e-2), workers=2)
     assert one.records == two.records
     assert one.aggregates == two.aggregates
 
@@ -280,7 +280,7 @@ def test_failure_binding_smoke():
         "failure", 10, 60, 200, 9,
         {"n_params": 10, "alpha": -1.0, "failed_index": 0, "noise_var": 1.0},
     )
-    agg = run_monte_carlo(spec, FailureBinding(far=1e-2, calibration_trials=1000)).aggregates
+    agg = run_monte_carlo(spec, FailureBinding(far=1e-2)).aggregates
     assert 0.0 <= agg["localization_rate"] <= agg["detection_rate"] <= 1.0
 
 
@@ -290,7 +290,7 @@ def test_failure_binding_localizes_a_variance_rise():
         "failure", 10, 102, 200, 11,
         {"n_params": 10, "alpha": 1.0, "failed_index": 0, "noise_var": 1.0},
     )
-    agg = run_monte_carlo(spec, FailureBinding(far=1e-2, calibration_trials=1000)).aggregates
+    agg = run_monte_carlo(spec, FailureBinding(far=1e-2)).aggregates
     assert agg["detection_rate"] >= 0.95 and agg["localization_rate"] >= 0.95, agg
 
 
@@ -303,20 +303,21 @@ def test_failure_setup_refuses_unlocalizable_scenarios():
     ScenarioSpec("failure", 10, 10, 1, 0, {"n_params": 10, "alpha": 1.0})
 
 
-def test_failure_binding_cache_tells_scenarios_apart():
-    # one binding reused across failure scenarios that differ only in alpha,
-    # n_params or noise_var gives each scenario its own hypotheses
+def test_failure_hypotheses_are_per_scenario_state():
+    # scenarios that differ only in alpha, n_params or noise_var each carry their own
+    # localizable hypotheses, with fluctuation stats at their own ratio
     base = {"n_params": 4, "alpha": -1.0, "failed_index": 0, "noise_var": 1.0}
     specs = [ScenarioSpec("failure", 4, 40, 1, 3, dict(base, **change))
              for change in ({}, {"alpha": 1.0}, {"n_params": 3}, {"noise_var": 2.0})]
-
-    def hypotheses(binding, spec):
-        return [(h.index, h.omega, h.alpha) for h in binding.prepare(spec)[0]]
-
-    shared = FailureBinding(far=1e-2, calibration_trials=1000)
-    got = [hypotheses(shared, spec) for spec in specs]
-    assert got == [hypotheses(FailureBinding(far=1e-2, calibration_trials=1000), spec) for spec in specs]
-    assert len({tuple(g) for g in got}) == len(specs)
+    got = []
+    for spec in specs:
+        s = spec.state
+        assert 0 < len(s.hypotheses) == len(s.stats) <= s.n_params
+        for hyp, st in zip(s.hypotheses, s.stats):
+            assert hyp.alpha == s.alpha and (hyp.omega > 0) == (s.alpha > 0)
+            assert (st.omega, st.ratio) == (hyp.omega, spec.ratio)
+        got.append(tuple((h.index, h.omega) for h in s.hypotheses))
+    assert len(set(got)) == len(specs)
 
 
 # --- figure reproduction ------------------------------------------------------------------

@@ -14,6 +14,7 @@ from rmt.spikes import (
     default_tw_table,
     downward_spike_limits,
     failure_hypotheses,
+    fluctuation_stats,
     glrt_statistic,
     glrt_test,
     localize_failure,
@@ -286,7 +287,51 @@ def test_condition_number_basics():
         condition_number_statistic([0.0, 1.0])
 
 
-# --- fluctuation calibration ------------------------------------------------------
+# --- spike fluctuations ------------------------------------------------------------
+
+# (omega, c, N) with the Monte Carlo at N x round(N/c); c = 2 runs at N = 80 because
+# at N = 40 (n = 20) its finite-N bias alone puts the statistic at 0.11-0.18
+FLUCTUATION_CASES = [(2.0, 0.5, 40), (1.5, 0.25, 40), (-0.8, 0.1, 40), (-0.6, 0.2, 40), (4.0, 1.0, 40), (3.0, 2.0, 80)]
+
+
+@pytest.mark.parametrize("omega, c, n_dim", FLUCTUATION_CASES)
+def test_fluctuation_stats_matches_monte_carlo(omega, c, n_dim):
+    exact = fluctuation_stats(omega, c).sigma
+    sampled = calibrate_fluctuations(omega, c, n_dim, 2000, RngStream(40)).sigma
+    scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
+    assert np.max(np.abs(exact - sampled) / scale) < 0.15, (exact, sampled)
+
+
+@pytest.mark.parametrize("omega, c", [(2.0, 0.5), (0.9, 0.1), (3.0, 2.0), (40.0, 7.0), (-0.8, 0.1), (-0.5, 0.04)])
+def test_fluctuation_stats_eigenvalue_entry_and_limits(omega, c):
+    st = fluctuation_stats(omega, c)
+    limit = spike_limits(omega, c) if omega > 0 else downward_spike_limits(omega, c)
+    assert st.sigma[1, 1] == pytest.approx(c * (1 + omega) ** 2 * (1 - c / omega**2), rel=1e-12, abs=0)
+    assert st.xi == pytest.approx(limit.xi, rel=1e-12, abs=0)
+    assert st.rho == pytest.approx(limit.rho, rel=1e-12, abs=0)
+    assert st.sigma[0, 1] == st.sigma[1, 0]
+
+
+def test_fluctuation_stats_positive_definite():
+    g = np.random.default_rng(17)
+    for _ in range(2000):
+        c = 10 ** g.uniform(-2, 0.6)
+        sq = math.sqrt(c)
+        if c >= 1 or g.random() < 0.5:
+            omega = sq * (1 + 10 ** g.uniform(-3, 2))
+        else:
+            omega = -(sq + (1 - sq) * g.uniform(1e-3, 1 - 1e-3))
+        sigma = fluctuation_stats(omega, c).sigma
+        assert np.linalg.eigvalsh(sigma)[0] > 0, (omega, c, sigma)
+
+
+def test_fluctuation_stats_regimes():
+    for omega, c in [(0.5, 0.5), (math.sqrt(0.5), 0.5), (-0.3, 0.25), (-0.5, 0.25), (-0.9, 1.0), (-0.9, 2.0)]:
+        with pytest.raises(RegimeError):
+            fluctuation_stats(omega, c)
+    for omega in (-1.0, -1.5, 0.0, math.nan):
+        with pytest.raises(ParameterError):
+            fluctuation_stats(omega, 0.5)
 
 
 def test_calibrate_guards():
@@ -366,6 +411,9 @@ def test_failure_hypotheses_guards():
         failure_hypotheses(np.eye(3), np.eye(3), [0.0])
     with pytest.raises(ParameterError):
         failure_hypotheses(np.eye(3), np.eye(3), [-2.0, 0.0, 0.0])
+    for alphas in (1.0, None, "1.0", [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], ["x", 0.0, 0.0], [[0.0] * 3]):
+        with pytest.raises(ParameterError, match="alphas must be"):
+            failure_hypotheses(np.eye(3), np.eye(3), alphas)
     with pytest.raises(SingularityError):
         failure_hypotheses(np.eye(3), np.zeros((3, 3)), [0.0] * 3)
 
@@ -378,14 +426,14 @@ def _unit(n, k):
 
 def test_localize_single_hypothesis():
     hyp = FailureHypothesis(0, 2.0, _unit(8, 0), 1.0)
-    st = calibrate_fluctuations(2.0, 0.5, 8, 1000, RngStream(21))
+    st = fluctuation_stats(2.0, 0.5)
     k, scores = localize_failure(3.0, _unit(8, 0), [hyp], [st])
     assert k == 0 and scores.size == 1
 
 
 def test_localize_tie_breaks_low_index():
     hyp = FailureHypothesis(0, 2.0, _unit(8, 0), 1.0)
-    st = calibrate_fluctuations(2.0, 0.5, 8, 1000, RngStream(22))
+    st = fluctuation_stats(2.0, 0.5)
     k, scores = localize_failure(3.0, _unit(8, 0), [hyp, hyp], [st, st])
     assert k == 0
     assert scores[0] == scores[1]
@@ -427,10 +475,7 @@ def test_localization_rate_well_separated():
         FailureHypothesis(0, om_a, _unit(n_dim, 0), 0.0),
         FailureHypothesis(1, om_b, _unit(n_dim, 1), 0.0),
     ]
-    stats = [
-        calibrate_fluctuations(om_a, c, n_dim, 1000, RngStream(31)),
-        calibrate_fluctuations(om_b, c, n_dim, 1000, RngStream(32)),
-    ]
+    stats = [fluctuation_stats(om_a, c), fluctuation_stats(om_b, c)]
     hits = 0
     trials = 100
     scale = np.ones(n_dim)
