@@ -21,6 +21,7 @@ __all__ = [
     "HermitianEigen",
     "hermitian_eig",
     "sample_covariance",
+    "split_gram",
     "complex_gaussian",
     "haar_unitary",
     "save_matrix_csv",
@@ -96,27 +97,38 @@ def hermitian_eig(a) -> HermitianEigen:
 
 
 def sample_covariance(y) -> np.ndarray:
-    """Sample covariance (1/n) Y Y^H of n column observations.
-
-    With Y = A + iB and Z = [A B], Y Y^H = Z Z^T + i(B A^T - A B^T): one real
-    rank-k product on numpy's syrk path plus one real product, half the flops
-    of the complex product.  Z is built contiguous because numpy's product of
-    the strided ``.real``/``.imag`` views is slower.  The result is exactly
-    Hermitian with a real diagonal, which keeps eigh deterministic.  Stay on
-    numpy's BLAS: ``scipy.linalg.blas`` starts a second OpenBLAS thread pool,
-    and a zherk Gram through it slowed CLI sessions ~40% on a 2-core host.
-    """
+    """Sample covariance (1/n) Y Y^H of n column observations, via :func:`split_gram`."""
     y = np.asarray(y, dtype=complex)
     if y.ndim != 2 or y.shape[0] == 0 or y.shape[1] == 0:
         raise DimensionError(f"expected a nonempty N x n matrix, got shape {y.shape}")
-    n_dim, n = y.shape
-    ab = np.empty((n_dim, 2, n))
+    ab = np.empty((y.shape[0], 2, y.shape[1]))
     ab[:, 0], ab[:, 1] = y.real, y.imag
+    return split_gram(ab)
+
+
+def split_gram(ab: np.ndarray, out=None, work=None) -> np.ndarray:
+    """(1/n) Y Y^H from the contiguous (N, 2, n) real split of Y = A + iB
+    (``ab[:, 0] = A``, ``ab[:, 1] = B``).
+
+    With Z = [A B] (the split read as N x 2n), Y Y^H = Z Z^T + i(B A^T - A B^T):
+    one real rank-k product on numpy's syrk path plus one real product, half
+    the flops of the complex product.  The split is contiguous because numpy's
+    product of the strided ``.real``/``.imag`` views is slower.  The result is
+    exactly Hermitian with a real diagonal, which keeps eigh deterministic.
+    ``out`` (complex N x N) and ``work`` (real 2 x N x N) are optional buffers
+    a loop of equal-sized Grams can reuse.  Stay on numpy's BLAS:
+    ``scipy.linalg.blas`` starts a second OpenBLAS thread pool, and a zherk
+    Gram through it slowed CLI sessions ~40% on a 2-core host.
+    """
+    n_dim, _, n = ab.shape
+    c = np.empty((n_dim, n_dim), dtype=complex) if out is None else out
+    zz, cross = np.empty((2, n_dim, n_dim)) if work is None else work
     z = ab.reshape(n_dim, 2 * n)
-    cross = ab[:, 1] @ ab[:, 0].T
-    c = np.empty((n_dim, n_dim), dtype=complex)
-    np.divide(z @ z.T, n, out=c.real)
-    np.divide(cross - cross.T, n, out=c.imag)
+    np.matmul(z, z.T, out=zz)
+    np.matmul(ab[:, 1], ab[:, 0].T, out=cross)
+    np.divide(zz, n, out=c.real)
+    np.subtract(cross, cross.T, out=c.imag)
+    np.divide(c.imag, n, out=c.imag)
     return c
 
 

@@ -12,6 +12,12 @@ Each observation model is one class in :data:`MODELS`: ``setup(spec, params)``
 validates the parameters once and builds ``spec.state`` (made with the spec and
 pickled with it), ``draw(spec, state, g)`` draws one trial, ``covariance(spec,
 truth)`` rebuilds E[y y^H] and ``binding(spec)`` is ``rmt simulate``'s default.
+``spectra(spec, state, trials)`` yields (trial, eigenvalues of (1/n) Y Y^H) for
+a block of trials.  Its shared default draws Y and forms the Gram per trial;
+``mp-null``, ``spike`` and ``masses`` draw into buffers allocated once per
+block and never build the complex Y, and ``masses`` skips its Haar rotation.
+Bindings that read only the spectrum define ``per_spectrum`` and are served by
+this hook; the others define ``per_trial`` and get each trial's Y.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import RngStream, complex_gaussian, haar_unitary, sample_covariance
+from .linalg import RngStream, complex_gaussian, haar_unitary, sample_covariance, split_gram
 from . import gestimation as ge
 from . import spikes as sp
 from .doa import SteeringModel, estimate_doa, steering_matrix
@@ -79,7 +85,44 @@ def _snr_sigma(p: dict) -> float:
     return 10 ** (-_real(p.get("snr_db"), "snr_db") / 20.0)
 
 
-class MpNullModel:
+class ObservationModel:
+    """Shared base of the observation models."""
+
+    def spectra(self, spec, s, trials):
+        """Yield (trial, ascending eigenvalues of (1/n) Y Y^H) for each of ``trials``;
+        this default draws Y and forms its Gram, which every model supports."""
+        for t in trials:
+            y, _ = self.draw(spec, s, spec.stream(t).generator())
+            yield t, np.linalg.eigvalsh(sample_covariance(y))
+
+
+def _gaussian_spectra(spec, trials, scale=None, skip=0):
+    """Spectra of Y = scale * X, X proper complex Gaussian, in buffers reused
+    across ``trials``.
+
+    Each trial draws what :func:`complex_gaussian` draws, in its order, after
+    skipping ``skip`` x ``skip`` complex Gaussians, and scales the parts as
+    ``scale * complex_gaussian(...)`` does (times sqrt(1/2), then ``scale``),
+    straight into the real split :func:`split_gram` reads: Y itself is never
+    built, and the trials share one set of buffers.
+    """
+    n_dim, n = spec.n_dim, spec.n_samples
+    skipped = np.empty((2, skip, skip))
+    parts = np.empty((2, n_dim, n))
+    ab = np.empty((n_dim, 2, n))
+    cov, work = np.empty((n_dim, n_dim), dtype=complex), np.empty((2, n_dim, n_dim))
+    for t in trials:
+        g = spec.stream(t).generator()
+        if skip:
+            g.standard_normal(out=skipped)
+        g.standard_normal(out=parts)
+        np.multiply(parts.transpose(1, 0, 2), np.sqrt(0.5), out=ab)
+        if scale is not None:
+            np.multiply(ab, scale[:, :, None], out=ab)
+        yield t, np.linalg.eigvalsh(split_gram(ab, cov, work))
+
+
+class MpNullModel(ObservationModel):
     """Y with i.i.d. unit-variance proper Gaussian entries; an optional
     ``snr_db`` sets the noise level of :class:`DetectionRocBinding`."""
 
@@ -89,6 +132,9 @@ class MpNullModel:
     def draw(self, spec, s, g):
         return complex_gaussian(spec.n_dim, spec.n_samples, g), {"kind": spec.kind}
 
+    def spectra(self, spec, s, trials):
+        return _gaussian_spectra(spec, trials)
+
     def covariance(self, spec, truth):
         return np.eye(spec.n_dim)
 
@@ -96,7 +142,7 @@ class MpNullModel:
         return EigBinding(spec.kind)
 
 
-class MassesModel:
+class MassesModel(ObservationModel):
     """y_t = U x_t, U Haar per trial, x_t Gaussian with the diagonal covariance
     of ``atoms=[(value, multiplicity), ...]``."""
 
@@ -116,6 +162,11 @@ class MassesModel:
         x = complex_gaussian(spec.n_dim, spec.n_samples, g)
         return u @ (s.scale * x), {"kind": spec.kind, "unitary": u, "pop_eigs": s.diag}
 
+    def spectra(self, spec, s, trials):
+        # the spectrum is unitarily invariant: U's Gaussians are drawn, to keep
+        # X's stream position, but U is neither built nor applied
+        return _gaussian_spectra(spec, trials, s.scale, skip=spec.n_dim)
+
     def covariance(self, spec, truth):
         return (truth["unitary"] * truth["pop_eigs"]) @ truth["unitary"].conj().T
 
@@ -123,7 +174,7 @@ class MassesModel:
         return GEstimatorBinding()
 
 
-class SpikeModel:
+class SpikeModel(ObservationModel):
     """Y = T^(1/2) X for T = I plus the positive ``omegas`` on its leading diagonal."""
 
     def setup(self, spec, p):
@@ -137,6 +188,9 @@ class SpikeModel:
         y = s.scale * complex_gaussian(spec.n_dim, spec.n_samples, g)
         return y, {"kind": spec.kind, "pop_eigs": s.diag, "omegas": list(s.omegas)}
 
+    def spectra(self, spec, s, trials):
+        return _gaussian_spectra(spec, trials, s.scale)
+
     def covariance(self, spec, truth):
         return np.diag(truth["pop_eigs"]).astype(complex)
 
@@ -144,7 +198,7 @@ class SpikeModel:
         return EigBinding(spec.kind)
 
 
-class IidChannelModel:
+class IidChannelModel(ObservationModel):
     """y(t) = sum_k sqrt(P_k) H_k x_k(t) + sigma w(t) for ``powers`` P_k with
     source ``multiplicities``; channel entries of variance 1/N, redrawn per trial."""
 
@@ -174,7 +228,7 @@ class IidChannelModel:
         return PowerNmseBinding()
 
 
-class DoaModel:
+class DoaModel(ObservationModel):
     """y(t) = sum_k s(theta_k) x_k(t) + sigma w(t) on a ULA of N sensors
     ``spacing`` half-wavelengths apart (default 1)."""
 
@@ -196,7 +250,7 @@ class DoaModel:
         return DoaResolutionBinding()
 
 
-class FailureModel:
+class FailureModel(ObservationModel):
     """Whitened network observations T^(-1/2) x(t) with an optional variance change
     ``alpha`` on parameter ``failed_index``; the network H in T = HH^H + noise_var I
     is drawn once per scenario (reserved stream), and with it the localizable
@@ -326,34 +380,41 @@ class McSummary:
         return {"seed": self.spec.seed, "streams": f"(seed, trial) for trial < {self.spec.trials}"}
 
 
-def _run_one(args):
-    spec, binding, trial = args
-    y, truth = generate_trial(spec, trial)
-    return trial, binding.per_trial(spec, trial, y, truth)
+def _run_block(args):
+    """Records of one block of trials: spectrum-only bindings read the model's
+    ``spectra``, the others get each trial's Y and truth record."""
+    spec, binding, trials = args
+    if hasattr(binding, "per_spectrum"):
+        spectra = MODELS[spec.kind].spectra(spec, spec.state, trials)
+        return [binding.per_spectrum(spec, t, eigs) for t, eigs in spectra]
+    return [binding.per_trial(spec, t, *generate_trial(spec, t)) for t in trials]
 
 
 def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
     """Execute all trials of a scenario under a binding and reduce.
 
-    The binding must provide ``per_trial(spec, trial, y, truth) -> dict`` and
-    ``reduce(spec, records) -> dict``; records reach ``reduce`` sorted by
-    trial index, so aggregates do not depend on worker scheduling.
+    The binding provides ``reduce(spec, records) -> dict`` and either
+    ``per_spectrum(spec, trial, eigs) -> dict``, if it reads only the ascending
+    eigenvalues of (1/n) Y Y^H, or ``per_trial(spec, trial, y, truth) -> dict``.
+    Trials run in blocks of consecutive indices, all of them in one block when
+    serial and one block per pool task otherwise; records reach ``reduce`` in
+    trial order, so aggregates do not depend on worker scheduling.
     """
-    if not hasattr(binding, "per_trial") or not hasattr(binding, "reduce"):
-        raise ParameterError("binding must expose per_trial and reduce")
+    if not (hasattr(binding, "per_spectrum") or hasattr(binding, "per_trial")) or not hasattr(binding, "reduce"):
+        raise ParameterError("binding must expose per_spectrum or per_trial, and reduce")
     if getattr(binding, "kind", spec.kind) != spec.kind:
         raise ParameterError(f"binding for kind {binding.kind!r} is incompatible with {spec.kind!r}")
     t0 = time.perf_counter()
-    jobs = [(spec, binding, t) for t in range(spec.trials)]
+    trials = range(spec.trials)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: keeps the pool off the import path
 
+        size = max(1, spec.trials // (8 * workers))
+        blocks = [(spec, binding, trials[t:t + size]) for t in trials[::size]]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, jobs, chunksize=max(1, spec.trials // (8 * workers))))
+            records = tuple(rec for block in pool.map(_run_block, blocks) for rec in block)
     else:
-        results = [_run_one(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-    records = tuple(rec for _, rec in results)
+        records = tuple(_run_block((spec, binding, trials)))
     aggregates = binding.reduce(spec, records)
     return McSummary(spec, records, aggregates, time.perf_counter() - t0)
 
@@ -378,8 +439,8 @@ class EigBinding:
     def __init__(self, kind: str):
         self.kind = kind
 
-    def per_trial(self, spec, trial, y, truth):
-        return {"eigs": np.linalg.eigvalsh(sample_covariance(y))}
+    def per_spectrum(self, spec, trial, eigs):
+        return {"eigs": eigs}
 
     def reduce(self, spec, records):
         eigs = np.concatenate([r["eigs"] for r in records])
@@ -396,9 +457,8 @@ class PowerNmseBinding:
 
     kind = "iid-channel"
 
-    def per_trial(self, spec, trial, y, truth):
+    def per_spectrum(self, spec, trial, eigs):
         mults = spec.state.mults
-        eigs = np.linalg.eigvalsh(sample_covariance(y))
         clusters = ge.ClusterAssignment.top_ranges(spec.n_dim, mults)
         gvals = ge.power_estimate_iid_channel(eigs, spec.n_dim, spec.n_samples, clusters).values
         m_total = sum(mults)
@@ -425,9 +485,8 @@ class GEstimatorBinding:
 
     kind = "masses"
 
-    def per_trial(self, spec, trial, y, truth):
+    def per_spectrum(self, spec, trial, eigs):
         mults = spec.state.mults
-        eigs = np.linalg.eigvalsh(sample_covariance(y))
         clusters = ge.clusters_from_gaps(eigs, len(mults), mults)
         return {
             "g": ge.g_estimate(eigs, spec.n_samples, clusters).values,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -73,13 +73,26 @@ class SpikeLimit:
 
 @dataclass(frozen=True)
 class FluctuationStats:
-    """Covariance ``sigma`` of sqrt(N)(|u^H u_hat|^2 - xi, lam - rho) for one spike."""
+    """Covariance ``sigma`` of sqrt(N)(|u^H u_hat|^2 - xi, lam - rho) for one spike,
+    with the inverse and log-determinant that :func:`localize_failure` scores with.
+
+    A ``sigma`` that is not positive definite is refused here, once.
+    """
 
     omega: float
     ratio: float
     xi: float
     rho: float
     sigma: np.ndarray
+    sigma_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    logdet: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sign, logdet = np.linalg.slogdet(self.sigma)
+        if not (sign > 0 and self.sigma[0, 0] > 0):  # both leading minors positive: 2x2 positive definite
+            raise ParameterError("fluctuation covariance is not positive definite")
+        object.__setattr__(self, "sigma_inv", np.linalg.inv(self.sigma))
+        object.__setattr__(self, "logdet", float(logdet))
 
 
 @dataclass(frozen=True)
@@ -492,23 +505,19 @@ def localize_failure(lam: float, u_hat, hypotheses, stats) -> tuple[int, np.ndar
     """Pick the failure hypothesis maximizing the Gaussian fluctuation score.
 
     score_i = -N (v - m_i)^T Sigma_i^{-1} (v - m_i) - log det Sigma_i with
-    v = (|u_i^H u_hat|^2, lam) and m_i = (xi_i, rho_i).  Returns the 0-based
-    argmax (ties break to the lowest index) and all scores.
+    v = (|u_i^H u_hat|^2, lam) and m_i = (xi_i, rho_i), all hypotheses in one
+    expression from each stats' precomputed inverse and log-determinant.
+    Returns the 0-based argmax (ties break to the lowest index) and all scores.
     """
     if len(hypotheses) == 0:
         raise ParameterError("need at least one hypothesis")
     if len(stats) != len(hypotheses):
         raise ParameterError("need fluctuation stats for every hypothesis")
+    if any(st is None for st in stats):
+        raise ParameterError("every hypothesis needs fluctuation stats")
     u_hat = np.asarray(u_hat, dtype=complex)
-    scores = np.empty(len(hypotheses))
-    for i, (hyp, st) in enumerate(zip(hypotheses, stats)):
-        if st is None:
-            raise ParameterError(f"hypothesis {i} has no fluctuation stats")
-        n_dim = u_hat.size
-        proj = abs(np.vdot(hyp.u, u_hat)) ** 2
-        delta = np.array([proj - st.xi, lam - st.rho])
-        sign, logdet = np.linalg.slogdet(st.sigma)
-        if sign <= 0:
-            raise ParameterError(f"fluctuation covariance {i} is not positive definite")
-        scores[i] = -n_dim * float(delta @ np.linalg.solve(st.sigma, delta)) - logdet
+    proj = np.abs(np.array([hyp.u for hyp in hypotheses]).conj() @ u_hat) ** 2
+    delta = np.column_stack((proj - [st.xi for st in stats], lam - np.array([st.rho for st in stats])))
+    quad = np.einsum("ki,kij,kj->k", delta, np.array([st.sigma_inv for st in stats]), delta)
+    scores = -u_hat.size * quad - np.array([st.logdet for st in stats])
     return int(np.argmax(scores)), scores

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rmt.errors import ParameterError
+from rmt.linalg import sample_covariance
 from rmt.simulate import (
+    MODELS,
     SETUP_STREAM,
     DetectionRocBinding,
     EigBinding,
@@ -208,6 +210,26 @@ def test_run_monte_carlo_worker_count_invariance():
     assert np.array_equal(one.aggregates["per_trial_max"], two.aggregates["per_trial_max"])
 
 
+def _same_records(a, b):
+    return len(a) == len(b) and all(
+        ra.keys() == rb.keys() and all(np.asarray(ra[k]).tobytes() == np.asarray(rb[k]).tobytes() for k in ra)
+        for ra, rb in zip(a, b))
+
+
+@pytest.mark.parametrize("spec, binding", [
+    (ScenarioSpec("masses", 12, 40, 37, 8, {"atoms": [(1.0, 6), (4.0, 6)]}), GEstimatorBinding()),
+    (ScenarioSpec("spike", 9, 20, 37, 12, {"omegas": [3.0, 1.0]}), EigBinding("spike")),
+], ids=["masses-gestimator", "spike-eig"])
+def test_spectrum_binding_worker_count_invariance(spec, binding):
+    # 37 trials reach two workers as blocks of two and a last block of one
+    one = run_monte_carlo(spec, binding, workers=1)
+    two = run_monte_carlo(spec, binding, workers=2)
+    assert _same_records(one.records, two.records)
+    assert one.aggregates.keys() == two.aggregates.keys()
+    for key, value in one.aggregates.items():
+        assert np.asarray(value).tobytes() == np.asarray(two.aggregates[key]).tobytes()
+
+
 def test_failure_worker_count_invariance():
     # the scenario network and T^(-1/2) reach the workers inside the pickled spec
     spec = ScenarioSpec("failure", 6, 60, 8, 4, {"n_params": 6, "alpha": -1.0, "failed_index": 1})
@@ -221,6 +243,54 @@ def test_run_monte_carlo_binding_compatibility():
     spec = ScenarioSpec("mp-null", 4, 8, 1, 0)
     with pytest.raises(ParameterError):
         run_monte_carlo(spec, PowerNmseBinding())
+    with pytest.raises(ParameterError, match="per_spectrum or per_trial"):
+        run_monte_carlo(spec, type("ReduceOnly", (), {"reduce": lambda self, spec, records: {}})())
+
+
+# --- spectrum-only trials ------------------------------------------------------------
+
+
+def _draw_route_spectra(spec):
+    return [np.linalg.eigvalsh(sample_covariance(generate_trial(spec, t)[0])) for t in range(spec.trials)]
+
+
+def _hook_spectra(spec):
+    got = list(MODELS[spec.kind].spectra(spec, spec.state, range(spec.trials)))
+    assert [t for t, _ in got] == list(range(spec.trials))
+    return [eigs for _, eigs in got]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("kind, n_dim, n_samples, params", [
+    ("mp-null", 6, 11, {}),
+    ("mp-null", 12, 5, {}),  # c > 1
+    ("mp-null", 1, 9, {}),
+    ("spike", 8, 20, {"omegas": [2.0, 0.5]}),
+    ("spike", 9, 4, {"omegas": [3.0]}),  # c > 1
+    ("iid-channel", 6, 9, {"powers": [0.5, 2.0], "multiplicities": [1, 2], "snr_db": 6.0}),  # the shared route
+])
+def test_spectra_equal_the_draw_route_bit_for_bit(kind, n_dim, n_samples, params, seed):
+    # the reused buffers hold each trial's draws in the draw route's order and scaling
+    spec = ScenarioSpec(kind, n_dim, n_samples, 5, seed, params)
+    got, want = _hook_spectra(spec), _draw_route_spectra(spec)
+    assert len(got) == len(want) == spec.trials
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("n_dim, n_samples, atoms", [
+    (6, 20, [(1.0, 3), (4.0, 3)]),
+    (6, 3, [(1.0, 2), (5.0, 4)]),  # c > 1
+    (1, 7, [(2.0, 1)]),
+])
+def test_masses_spectra_drop_the_unitary(n_dim, n_samples, atoms, seed):
+    # U only rotates Y, so its spectrum moves at rounding level; X's draws stay put
+    spec = ScenarioSpec("masses", n_dim, n_samples, 5, seed, {"atoms": atoms})
+    got, want = _hook_spectra(spec), _draw_route_spectra(spec)
+    assert len(got) == len(want) == spec.trials
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 def test_gestimator_binding_aggregates():

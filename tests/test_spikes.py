@@ -8,6 +8,7 @@ from rmt.linalg import RngStream, complex_gaussian, hermitian_eig, sample_covari
 from rmt.spikes import (
     TW_TABLE_ENV,
     FailureHypothesis,
+    FluctuationStats,
     TracyWidomTable,
     calibrate_fluctuations,
     condition_number_statistic,
@@ -443,6 +444,38 @@ def test_localize_requires_calibration():
     hyp = FailureHypothesis(0, 2.0, _unit(4, 0), 1.0)
     with pytest.raises(ParameterError):
         localize_failure(3.0, _unit(4, 0), [hyp], [None])
+
+
+def test_fluctuation_stats_refuse_a_covariance_that_is_not_positive_definite():
+    # det > 0 with both eigenvalues negative, det < 0, and a singular matrix
+    for sigma in ([[-1.0, 0.0], [0.0, -2.0]], [[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]):
+        with pytest.raises(ParameterError, match="positive definite"):
+            FluctuationStats(2.0, 0.5, 0.5, 3.0, np.array(sigma))
+    st = fluctuation_stats(2.0, 0.5)
+    assert np.allclose(st.sigma_inv @ st.sigma, np.eye(2), atol=1e-12)
+    assert abs(st.logdet - math.log(np.linalg.det(st.sigma))) < 1e-12
+
+
+def test_localize_matches_per_hypothesis_scores():
+    # the one-expression scores equal a solve and a slogdet per hypothesis
+    g = RngStream(91).generator()
+    n_dim, c = 12, 0.3
+    hyps, stats = [], []
+    for k, omega in enumerate((1.5, 2.0, 3.5, 0.9, 6.0)):
+        u = complex_gaussian(n_dim, 1, g)[:, 0]
+        hyps.append(FailureHypothesis(k, omega, u / np.linalg.norm(u), 0.5))
+        stats.append(fluctuation_stats(omega, c))
+    for _ in range(20):
+        u_hat = complex_gaussian(n_dim, 1, g)[:, 0]
+        u_hat /= np.linalg.norm(u_hat)
+        lam = float(g.uniform(2.0, 9.0))
+        want = []
+        for hyp, st in zip(hyps, stats):
+            delta = np.array([abs(np.vdot(hyp.u, u_hat)) ** 2 - st.xi, lam - st.rho])
+            want.append(-n_dim * float(delta @ np.linalg.solve(st.sigma, delta)) - np.linalg.slogdet(st.sigma)[1])
+        k, scores = localize_failure(lam, u_hat, hyps, stats)
+        assert np.max(np.abs(scores - want)) <= 1e-12 * np.max(np.abs(want))
+        assert k == int(np.argmax(want))
 
 
 def test_exact_separation_three_mass_scenario():
