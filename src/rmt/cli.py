@@ -254,6 +254,7 @@ def cmd_reproduce(args) -> int:
         _write_csv(path, columns)
         written.append(path.name)
     manifest.update({"build": _git_describe(), "files": written})
+    validate("manifest", manifest)
     (out_dir / f"{args.figure}_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {len(written)} curve files + manifest to {out_dir}")
     return 0
@@ -279,7 +280,7 @@ def cmd_simulate(args) -> int:
             "kind": spec.kind,
             "aggregates": _jsonable(summary.aggregates),
             "runtime_s": summary.runtime_s,
-            "seed_manifest": summary.seed_manifest,
+            "seed_manifest": validate("seed_manifest", summary.seed_manifest),
         },
     )
     _emit_json(doc, args.out)

@@ -8,6 +8,7 @@ first mismatch.  Outputs are validated before they are written.
 from __future__ import annotations
 
 NUMBER = (int, float)
+COUNT_OR_NONE = (int, type(None))  # a count that may be missing, e.g. an unpinned BLAS thread count
 
 SCHEMAS: dict = {
     "estimate": {
@@ -42,6 +43,23 @@ SCHEMAS: dict = {
         "runtime_s": NUMBER,
         "seed_manifest": dict,
     },
+    # the summary's seed_manifest
+    "seed_manifest": {
+        "seed": int,
+        "streams": str,
+        "blas_threads": COUNT_OR_NONE,
+        "workers": int,
+    },
+    # the manifest ``rmt reproduce`` writes beside the curve files
+    "manifest": {
+        "figure": str,
+        "seed": int,
+        "scale": str,
+        "workers": int,
+        "blas_threads": COUNT_OR_NONE,
+        "build": str,
+        "files": (list, str),
+    },
 }
 
 
@@ -61,7 +79,7 @@ def validate(name: str, obj: dict) -> dict:
                 if isinstance(v, bool) or not isinstance(v, elem):
                     raise ValueError(f"{name}.{key}: bad element {v!r}")
         else:
-            if want in (int, NUMBER) and isinstance(value, bool):
+            if want in (int, NUMBER, COUNT_OR_NONE) and isinstance(value, bool):
                 raise ValueError(f"{name}.{key}: expected a number, got bool")
             if not isinstance(value, want):
                 raise ValueError(f"{name}.{key}: expected {want}, got {type(value)}")

@@ -14,14 +14,23 @@ pickled with it), ``draw(spec, state, g)`` draws one trial, ``covariance(spec,
 truth)`` rebuilds E[y y^H] and ``binding(spec)`` is ``rmt simulate``'s default.
 ``spectra(spec, state, trials)`` yields (trial, eigenvalues of (1/n) Y Y^H) for
 a block of trials.  Its shared default draws Y and forms the Gram per trial;
-``mp-null``, ``spike`` and ``masses`` draw into buffers allocated once per
-block and never build the complex Y, and ``masses`` skips its Haar rotation.
-Bindings that read only the spectrum define ``per_spectrum`` and are served by
-this hook; the others define ``per_trial`` and get each trial's Y.
+``mp-null``, ``spike`` and ``masses`` never build the complex Y (``masses``
+skips its Haar rotation) and run as a two-stage pipeline: one helper thread
+draws trial t+1 into a ring of two buffers while the calling thread forms
+trial t's Gram and eigenvalues.  Bindings that read only the spectrum define
+``per_spectrum`` and are served by this hook; the others define ``per_trial``
+and get each trial's Y.
+
+Every block, serial or in a pool worker, runs with numpy's bundled OpenBLAS
+pinned to one thread and restores the caller's count afterwards, so results
+do not depend on ``OPENBLAS_NUM_THREADS`` or the worker count.  A numpy build
+without that library runs unpinned, and :class:`McSummary` records which.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import numbers
@@ -105,21 +114,40 @@ def _gaussian_spectra(spec, trials, scale=None, skip=0):
     ``scale * complex_gaussian(...)`` does (times sqrt(1/2), then ``scale``),
     straight into the real split :func:`split_gram` reads: Y itself is never
     built, and the trials share one set of buffers.
+
+    One helper thread draws trial i+1 into one slot of a two-slot ring while
+    this thread forms trial i's Gram and eigenvalues from the other; the
+    helper calls no BLAS and no module-level rmt function.  The helper is
+    joined when the generator finishes or is closed.
     """
+    from concurrent.futures import ThreadPoolExecutor  # deferred: keeps the thread pool off the import path
+
     n_dim, n = spec.n_dim, spec.n_samples
+    trials = list(trials)
     skipped = np.empty((2, skip, skip))
-    parts = np.empty((2, n_dim, n))
-    ab = np.empty((n_dim, 2, n))
+    half = np.empty((n_dim, n))
+    ring = np.empty((2, n_dim, 2, n))
     cov, work = np.empty((n_dim, n_dim), dtype=complex), np.empty((2, n_dim, n_dim))
-    for t in trials:
+
+    def draw(t, ab):
         g = spec.stream(t).generator()
         if skip:
             g.standard_normal(out=skipped)
-        g.standard_normal(out=parts)
-        np.multiply(parts.transpose(1, 0, 2), np.sqrt(0.5), out=ab)
+        for part in range(2):  # every real part, then every imaginary part, in one stream
+            g.standard_normal(out=half)
+            np.multiply(half, np.sqrt(0.5), out=ab[:, part])
         if scale is not None:
             np.multiply(ab, scale[:, :, None], out=ab)
-        yield t, np.linalg.eigvalsh(split_gram(ab, cov, work))
+        return ab
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(draw, trials[0], ring[0]) if trials else None
+        for i, t in enumerate(trials):
+            ab = ahead.result()
+            if i + 1 < len(trials):
+                # slot (i+1) % 2 last held trial i-1, whose Gram is done
+                ahead = helper.submit(draw, trials[i + 1], ring[(i + 1) % 2])
+            yield t, np.linalg.eigvalsh(split_gram(ab, cov, work))
 
 
 class MpNullModel(ObservationModel):
@@ -370,24 +398,66 @@ def rebuild_population_covariance(spec: ScenarioSpec, truth: dict) -> np.ndarray
 
 @dataclass(frozen=True)
 class McSummary:
+    """One run's records and aggregates, with the BLAS thread count its blocks
+    ran at (None when this numpy build could not be pinned) and its worker count."""
+
     spec: ScenarioSpec
     records: tuple
     aggregates: dict
     runtime_s: float
+    blas_threads: int | None
+    workers: int
 
     @property
     def seed_manifest(self) -> dict:
-        return {"seed": self.spec.seed, "streams": f"(seed, trial) for trial < {self.spec.trials}"}
+        return {"seed": self.spec.seed, "streams": f"(seed, trial) for trial < {self.spec.trials}",
+                "blas_threads": self.blas_threads, "workers": self.workers}
+
+
+BLOCK_BLAS_THREADS = 1  # a block's OpenBLAS thread count, wherever numpy's bundled library allows pinning it
+
+
+@functools.cache  # looked up on the first block, never at import
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
+    None when this numpy build does not ship it.  scipy's copy is never used."""
+    import ctypes
+    import glob
+    import os
+
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "libscipy_openblas64_-*.so")):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded by numpy: the same handle
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, ()
+        put.restype, put.argtypes = None, (ctypes.c_int,)
+        return get, put
+    return None
 
 
 def _run_block(args):
     """Records of one block of trials: spectrum-only bindings read the model's
-    ``spectra``, the others get each trial's Y and truth record."""
+    ``spectra``, the others get each trial's Y and truth record.  OpenBLAS is
+    pinned to one thread for the block and the caller's count is restored
+    after, also when a binding raises."""
     spec, binding, trials = args
-    if hasattr(binding, "per_spectrum"):
-        spectra = MODELS[spec.kind].spectra(spec, spec.state, trials)
-        return [binding.per_spectrum(spec, t, eigs) for t, eigs in spectra]
-    return [binding.per_trial(spec, t, *generate_trial(spec, t)) for t in trials]
+    blas = _openblas_threads()
+    if blas:
+        before = blas[0]()
+        blas[1](BLOCK_BLAS_THREADS)
+    try:
+        if hasattr(binding, "per_spectrum"):
+            with contextlib.closing(MODELS[spec.kind].spectra(spec, spec.state, trials)) as spectra:
+                records = [binding.per_spectrum(spec, t, eigs) for t, eigs in spectra]
+        else:
+            records = [binding.per_trial(spec, t, *generate_trial(spec, t)) for t in trials]
+    finally:
+        if blas:
+            blas[1](before)
+    return records
 
 
 def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
@@ -398,7 +468,9 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
     eigenvalues of (1/n) Y Y^H, or ``per_trial(spec, trial, y, truth) -> dict``.
     Trials run in blocks of consecutive indices, all of them in one block when
     serial and one block per pool task otherwise; records reach ``reduce`` in
-    trial order, so aggregates do not depend on worker scheduling.
+    trial order, so aggregates do not depend on worker scheduling.  Every block
+    runs at the same pinned BLAS thread count, recorded in the summary with
+    the worker count.
     """
     if not (hasattr(binding, "per_spectrum") or hasattr(binding, "per_trial")) or not hasattr(binding, "reduce"):
         raise ParameterError("binding must expose per_spectrum or per_trial, and reduce")
@@ -414,9 +486,11 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = tuple(rec for block in pool.map(_run_block, blocks) for rec in block)
     else:
-        records = tuple(_run_block((spec, binding, trials)))
+        workers, records = 1, tuple(_run_block((spec, binding, trials)))
     aggregates = binding.reduce(spec, records)
-    return McSummary(spec, records, aggregates, time.perf_counter() - t0)
+    # pool children run this process's numpy build, so they pin as it would
+    blas_threads = BLOCK_BLAS_THREADS if _openblas_threads() else None
+    return McSummary(spec, records, aggregates, time.perf_counter() - t0, blas_threads, workers)
 
 
 def histogram(values, bins: int, value_range=None):
@@ -642,12 +716,20 @@ def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: in
     """Re-run one of the bundled reference experiments; returns named curves.
 
     Every output is a dict of numpy columns keyed by curve name, plus a
-    ``manifest`` entry recording the scenario parameters.
+    ``manifest`` entry recording the scenario parameters, the worker count and
+    the BLAS thread count of the Monte-Carlo runs (None when the figure runs
+    none or the build could not be pinned).
     """
     from .stieltjes import density_from_stieltjes, mp_density
 
     sc = _fig_scales(scale)
-    out: dict = {"manifest": {"figure": figure_id, "seed": seed, "scale": scale}}
+    out: dict = {"manifest": {"figure": figure_id, "seed": seed, "scale": scale,
+                              "workers": max(workers, 1), "blas_threads": None}}
+
+    def monte_carlo(spec, binding):
+        summary = run_monte_carlo(spec, binding, workers)
+        out["manifest"]["blas_threads"] = summary.blas_threads
+        return summary.aggregates
 
     if figure_id == "fig1":
         spec = ScenarioSpec("mp-null", 500, 2000, 1, seed)
@@ -690,7 +772,7 @@ def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: in
                 "iid-channel", 24, 128, sc["fig4_trials"], seed + i,
                 {"powers": [1 / 16, 1 / 4, 1.0], "multiplicities": [4, 4, 4], "snr_db": snr},
             )
-            agg = run_monte_carlo(spec, binding, workers).aggregates
+            agg = monte_carlo(spec, binding)
             rows_g.append(agg["nmse_g_db"][2])
             rows_c.append(agg["nmse_classical_db"][2])
         out["gest"] = {"snr_db": np.array(snrs, float), "nmse_db": np.array(rows_g)}
@@ -707,13 +789,13 @@ def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: in
         for method in ("music", "gmusic"):
             res = estimate_doa(y, 2, model, grid, method)
             out[method] = {"theta_deg": grid, "cost_db": 10 * np.log10(np.maximum(res.costs, 1e-300))}
-        agg = run_monte_carlo(spec, DoaResolutionBinding(), workers).aggregates
+        agg = monte_carlo(spec, DoaResolutionBinding())
         out["resolution"] = agg
         return out
 
     if figure_id == "fig6":
         spec = ScenarioSpec("mp-null", 4, 8, sc["fig6_trials"], seed, {"snr_db": 0.0})
-        agg = run_monte_carlo(spec, DetectionRocBinding(), workers).aggregates
+        agg = monte_carlo(spec, DetectionRocBinding())
         fars = np.concatenate([np.logspace(-4, -1, 25), np.linspace(0.12, 1.0, 12)])
         curves = {}
         for name in ("glrt", "cond"):
@@ -724,7 +806,7 @@ def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: in
 
     if figure_id == "fig7":
         spec = ScenarioSpec("mp-null", sc["fig7_n_dim"], sc["fig7_n_samples"], sc["fig7_trials"], seed)
-        agg = run_monte_carlo(spec, EigBinding("mp-null"), workers).aggregates
+        agg = monte_carlo(spec, EigBinding("mp-null"))
         lam1 = agg["per_trial_max"]
         std = np.array([sp.tw_standardize(v, spec.n_dim, spec.ratio) for v in lam1])
         edges, dens = histogram(std, 40, (-5.0, 3.0))
@@ -745,7 +827,7 @@ def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: in
                 "failure", 10, int(n), sc["fig8_trials"], seed + i,
                 {"n_params": 10, "alpha": -1.0, "failed_index": 0, "noise_var": 1.0},
             )
-            agg = run_monte_carlo(spec, FailureBinding(far), workers).aggregates
+            agg = monte_carlo(spec, FailureBinding(far))
             curves_d.append(agg["detection_rate"])
             curves_l.append(agg["localization_rate"])
         out["cdr"] = {"n": np.array(grid, float), "rate": np.array(curves_d)}

@@ -31,7 +31,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ParameterError, RegimeError, SingularityError
-from .linalg import RngStream, complex_gaussian, hermitian_eig
+from .linalg import hermitian_eig
 from .stieltjes import mp_stieltjes_edge, mp_support
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "condition_number_statistic",
     "spike_outlier_root",
     "fluctuation_stats",
-    "calibrate_fluctuations",
     "failure_hypotheses",
     "localizable_hypotheses",
     "localize_failure",
@@ -317,12 +316,19 @@ def glrt_test(eigs, n_dim: int, n_samples: int, far: float, table: TracyWidomTab
     """Threshold the standardized GLRT statistic at the 1-far TW quantile.
 
     Rejects the noise hypothesis iff the standardized statistic is strictly
-    greater than the quantile.
+    greater than the quantile.  A ``far`` below the table's upper tail at its
+    last knot has no quantile in the table and is refused.
     """
     if not (0 < far < 1):
         raise ParameterError("false alarm rate must lie in (0, 1)")
     if table is None:
         table = default_tw_table()
+    if 1 - far > table._levels[-1]:
+        tail = 1 - table._levels[-1]
+        digits = 10 ** (2 - math.floor(math.log10(tail)))
+        raise ParameterError(f"false alarm rate {far:g} is beyond the Tracy-Widom table, whose CDF ends at "
+                             f"s = {table._knots[-1]:g}; the smallest usable rate is "
+                             f"{math.ceil(tail * digits) / digits:.3g}")
     stat = glrt_statistic(eigs)
     c = n_dim / n_samples
     std = tw_standardize(stat, n_dim, c)
@@ -394,9 +400,8 @@ def fluctuation_stats(omega: float, c: float) -> FluctuationStats:
                    [-(xi/a^2)(k a - b/2),          1/a                 ]].
 
     So Sigma_22 = c (1+omega)^2 (1 - c/omega^2), and Sigma is positive
-    definite wherever xi > 0.  Regimes as :func:`calibrate_fluctuations`:
-    :class:`RegimeError` unless |omega| > sqrt(c), and c < 1 for a downward
-    spike.
+    definite wherever xi > 0.  :class:`RegimeError` unless |omega| > sqrt(c),
+    and c < 1 for a downward spike.
     """
     if not (omega > -1):
         raise ParameterError("need omega > -1: at -1 the spike direction carries no variance")
@@ -411,38 +416,6 @@ def fluctuation_stats(omega: float, c: float) -> FluctuationStats:
     cross = -c * (xi / a**2) * (k * a - b / 2)
     sigma = np.array([[c * (xi / a) ** 2 * (k * k * a - k * b + d / 6), cross], [cross, c / a]])
     return FluctuationStats(omega, c, xi, limit.rho, sigma)
-
-
-def calibrate_fluctuations(omega: float, c: float, n_dim: int, trials: int, rng: RngStream) -> FluctuationStats:
-    """Monte-Carlo covariance of sqrt(N)(|u^H u_hat|^2 - xi, lam - rho) at N x round(N/c).
-
-    The test oracle of :func:`fluctuation_stats`.  Requires the detectable
-    regime |omega| > sqrt(c); downward spikes use the smallest eigenvalue and
-    need c < 1.  The calibrated matrix is ridged by 1e-9 if needed to stay
-    positive definite.
-    """
-    if trials < 1000:
-        raise ParameterError("calibration needs at least 1000 trials")
-    if n_dim < 2:
-        raise ParameterError("need N >= 2")
-    limit = _detectable_limit(omega, c)
-    n_samples = max(1, int(round(n_dim / c)))
-    scale = math.sqrt(1.0 + omega)
-    take_largest = omega > 0
-    pairs = np.empty((trials, 2))
-    base = rng.generator().integers(0, 2**63 - 1)
-    for t in range(trials):
-        g = RngStream(int(base), t).generator()
-        x = complex_gaussian(n_dim, n_samples, g)
-        x[0, :] *= scale
-        lam, vecs = np.linalg.eigh(x @ x.conj().T / n_samples)
-        idx = -1 if take_largest else 0
-        pairs[t] = (abs(vecs[0, idx]) ** 2 - limit.xi, lam[idx] - limit.rho)
-    pairs *= math.sqrt(n_dim)
-    sigma = np.cov(pairs.T)
-    if np.linalg.eigvalsh(sigma)[0] <= 0:
-        sigma = sigma + 1e-9 * np.eye(2)
-    return FluctuationStats(omega, c, limit.xi, limit.rho, sigma)
 
 
 def failure_hypotheses(h, t_cov, alphas) -> list[FailureHypothesis]:

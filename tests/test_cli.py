@@ -30,11 +30,13 @@ def test_import_path_loads_no_scipy_pool_or_subprocess():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import rmt.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'subprocess') "
-        "or m == 'concurrent.futures.process'))"
+        "or m in ('concurrent.futures.process', 'concurrent.futures.thread'))); "
+        # neither the import nor a binding's construction looks the BLAS library up
+        "rmt.simulate.EigBinding('mp-null'); print(rmt.simulate._openblas_threads.cache_info().currsize)"
     )
     src = str(pathlib.Path(rmt.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "0"]
 
 
 def test_write_csv_bytes_match_savetxt(tmp_path):
@@ -162,6 +164,17 @@ def test_detect_command_noise_and_signal(tmp_path):
     out2 = tmp_path / "d2.json"
     assert run_cli("detect", "--input", str(sig_path), "--far", "0.01", "--out", str(out2)) == 0
     assert json.loads(out2.read_text())["signal"] is True
+
+
+def test_detect_refuses_a_far_beyond_the_table(tmp_path, capsys):
+    # the bundled table ends at s = 6, where its upper tail is 3.8e-12
+    path = tmp_path / "noise.csv"
+    save_matrix_csv(path, complex_gaussian(8, 32, RngStream(5)))
+    capsys.readouterr()
+    assert run_cli("detect", "--input", str(path), "--far", "1e-12") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "smallest usable rate is 3.82e-12" in err
+    assert run_cli("detect", "--input", str(path), "--far", "3.82e-12") == 0
 
 
 def test_doa_command(tmp_path):
@@ -305,7 +318,9 @@ def test_reproduce_fig2_bundle(tmp_path):
     out_dir = tmp_path / "bundle"
     assert run_cli("reproduce", "fig2", "--seed", "1", "--out-dir", str(out_dir)) == 0
     manifest = json.loads((out_dir / "fig2_manifest.json").read_text())
+    validate("manifest", manifest)
     assert manifest["figure"] == "fig2"
+    assert (manifest["workers"], manifest["blas_threads"]) == (1, None)  # fig2 runs no Monte Carlo
     assert manifest["files"]
     for name in manifest["files"]:
         header, _ = read_csv(out_dir / name)
@@ -323,6 +338,10 @@ def test_simulate_command_reproducible(tmp_path):
     b = json.loads(out2.read_text())
     validate("summary", a)
     assert a["aggregates"]["all_eigs"] == b["aggregates"]["all_eigs"]
+    for doc, workers in ((a, 1), (b, 2)):
+        manifest = validate("seed_manifest", doc["seed_manifest"])
+        assert manifest["workers"] == workers and manifest["blas_threads"] in (None, 1)
+    assert a["seed_manifest"]["blas_threads"] == b["seed_manifest"]["blas_threads"]
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,11 +1,16 @@
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from rmt.errors import ParameterError
-from rmt.linalg import sample_covariance
+import rmt.simulate as simulate
+from rmt.linalg import sample_covariance, split_gram
 from rmt.simulate import (
+    BLOCK_BLAS_THREADS,
     MODELS,
     SETUP_STREAM,
     DetectionRocBinding,
@@ -19,6 +24,7 @@ from rmt.simulate import (
     rebuild_population_covariance,
     reproduce_figure,
     run_monte_carlo,
+    _openblas_threads,
 )
 
 MASSES = ScenarioSpec("masses", 30, 120, 4, seed=5, params={"atoms": [(1.0, 10), (3.0, 10), (7.0, 10)]})
@@ -293,6 +299,115 @@ def test_masses_spectra_drop_the_unitary(n_dim, n_samples, atoms, seed):
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
+# --- draw-ahead pipeline at the pinned BLAS thread count ---------------------------------
+
+OPENBLAS = _openblas_threads()
+needs_pin = pytest.mark.skipif(OPENBLAS is None, reason="this numpy build does not bundle OpenBLAS")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller runs OpenBLAS at two threads, so a block's pin to one is visible."""
+    get, put = OPENBLAS
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def _inline_spectra(spec, trials):
+    """The serial route: draw, scaled split copy, split_gram, eigvalsh, one trial at a time."""
+    s, out = spec.state, []
+    skip = spec.n_dim if spec.kind == "masses" else 0
+    for t in trials:
+        g = spec.stream(t).generator()
+        g.standard_normal((2, skip, skip))
+        ab = g.standard_normal((2, spec.n_dim, spec.n_samples)).transpose(1, 0, 2) * np.sqrt(0.5)
+        if spec.kind != "mp-null":
+            ab = ab * s.scale[:, :, None]
+        out.append(np.linalg.eigvalsh(split_gram(np.ascontiguousarray(ab))))
+    return out
+
+
+@needs_pin
+@pytest.mark.parametrize("timing", ["", "slow-gram", "short-switch"])
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec("mp-null", 256, 768, 4, 21),
+    ScenarioSpec("mp-null", 30, 12, 40, 22),  # c > 1
+    ScenarioSpec("spike", 64, 192, 5, 23, {"omegas": [4.0, 1.5]}),
+    ScenarioSpec("masses", 48, 160, 5, 24, {"atoms": [(1.0, 24), (3.0, 24)]}),
+], ids=["mp-null-256x768", "mp-null-c2.5", "spike", "masses"])
+def test_pipelined_spectra_equal_the_inline_route(spec, timing, two_blas_threads, monkeypatch):
+    if timing == "slow-gram":
+        # the helper's next draw is done before this trial's Gram reads its ring slot
+        def late_split_gram(ab, out=None, work=None):
+            time.sleep(0.005)
+            return split_gram(ab, out, work)
+
+        monkeypatch.setattr(simulate, "split_gram", late_split_gram)
+    interval = sys.getswitchinterval()
+    try:
+        if timing == "short-switch":
+            sys.setswitchinterval(1e-6)  # the two threads trade the interpreter lock as often as it allows
+        got = run_monte_carlo(spec, EigBinding(spec.kind))
+    finally:
+        sys.setswitchinterval(interval)
+    assert (got.blas_threads, got.workers) == (BLOCK_BLAS_THREADS, 1)
+    OPENBLAS[1](BLOCK_BLAS_THREADS)
+    want = _inline_spectra(spec, range(spec.trials))
+    OPENBLAS[1](2)
+    for rec, w in zip(got.records, want, strict=True):
+        assert rec["eigs"].tobytes() == w.tobytes()
+
+
+class _RaiseOnTrial3(EigBinding):
+    def per_spectrum(self, spec, trial, eigs):
+        if trial == 3:
+            raise ArithmeticError("binding failed on trial 3")
+        return {"eigs": eigs, "threads": OPENBLAS[0]()}
+
+
+class _PerTrialThreads:
+    kind = "iid-channel"
+
+    def per_trial(self, spec, trial, y, truth):
+        return {"threads": OPENBLAS[0]()}
+
+    def reduce(self, spec, records):
+        return {}
+
+
+@needs_pin
+def test_blocks_pin_one_thread_and_restore_the_callers_count(two_blas_threads):
+    get = two_blas_threads
+    threads = threading.active_count()
+    spec = ScenarioSpec("mp-null", 40, 30, 8, 3)
+    with pytest.raises(ArithmeticError, match="trial 3"):
+        run_monte_carlo(spec, _RaiseOnTrial3("mp-null"))
+    assert threading.active_count() == threads and get() == 2
+    ok = run_monte_carlo(ScenarioSpec("mp-null", 40, 30, 3, 3), _RaiseOnTrial3("mp-null"))
+    assert [r["threads"] for r in ok.records] == [BLOCK_BLAS_THREADS] * 3 and get() == 2
+    iid = ScenarioSpec("iid-channel", 6, 9, 3, 4, {"powers": [1.0], "multiplicities": [2], "snr_db": 3.0})
+    per_trial = run_monte_carlo(iid, _PerTrialThreads())
+    assert [r["threads"] for r in per_trial.records] == [BLOCK_BLAS_THREADS] * 3 and get() == 2
+    assert threading.active_count() == threads
+
+
+@needs_pin
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec("mp-null", 256, 768, 4, 31),
+    ScenarioSpec("masses", 128, 512, 4, 32, {"atoms": [(1.0, 64), (5.0, 64)]}),
+], ids=["mp-null-256x768", "masses-128x512"])
+def test_worker_count_invariance_where_openblas_threads(spec, two_blas_threads):
+    # at these sizes OpenBLAS splits the Gram and eigvalsh across threads, so
+    # serial and pool blocks agree only if both run at the pinned count
+    one = run_monte_carlo(spec, EigBinding(spec.kind), workers=1)
+    two = run_monte_carlo(spec, EigBinding(spec.kind), workers=2)
+    assert (one.blas_threads, one.workers, two.blas_threads, two.workers) == (BLOCK_BLAS_THREADS, 1, BLOCK_BLAS_THREADS, 2)
+    assert two.seed_manifest["workers"] == 2 and two.seed_manifest["blas_threads"] == BLOCK_BLAS_THREADS
+    assert one.aggregates["all_eigs"].tobytes() == two.aggregates["all_eigs"].tobytes()
+
+
 def test_gestimator_binding_aggregates():
     summary = run_monte_carlo(MASSES, GEstimatorBinding())
     agg = summary.aggregates
@@ -413,3 +528,5 @@ def test_reproduce_fig5_gmusic_deeper_at_true_angles():
         assert out["gmusic"]["cost_db"][j] < out["music"]["cost_db"][j]
     res = out["resolution"]
     assert res["gmusic_resolution_rate"] >= res["music_resolution_rate"]
+    assert out["manifest"]["workers"] == 1
+    assert out["manifest"]["blas_threads"] == (None if OPENBLAS is None else BLOCK_BLAS_THREADS)

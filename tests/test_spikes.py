@@ -10,7 +10,6 @@ from rmt.spikes import (
     FailureHypothesis,
     FluctuationStats,
     TracyWidomTable,
-    calibrate_fluctuations,
     condition_number_statistic,
     default_tw_table,
     downward_spike_limits,
@@ -281,6 +280,17 @@ def test_glrt_rejects_degenerate():
         glrt_test(np.ones(4), 4, 8, far=0.0)
 
 
+def test_glrt_refuses_a_far_beyond_the_table():
+    # 1 - far above the table's last level has no quantile: the last knot would stand in for it
+    tail = 1 - TABLE.cdf[-1]
+    eigs = np.linspace(0.5, 1.5, 4)
+    for far in (1e-12, tail / 2, 1e-300):
+        with pytest.raises(ParameterError, match="smallest usable rate is 3.82e-12"):
+            glrt_test(eigs, 4, 8, far=far)
+    for far in (tail, 3.82e-12):
+        assert glrt_test(eigs, 4, 8, far=far).threshold <= TABLE.s[-1]
+
+
 def test_condition_number_basics():
     assert condition_number_statistic(np.ones(5)) == 1.0
     assert condition_number_statistic([1.0, 4.0]) == 4.0
@@ -289,6 +299,41 @@ def test_condition_number_basics():
 
 
 # --- spike fluctuations ------------------------------------------------------------
+
+
+def calibrate_fluctuations(omega: float, c: float, n_dim: int, trials: int, rng: RngStream) -> FluctuationStats:
+    """Monte-Carlo covariance of sqrt(N)(|u^H u_hat|^2 - xi, lam - rho) at N x round(N/c).
+
+    The oracle of :func:`fluctuation_stats`.  Requires the detectable regime
+    |omega| > sqrt(c); downward spikes use the smallest eigenvalue and need
+    c < 1.  The calibrated matrix is ridged by 1e-9 if needed to stay
+    positive definite.
+    """
+    if trials < 1000:
+        raise ParameterError("calibration needs at least 1000 trials")
+    if n_dim < 2:
+        raise ParameterError("need N >= 2")
+    limit = spike_limits(omega, c) if omega > 0 else downward_spike_limits(omega, c)
+    if not limit.detectable:
+        raise RegimeError("fluctuations are Gaussian only for |omega| > sqrt(c)")
+    n_samples = max(1, int(round(n_dim / c)))
+    scale = math.sqrt(1.0 + omega)
+    take_largest = omega > 0
+    pairs = np.empty((trials, 2))
+    base = rng.generator().integers(0, 2**63 - 1)
+    for t in range(trials):
+        g = RngStream(int(base), t).generator()
+        x = complex_gaussian(n_dim, n_samples, g)
+        x[0, :] *= scale
+        lam, vecs = np.linalg.eigh(x @ x.conj().T / n_samples)
+        idx = -1 if take_largest else 0
+        pairs[t] = (abs(vecs[0, idx]) ** 2 - limit.xi, lam[idx] - limit.rho)
+    pairs *= math.sqrt(n_dim)
+    sigma = np.cov(pairs.T)
+    if np.linalg.eigvalsh(sigma)[0] <= 0:
+        sigma = sigma + 1e-9 * np.eye(2)
+    return FluctuationStats(omega, c, limit.xi, limit.rho, sigma)
+
 
 # (omega, c, N) with the Monte Carlo at N x round(N/c); c = 2 runs at N = 80 because
 # at N = 40 (n = 20) its finite-N bias alone puts the statistic at 0.11-0.18
