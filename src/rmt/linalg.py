@@ -106,7 +106,7 @@ def sample_covariance(y) -> np.ndarray:
     return split_gram(ab)
 
 
-def split_gram(ab: np.ndarray, out=None, work=None) -> np.ndarray:
+def split_gram(ab: np.ndarray) -> np.ndarray:
     """(1/n) Y Y^H from the contiguous (N, 2, n) real split of Y = A + iB
     (``ab[:, 0] = A``, ``ab[:, 1] = B``).
 
@@ -115,19 +115,25 @@ def split_gram(ab: np.ndarray, out=None, work=None) -> np.ndarray:
     the flops of the complex product.  The split is contiguous because numpy's
     product of the strided ``.real``/``.imag`` views is slower.  The result is
     exactly Hermitian with a real diagonal, which keeps eigh deterministic.
-    ``out`` (complex N x N) and ``work`` (real 2 x N x N) are optional buffers
-    a loop of equal-sized Grams can reuse.  Stay on numpy's BLAS:
-    ``scipy.linalg.blas`` starts a second OpenBLAS thread pool, and a zherk
-    Gram through it slowed CLI sessions ~40% on a 2-core host.
+    Stay on numpy's BLAS: ``scipy.linalg.blas`` starts a second OpenBLAS
+    thread pool, and a zherk Gram through it slowed CLI sessions ~40% on a
+    2-core host.
     """
+    n_dim = ab.shape[0]
+    return _split_gram(ab, np.empty((n_dim, n_dim), dtype=complex), np.empty((n_dim, n_dim)))
+
+
+def _split_gram(ab: np.ndarray, c: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """:func:`split_gram` into ``c`` (complex N x N, either order), through
+    ``work`` (real N x N), so a loop of equal-sized Grams can reuse both.  It
+    is a function object of its own, so helper threads can call it while an
+    instrumenter wraps the public name on the calling thread."""
     n_dim, _, n = ab.shape
-    c = np.empty((n_dim, n_dim), dtype=complex) if out is None else out
-    zz, cross = np.empty((2, n_dim, n_dim)) if work is None else work
     z = ab.reshape(n_dim, 2 * n)
-    np.matmul(z, z.T, out=zz)
-    np.matmul(ab[:, 1], ab[:, 0].T, out=cross)
-    np.divide(zz, n, out=c.real)
-    np.subtract(cross, cross.T, out=c.imag)
+    np.matmul(z, z.T, out=work)
+    np.divide(work, n, out=c.real)
+    np.matmul(ab[:, 1], ab[:, 0].T, out=work)
+    np.subtract(work, work.T, out=c.imag)
     np.divide(c.imag, n, out=c.imag)
     return c
 

@@ -12,28 +12,32 @@ Each observation model is one class in :data:`MODELS`: ``setup(spec, params)``
 validates the parameters once and builds ``spec.state`` (made with the spec and
 pickled with it), ``draw(spec, state, g)`` draws one trial, ``covariance(spec,
 truth)`` rebuilds E[y y^H] and ``binding(spec)`` is ``rmt simulate``'s default.
-``spectra(spec, state, trials)`` yields (trial, eigenvalues of (1/n) Y Y^H) for
-a block of trials.  Its shared default draws Y and forms the Gram per trial;
-``mp-null``, ``spike`` and ``masses`` never build the complex Y (``masses``
-skips its Haar rotation) and run as a two-stage pipeline: one helper thread
-draws trial t+1 into a ring of two buffers while the calling thread forms
-trial t's Gram and eigenvalues.  Bindings that read only the spectrum define
-``per_spectrum`` and are served by this hook; the others define ``per_trial``
-and get each trial's Y.
+``spectra(spec, state, trials)`` returns the eigenvalues of (1/n) Y Y^H for a
+block of trials, one row per trial.  Its shared default draws Y and forms the
+Gram per trial; ``mp-null``, ``spike`` and ``masses`` never build the complex
+Y (``masses`` skips its Haar rotation) and run a block as two identical lanes:
+the calling thread and one helper each take the next trial, draw it, form its
+Gram and solve it in their own buffers.  The eigensolve is LAPACKE's zheevd
+from numpy's OpenBLAS, called through ``ctypes`` without the GIL, and gives
+the bits of ``np.linalg.eigvalsh``; where numpy's library lacks it, the block
+runs as one lane on ``np.linalg.eigvalsh``.  Bindings that read only the
+spectrum define ``per_spectrum`` and are served by this hook on the calling
+thread; the others define ``per_trial`` and get each trial's Y.
 
 Every block, serial or in a pool worker, runs with numpy's bundled OpenBLAS
 pinned to one thread and restores the caller's count afterwards, so results
-do not depend on ``OPENBLAS_NUM_THREADS`` or the worker count.  A numpy build
-without that library runs unpinned, and :class:`McSummary` records which.
+do not depend on ``OPENBLAS_NUM_THREADS``, the worker count or the lane that
+ran a trial.  A numpy build without that library runs unpinned, and
+:class:`McSummary` records which.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
 import numbers
+import threading
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -41,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import RngStream, complex_gaussian, haar_unitary, sample_covariance, split_gram
+from .linalg import RngStream, _split_gram, complex_gaussian, haar_unitary, sample_covariance
 from . import gestimation as ge
 from . import spikes as sp
 from .doa import SteeringModel, estimate_doa, steering_matrix
@@ -98,56 +102,99 @@ class ObservationModel:
     """Shared base of the observation models."""
 
     def spectra(self, spec, s, trials):
-        """Yield (trial, ascending eigenvalues of (1/n) Y Y^H) for each of ``trials``;
-        this default draws Y and forms its Gram, which every model supports."""
-        for t in trials:
+        """A (len(trials), N) array whose row i holds the ascending eigenvalues
+        of (1/n) Y Y^H at trial ``trials[i]``; this default draws Y and forms
+        its Gram, which every model supports."""
+        out = np.empty((len(trials), spec.n_dim))
+        for i, t in enumerate(trials):
             y, _ = self.draw(spec, s, spec.stream(t).generator())
-            yield t, np.linalg.eigvalsh(sample_covariance(y))
+            out[i] = np.linalg.eigvalsh(sample_covariance(y))
+        return out
+
+
+def _eigvalsh_into(zheevd, gram, w):
+    """Ascending eigenvalues of the Hermitian, Fortran-ordered ``gram`` into
+    ``w``, through LAPACKE's zheevd (no vectors, lower triangle): the LAPACK
+    routine and arguments of ``np.linalg.eigvalsh``, so the same bits, but
+    ``ctypes`` drops the GIL for the call.  Overwrites gram's lower triangle."""
+    n = gram.shape[0]
+    if not (gram.shape == (n, n) and gram.dtype == complex and gram.flags.f_contiguous
+            and w.shape == (n,) and w.dtype == float and w.flags.c_contiguous):
+        raise ValueError("zheevd needs a square Fortran-ordered complex128 matrix and a float64 vector of its size")
+    info = zheevd(_LAPACK_COL_MAJOR, b"N", b"L", n, gram.ctypes.data, n, w.ctypes.data)
+    if info:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (LAPACKE zheevd info {info})")
+    return w
 
 
 def _gaussian_spectra(spec, trials, scale=None, skip=0):
-    """Spectra of Y = scale * X, X proper complex Gaussian, in buffers reused
-    across ``trials``.
+    """Spectra of Y = scale * X, X proper complex Gaussian, as
+    :meth:`ObservationModel.spectra` returns them.
 
     Each trial draws what :func:`complex_gaussian` draws, in its order, after
     skipping ``skip`` x ``skip`` complex Gaussians, and scales the parts as
     ``scale * complex_gaussian(...)`` does (times sqrt(1/2), then ``scale``),
-    straight into the real split :func:`split_gram` reads: Y itself is never
-    built, and the trials share one set of buffers.
+    chunk by chunk straight into the real split the Gram kernel reads: Y
+    itself is never built.
 
-    One helper thread draws trial i+1 into one slot of a two-slot ring while
-    this thread forms trial i's Gram and eigenvalues from the other; the
-    helper calls no BLAS and no module-level rmt function.  The helper is
-    joined when the generator finishes or is closed.
+    :data:`BLOCK_LANES` lanes, this thread and helpers, each take the next
+    trial index under a lock, then draw, form the Gram and solve in buffers of
+    their own, and write row i of the result; a lane's work depends only on
+    its trial's stream, so the rows do not depend on which lane ran them.  The
+    lanes call private kernels only, nothing an instrumenter of the calling
+    thread wraps (public rmt functions, ``np.linalg``).  Without LAPACKE the
+    eigensolve is ``np.linalg.eigvalsh``, which holds the GIL, and the block
+    runs as one lane on this thread.  A lane's error stops the others after
+    their current trial and is raised here.
     """
-    from concurrent.futures import ThreadPoolExecutor  # deferred: keeps the thread pool off the import path
-
     n_dim, n = spec.n_dim, spec.n_samples
-    trials = list(trials)
-    skipped = np.empty((2, skip, skip))
-    half = np.empty((n_dim, n))
-    ring = np.empty((2, n_dim, 2, n))
-    cov, work = np.empty((n_dim, n_dim), dtype=complex), np.empty((2, n_dim, n_dim))
+    out = np.empty((len(trials), n_dim))
+    openblas = _numpy_openblas()
+    zheevd = openblas.zheevd if openblas else None
+    rows, half = max(1, DRAW_CHUNK // n), np.sqrt(0.5)
+    lock, order, failed = threading.Lock(), iter(range(len(trials))), []
 
-    def draw(t, ab):
-        g = spec.stream(t).generator()
-        if skip:
-            g.standard_normal(out=skipped)
-        for part in range(2):  # every real part, then every imaginary part, in one stream
-            g.standard_normal(out=half)
-            np.multiply(half, np.sqrt(0.5), out=ab[:, part])
-        if scale is not None:
-            np.multiply(ab, scale[:, :, None], out=ab)
-        return ab
+    def lane():
+        ab, chunk = np.empty((n_dim, 2, n)), np.empty((rows, n))
+        gram, work = np.empty((n_dim, n_dim), dtype=complex, order="F"), np.empty((n_dim, n_dim))
+        flat = chunk.reshape(-1)
+        while True:
+            with lock:
+                i = None if failed else next(order, None)
+            if i is None:
+                return
+            try:
+                g = spec.stream(trials[i]).generator()
+                for left in range(2 * skip * skip, 0, -flat.size):
+                    g.standard_normal(out=flat[:left])
+                for part in range(2):  # every real part, then every imaginary part, in one stream
+                    for r in range(0, n_dim, rows):
+                        x = chunk[:n_dim - r]
+                        g.standard_normal(out=x)
+                        y = ab[r:r + len(x), part]
+                        np.multiply(x, half, out=y)
+                        if scale is not None:
+                            np.multiply(y, scale[r:r + len(x)], out=y)
+                _split_gram(ab, gram, work)
+                if zheevd:
+                    _eigvalsh_into(zheevd, gram, out[i])
+                else:
+                    out[i] = np.linalg.eigvalsh(gram)
+            except BaseException as exc:  # re-raised on the calling thread, once every lane has stopped
+                failed.append(exc)
+                return
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(draw, trials[0], ring[0]) if trials else None
-        for i, t in enumerate(trials):
-            ab = ahead.result()
-            if i + 1 < len(trials):
-                # slot (i+1) % 2 last held trial i-1, whose Gram is done
-                ahead = helper.submit(draw, trials[i + 1], ring[(i + 1) % 2])
-            yield t, np.linalg.eigvalsh(split_gram(ab, cov, work))
+    helpers = [threading.Thread(target=lane) for _ in range(min(BLOCK_LANES if zheevd else 1, len(trials)) - 1)]
+    for h in helpers:
+        h.start()
+    try:
+        lane()
+    finally:
+        for h in helpers:
+            h.join()
+    if failed:
+        raise failed[0]
+    return out
 
 
 class MpNullModel(ObservationModel):
@@ -415,12 +462,16 @@ class McSummary:
 
 
 BLOCK_BLAS_THREADS = 1  # a block's OpenBLAS thread count, wherever numpy's bundled library allows pinning it
+BLOCK_LANES = 2  # threads, the caller's included, that run a spectrum-only block's trials
+DRAW_CHUNK = 16384  # normals per draw call (128 KB), so a lane's draw buffer stays in cache
+_LAPACK_COL_MAJOR = 102
 
 
 @functools.cache  # looked up on the first block, never at import
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
-    None when this numpy build does not ship it.  scipy's copy is never used."""
+def _numpy_openblas():
+    """The OpenBLAS bundled with numpy, as ``get_threads``, ``set_threads``
+    and ``zheevd`` (None where the library has no LAPACKE), or None when this
+    numpy build does not ship it.  scipy's copy is never used."""
     import ctypes
     import glob
     import os
@@ -434,7 +485,12 @@ def _openblas_threads():
             continue
         get.restype, get.argtypes = ctypes.c_int, ()
         put.restype, put.argtypes = None, (ctypes.c_int,)
-        return get, put
+        zheevd = getattr(lib, "scipy_LAPACKE_zheevd64_", None)
+        if zheevd is not None:  # ILP64: lapack_int is 64-bit
+            zheevd.restype = ctypes.c_int64
+            zheevd.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                               ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+        return SimpleNamespace(get_threads=get, set_threads=put, zheevd=zheevd)
     return None
 
 
@@ -444,19 +500,19 @@ def _run_block(args):
     pinned to one thread for the block and the caller's count is restored
     after, also when a binding raises."""
     spec, binding, trials = args
-    blas = _openblas_threads()
+    blas = _numpy_openblas()
     if blas:
-        before = blas[0]()
-        blas[1](BLOCK_BLAS_THREADS)
+        before = blas.get_threads()
+        blas.set_threads(BLOCK_BLAS_THREADS)
     try:
         if hasattr(binding, "per_spectrum"):
-            with contextlib.closing(MODELS[spec.kind].spectra(spec, spec.state, trials)) as spectra:
-                records = [binding.per_spectrum(spec, t, eigs) for t, eigs in spectra]
+            spectra = MODELS[spec.kind].spectra(spec, spec.state, trials)
+            records = [binding.per_spectrum(spec, t, eigs) for t, eigs in zip(trials, spectra, strict=True)]
         else:
             records = [binding.per_trial(spec, t, *generate_trial(spec, t)) for t in trials]
     finally:
         if blas:
-            blas[1](before)
+            blas.set_threads(before)
     return records
 
 
@@ -489,7 +545,7 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
         workers, records = 1, tuple(_run_block((spec, binding, trials)))
     aggregates = binding.reduce(spec, records)
     # pool children run this process's numpy build, so they pin as it would
-    blas_threads = BLOCK_BLAS_THREADS if _openblas_threads() else None
+    blas_threads = BLOCK_BLAS_THREADS if _numpy_openblas() else None
     return McSummary(spec, records, aggregates, time.perf_counter() - t0, blas_threads, workers)
 
 
@@ -733,9 +789,7 @@ def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: in
 
     if figure_id == "fig1":
         spec = ScenarioSpec("mp-null", 500, 2000, 1, seed)
-        y, _ = generate_trial(spec, 0)
-        eigs = np.linalg.eigvalsh(sample_covariance(y))
-        edges, dens = histogram(eigs, 50, (0.0, 3.0))
+        edges, dens = histogram(monte_carlo(spec, EigBinding(spec.kind))["all_eigs"], 50, (0.0, 3.0))
         centers = (edges[:-1] + edges[1:]) / 2
         out["histogram"] = {"x": centers, "density": dens}
         out["theory"] = {"x": centers, "density": mp_density(spec.ratio, centers)}
@@ -751,9 +805,7 @@ def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: in
     if figure_id in ("fig3-top", "fig3-bottom"):
         values = (1.0, 3.0, 7.0) if figure_id == "fig3-top" else (1.0, 3.0, 4.0)
         spec = ScenarioSpec("masses", 300, 3000, 1, seed, {"atoms": [(v, 100) for v in values]})
-        y, _ = generate_trial(spec, 0)
-        eigs = np.linalg.eigvalsh(sample_covariance(y))
-        edges, dens = histogram(eigs, 55, (0.0, 11.0))
+        edges, dens = histogram(monte_carlo(spec, EigBinding(spec.kind))["all_eigs"], 55, (0.0, 11.0))
         centers = (edges[:-1] + edges[1:]) / 2
         model = SpectralModel.from_multiplicities(values, (100, 100, 100), spec.ratio)
         grid = np.arange(0.05, 11.0, 0.01)

@@ -30,9 +30,10 @@ def test_import_path_loads_no_scipy_pool_or_subprocess():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import rmt.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'subprocess') "
-        "or m in ('concurrent.futures.process', 'concurrent.futures.thread'))); "
+        "or m in ('concurrent.futures.process', 'concurrent.futures.thread', 'multiprocessing.pool', "
+        "'multiprocessing.dummy'))); "
         # neither the import nor a binding's construction looks the BLAS library up
-        "rmt.simulate.EigBinding('mp-null'); print(rmt.simulate._openblas_threads.cache_info().currsize)"
+        "rmt.simulate.EigBinding('mp-null'); print(rmt.simulate._numpy_openblas.cache_info().currsize)"
     )
     src = str(pathlib.Path(rmt.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60)

@@ -1,7 +1,9 @@
+import inspect
 import json
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from rmt.simulate import (
     rebuild_population_covariance,
     reproduce_figure,
     run_monte_carlo,
-    _openblas_threads,
+    _eigvalsh_into,
+    _numpy_openblas,
 )
 
 MASSES = ScenarioSpec("masses", 30, 120, 4, seed=5, params={"atoms": [(1.0, 10), (3.0, 10), (7.0, 10)]})
@@ -261,9 +264,9 @@ def _draw_route_spectra(spec):
 
 
 def _hook_spectra(spec):
-    got = list(MODELS[spec.kind].spectra(spec, spec.state, range(spec.trials)))
-    assert [t for t, _ in got] == list(range(spec.trials))
-    return [eigs for _, eigs in got]
+    got = MODELS[spec.kind].spectra(spec, spec.state, range(spec.trials))
+    assert got.shape == (spec.trials, spec.n_dim)
+    return list(got)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -299,20 +302,21 @@ def test_masses_spectra_drop_the_unitary(n_dim, n_samples, atoms, seed):
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
-# --- draw-ahead pipeline at the pinned BLAS thread count ---------------------------------
+# --- two-lane blocks at the pinned BLAS thread count ----------------------------------------
 
-OPENBLAS = _openblas_threads()
+OPENBLAS = _numpy_openblas()
 needs_pin = pytest.mark.skipif(OPENBLAS is None, reason="this numpy build does not bundle OpenBLAS")
+needs_lapacke = pytest.mark.skipif(OPENBLAS is None or OPENBLAS.zheevd is None,
+                                   reason="this numpy build's OpenBLAS has no LAPACKE zheevd")
 
 
 @pytest.fixture
 def two_blas_threads():
     """The caller runs OpenBLAS at two threads, so a block's pin to one is visible."""
-    get, put = OPENBLAS
-    before = get()
-    put(2)
-    yield get
-    put(before)
+    before = OPENBLAS.get_threads()
+    OPENBLAS.set_threads(2)
+    yield OPENBLAS.get_threads
+    OPENBLAS.set_threads(before)
 
 
 def _inline_spectra(spec, trials):
@@ -329,8 +333,30 @@ def _inline_spectra(spec, trials):
     return out
 
 
+def _lane_threads(monkeypatch, late_helper=False):
+    """Record the thread of every Gram a block's lanes form.  With
+    ``late_helper``, each lane's Grams wait (up to 10 s) until the other lane
+    has started one, and the helper's Grams then start 5 ms late: both lanes
+    take trials, and short trials finish out of order."""
+    seen, kernel, caller = [], simulate._split_gram, threading.get_ident()
+    entered = {True: threading.Event(), False: threading.Event()}  # keyed by "on the calling thread"
+
+    def recorded(ab, c, work):
+        seen.append(threading.get_ident())
+        if late_helper:
+            on_caller = seen[-1] == caller
+            entered[on_caller].set()
+            entered[not on_caller].wait(10)
+            if not on_caller:
+                time.sleep(0.005)
+        return kernel(ab, c, work)
+
+    monkeypatch.setattr(simulate, "_split_gram", recorded)
+    return seen
+
+
 @needs_pin
-@pytest.mark.parametrize("timing", ["", "slow-gram", "short-switch"])
+@pytest.mark.parametrize("timing", ["", "slow-gram", "short-switch", "four-lanes"])
 @pytest.mark.parametrize("spec", [
     ScenarioSpec("mp-null", 256, 768, 4, 21),
     ScenarioSpec("mp-null", 30, 12, 40, 22),  # c > 1
@@ -338,40 +364,137 @@ def _inline_spectra(spec, trials):
     ScenarioSpec("masses", 48, 160, 5, 24, {"atoms": [(1.0, 24), (3.0, 24)]}),
 ], ids=["mp-null-256x768", "mp-null-c2.5", "spike", "masses"])
 def test_pipelined_spectra_equal_the_inline_route(spec, timing, two_blas_threads, monkeypatch):
-    if timing == "slow-gram":
-        # the helper's next draw is done before this trial's Gram reads its ring slot
-        def late_split_gram(ab, out=None, work=None):
-            time.sleep(0.005)
-            return split_gram(ab, out, work)
-
-        monkeypatch.setattr(simulate, "split_gram", late_split_gram)
+    # slow-gram: the helper lane's Grams start 5 ms late, so the calling lane
+    # overtakes it and trials finish out of order
+    late_helper = timing == "slow-gram" and OPENBLAS.zheevd is not None
+    seen = _lane_threads(monkeypatch, late_helper)
+    if timing == "four-lanes":
+        monkeypatch.setattr(simulate, "BLOCK_LANES", 4)  # more lanes than this host's cores
     interval = sys.getswitchinterval()
     try:
-        if timing == "short-switch":
-            sys.setswitchinterval(1e-6)  # the two threads trade the interpreter lock as often as it allows
+        if timing in ("short-switch", "four-lanes"):
+            sys.setswitchinterval(1e-6)  # the lanes trade the interpreter lock as often as it allows
         got = run_monte_carlo(spec, EigBinding(spec.kind))
     finally:
         sys.setswitchinterval(interval)
     assert (got.blas_threads, got.workers) == (BLOCK_BLAS_THREADS, 1)
-    OPENBLAS[1](BLOCK_BLAS_THREADS)
+    assert len(seen) == spec.trials
+    if late_helper:
+        assert len(set(seen)) == simulate.BLOCK_LANES
+    OPENBLAS.set_threads(BLOCK_BLAS_THREADS)
     want = _inline_spectra(spec, range(spec.trials))
-    OPENBLAS[1](2)
+    OPENBLAS.set_threads(2)
     for rec, w in zip(got.records, want, strict=True):
         assert rec["eigs"].tobytes() == w.tobytes()
+
+
+def _guard_instrumentable(monkeypatch):
+    """Make everything an outside instrumenter wraps fail when called off this
+    thread: the functions in the ``__all__`` of rmt's modules, under every
+    name an rmt module binds them to, and numpy's Hermitian eigensolvers."""
+    caller, off = threading.get_ident(), []
+
+    def guard(fn):
+        def guarded(*args, **kwargs):
+            if threading.get_ident() != caller:
+                off.append(fn.__name__)
+                raise AssertionError(f"{fn.__name__} called off the calling thread")
+            return fn(*args, **kwargs)
+        return guarded
+
+    modules = [m for name, m in sys.modules.items() if name == "rmt" or name.startswith("rmt.")]
+    guards = {obj: guard(obj) for m in modules for obj in (getattr(m, a) for a in getattr(m, "__all__", ()))
+              if inspect.isfunction(obj)}
+    for m in modules:
+        for attr, obj in list(vars(m).items()):
+            if inspect.isfunction(obj) and obj in guards:
+                monkeypatch.setattr(m, attr, guards[obj])
+    for solver in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver, guard(getattr(np.linalg, solver)))
+    return off
+
+
+@needs_lapacke
+@pytest.mark.parametrize("library", ["lapacke", "no-lapacke", "no-openblas"])
+@pytest.mark.parametrize("spec, binding", [
+    (ScenarioSpec("mp-null", 48, 96, 6, 41), EigBinding("mp-null")),
+    (ScenarioSpec("spike", 40, 90, 6, 42, {"omegas": [3.0]}), EigBinding("spike")),
+    (ScenarioSpec("masses", 30, 120, 6, 43, {"atoms": [(1.0, 10), (3.0, 10), (7.0, 10)]}), GEstimatorBinding()),
+], ids=["mp-null", "spike", "masses"])
+def test_lanes_call_nothing_instrumentable_off_the_calling_thread(spec, binding, library, monkeypatch):
+    # a span recorder keeps one stack per process, so only the calling thread may enter a wrapped function
+    want = run_monte_carlo(spec, binding).records
+    if library != "lapacke":
+        # without LAPACKE the block solves with np.linalg.eigvalsh, so in one lane
+        fake = None if library == "no-openblas" else SimpleNamespace(**dict(vars(OPENBLAS), zheevd=None))
+        monkeypatch.setattr(simulate, "_numpy_openblas", lambda: fake)
+    seen = _lane_threads(monkeypatch, late_helper=library == "lapacke")
+    off = _guard_instrumentable(monkeypatch)
+    got = run_monte_carlo(spec, binding)
+    assert off == [] and _same_records(got.records, want)
+    assert len(set(seen)) == (simulate.BLOCK_LANES if library == "lapacke" else 1)
+
+
+@needs_lapacke
+def test_a_lane_error_propagates_and_leaves_no_thread(two_blas_threads, monkeypatch):
+    threads = threading.active_count()
+    stream = ScenarioSpec.stream
+
+    def failing_stream(self, trial):
+        if trial == 3:
+            raise ArithmeticError("draw failed on trial 3")
+        return stream(self, trial)
+
+    monkeypatch.setattr(ScenarioSpec, "stream", failing_stream)
+    for spec in (ScenarioSpec("mp-null", 40, 30, 8, 3), ScenarioSpec("masses", 12, 40, 8, 3, {"atoms": [(1.0, 12)]})):
+        with pytest.raises(ArithmeticError, match="trial 3"):
+            run_monte_carlo(spec, EigBinding(spec.kind))
+        assert threading.active_count() == threads and two_blas_threads() == 2
+
+
+def _gram(n_dim, n_samples, seed, scale=None):
+    ab = np.random.default_rng(seed).standard_normal((n_dim, 2, n_samples))
+    return split_gram(ab if scale is None else ab * scale[:, :, None])
+
+
+@needs_lapacke
+@pytest.mark.parametrize("gram", [
+    _gram(1, 9, 0),
+    _gram(12, 5, 1),  # c > 1: singular
+    2.0 * np.eye(6, dtype=complex),  # one eigenvalue, repeated
+    _gram(256, 768, 2),
+    _gram(48, 160, 3, np.sqrt(np.repeat([1.0, 3.0, 7.0], 16))[:, None]),  # masses-scaled
+], ids=["1x1", "singular-c2.4", "2I", "256x768", "masses"])
+def test_lapacke_eigvalsh_equals_numpy_bit_for_bit(gram):
+    w = _eigvalsh_into(OPENBLAS.zheevd, np.asfortranarray(gram), np.empty(gram.shape[0]))
+    assert w.tobytes() == np.linalg.eigvalsh(gram).tobytes()
+
+
+@needs_lapacke
+def test_lapacke_eigvalsh_raises_on_a_nonzero_info():
+    nan = np.full((3, 3), np.nan, dtype=complex, order="F")
+    for solve in (np.linalg.eigvalsh, lambda a: _eigvalsh_into(OPENBLAS.zheevd, a, np.empty(3))):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(nan.copy(order="F"))
+    with pytest.raises(np.linalg.LinAlgError, match="info 2"):
+        _eigvalsh_into(lambda *args: 2, np.eye(3, dtype=complex, order="F"), np.empty(3))
+    for gram, w in ((np.eye(3, dtype=complex), np.empty(3)), (np.eye(3, dtype=complex, order="F"), np.empty(4))):
+        with pytest.raises(ValueError, match="Fortran-ordered"):  # a C-ordered Gram, a short output
+            _eigvalsh_into(OPENBLAS.zheevd, gram, w)
 
 
 class _RaiseOnTrial3(EigBinding):
     def per_spectrum(self, spec, trial, eigs):
         if trial == 3:
             raise ArithmeticError("binding failed on trial 3")
-        return {"eigs": eigs, "threads": OPENBLAS[0]()}
+        return {"eigs": eigs, "threads": OPENBLAS.get_threads()}
 
 
 class _PerTrialThreads:
     kind = "iid-channel"
 
     def per_trial(self, spec, trial, y, truth):
-        return {"threads": OPENBLAS[0]()}
+        return {"threads": OPENBLAS.get_threads()}
 
     def reduce(self, spec, records):
         return {}
@@ -530,3 +653,11 @@ def test_reproduce_fig5_gmusic_deeper_at_true_angles():
     assert res["gmusic_resolution_rate"] >= res["music_resolution_rate"]
     assert out["manifest"]["workers"] == 1
     assert out["manifest"]["blas_threads"] == (None if OPENBLAS is None else BLOCK_BLAS_THREADS)
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig3-bottom"])
+def test_one_draw_figures_run_as_pinned_blocks(figure):
+    out = reproduce_figure(figure, seed=2)
+    assert out["manifest"]["blas_threads"] == (None if OPENBLAS is None else BLOCK_BLAS_THREADS)
+    edges = out["histogram"]["x"]
+    assert np.isclose(np.sum(out["histogram"]["density"]) * (edges[1] - edges[0]), 1.0)
