@@ -57,6 +57,7 @@ SCHEMAS: dict = {
         "scale": str,
         "workers": int,
         "blas_threads": COUNT_OR_NONE,
+        "specs": (list, dict),  # one scenario JSON per Monte-Carlo run, in run order
         "build": str,
         "files": (list, str),
     },

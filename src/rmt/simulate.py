@@ -33,6 +33,7 @@ ran a trial.  A numpy build without that library runs unpinned, and
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -49,7 +50,7 @@ from .linalg import RngStream, _split_gram, complex_gaussian, haar_unitary, samp
 from . import gestimation as ge
 from . import spikes as sp
 from .doa import SteeringModel, estimate_doa, steering_matrix
-from .stieltjes import SpectralModel
+from .stieltjes import SpectralModel, density_from_stieltjes, mp_density
 
 __all__ = [
     "ScenarioSpec",
@@ -494,26 +495,32 @@ def _numpy_openblas():
     return None
 
 
-def _run_block(args):
-    """Records of one block of trials: spectrum-only bindings read the model's
-    ``spectra``, the others get each trial's Y and truth record.  OpenBLAS is
-    pinned to one thread for the block and the caller's count is restored
-    after, also when a binding raises."""
-    spec, binding, trials = args
+@contextlib.contextmanager
+def _pinned_blas():
+    """Run the body with numpy's bundled OpenBLAS at :data:`BLOCK_BLAS_THREADS`
+    and restore the caller's count after, also when the body raises; a build
+    without that library runs the body unpinned."""
     blas = _numpy_openblas()
-    if blas:
-        before = blas.get_threads()
-        blas.set_threads(BLOCK_BLAS_THREADS)
+    if not blas:
+        yield
+        return
+    before = blas.get_threads()
+    blas.set_threads(BLOCK_BLAS_THREADS)
     try:
+        yield
+    finally:
+        blas.set_threads(before)
+
+
+def _run_block(args):
+    """Records of one block of trials, run pinned: spectrum-only bindings read
+    the model's ``spectra``, the others get each trial's Y and truth record."""
+    spec, binding, trials = args
+    with _pinned_blas():
         if hasattr(binding, "per_spectrum"):
             spectra = MODELS[spec.kind].spectra(spec, spec.state, trials)
-            records = [binding.per_spectrum(spec, t, eigs) for t, eigs in zip(trials, spectra, strict=True)]
-        else:
-            records = [binding.per_trial(spec, t, *generate_trial(spec, t)) for t in trials]
-    finally:
-        if blas:
-            blas.set_threads(before)
-    return records
+            return [binding.per_spectrum(spec, t, eigs) for t, eigs in zip(trials, spectra, strict=True)]
+        return [binding.per_trial(spec, t, *generate_trial(spec, t)) for t in trials]
 
 
 def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
@@ -526,8 +533,10 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
     serial and one block per pool task otherwise; records reach ``reduce`` in
     trial order, so aggregates do not depend on worker scheduling.  Every block
     runs at the same pinned BLAS thread count, recorded in the summary with
-    the worker count.
+    the worker count; ``workers`` must be an integer >= 1, and the pool starts
+    no more processes than there are blocks.
     """
+    workers = _integer(workers, "workers", 1)
     if not (hasattr(binding, "per_spectrum") or hasattr(binding, "per_trial")) or not hasattr(binding, "reduce"):
         raise ParameterError("binding must expose per_spectrum or per_trial, and reduce")
     if getattr(binding, "kind", spec.kind) != spec.kind:
@@ -539,10 +548,10 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
 
         size = max(1, spec.trials // (8 * workers))
         blocks = [(spec, binding, trials[t:t + size]) for t in trials[::size]]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             records = tuple(rec for block in pool.map(_run_block, blocks) for rec in block)
     else:
-        workers, records = 1, tuple(_run_block((spec, binding, trials)))
+        records = tuple(_run_block((spec, binding, trials)))
     aggregates = binding.reduce(spec, records)
     # pool children run this process's numpy build, so they pin as it would
     blas_threads = BLOCK_BLAS_THREADS if _numpy_openblas() else None
@@ -747,144 +756,143 @@ class FailureBinding:
 
 # --- figure reproduction ------------------------------------------------------
 
-FIGURE_IDS = ("fig1", "fig2", "fig3-top", "fig3-bottom", "fig4", "fig5", "fig6", "fig7", "fig8")
+
+@dataclass(frozen=True)
+class Figure:
+    """One bundled figure as data: ``specs(seed, desk)`` lists the scenarios it
+    runs, at desk scale when ``desk`` and at the paper's otherwise; each runs
+    under ``binding``, or under its kind's default binding when that is None;
+    ``curves(specs, aggregates)`` turns their aggregates, in spec order, into
+    the figure's named curves."""
+
+    specs: object
+    curves: object
+    binding: object = None
 
 
-def _fig_scales(scale: str) -> dict:
-    if scale not in ("desk", "paper"):
-        raise ParameterError("scale must be 'desk' or 'paper'")
-    desk = scale == "desk"
-    return {
-        "fig4_trials": 2000 if desk else 10_000,
-        "fig5_trials": 500 if desk else 10_000,
-        "fig6_trials": 20_000 if desk else 100_000,
-        "fig7_n_dim": 256 if desk else 500,
-        "fig7_n_samples": 768 if desk else 1500,
-        "fig7_trials": 2000 if desk else 10_000,
-        "fig8_trials": 5000 if desk else 100_000,
-        # the smallest-eigenvalue test needs c = N/n < 1, so n stays above N=10
-        "fig8_grid": (24, 40, 55, 71, 86, 102) if desk else (16, 24, 32, 40, 47, 55, 63, 71, 79, 86, 94, 102, 110, 118, 125, 133, 141, 149, 157, 164),
-        "fig4_snrs": tuple(range(-5, 31, 5)) if desk else tuple(range(-5, 31)),
-    }
+def _centered_histogram(values, bins: int, value_range):
+    edges, dens = histogram(values, bins, value_range)
+    return (edges[:-1] + edges[1:]) / 2, dens
+
+
+def _fig1_curves(specs, aggs):
+    x, dens = _centered_histogram(aggs[0]["all_eigs"], 50, (0.0, 3.0))
+    return {"histogram": {"x": x, "density": dens}, "theory": {"x": x, "density": mp_density(specs[0].ratio, x)}}
+
+
+def _fig2_curves(specs, aggs):
+    grid = np.arange(0.0, 3.0001, 0.01)
+    return {f"c={c}": {"x": grid, "density": mp_density(c, grid)} for c in (0.1, 0.2, 0.5)}
+
+
+def _fig3_curves(specs, aggs):
+    spec = specs[0]
+    x, dens = _centered_histogram(aggs[0]["all_eigs"], 55, (0.0, 11.0))
+    model = SpectralModel.from_multiplicities(spec.state.values, spec.state.mults, spec.ratio)
+    limit = density_from_stieltjes(model, np.arange(0.05, 11.0, 0.01), eps=1e-3)
+    return {"histogram": {"x": x, "density": dens}, "limit": {"x": limit.grid, "density": limit.values}}
+
+
+def _fig4_curves(specs, aggs):
+    # the strongest source's NMSE against SNR
+    snr = np.array([spec.params["snr_db"] for spec in specs], float)
+    return {"gest": {"snr_db": snr, "nmse_db": np.array([agg["nmse_g_db"][2] for agg in aggs])},
+            "classical": {"snr_db": snr, "nmse_db": np.array([agg["nmse_classical_db"][2] for agg in aggs])}}
+
+
+def _fig5_curves(specs, aggs):
+    # both cost curves of trial 0
+    spec = specs[0]
+    grid = np.arange(-90.0, 90.0001, 0.05)
+    y, _ = generate_trial(spec, 0)
+    out = {}
+    for method in ("music", "gmusic"):
+        res = estimate_doa(y, len(spec.state.angles), spec.state.model, grid, method)
+        out[method] = {"theta_deg": grid, "cost_db": 10 * np.log10(np.maximum(res.costs, 1e-300))}
+    return out | {"resolution": aggs[0]}
+
+
+def _fig6_curves(specs, aggs):
+    fars = np.concatenate([np.logspace(-4, -1, 25), np.linspace(0.12, 1.0, 12)])
+    return {name: {"far": fars, "detection": np.array([DetectionRocBinding.detection_at_far(aggs[0], name, f)
+                                                        for f in fars])}
+            for name in ("glrt", "cond")}
+
+
+def _fig7_curves(specs, aggs):
+    spec = specs[0]
+    std = np.array([sp.tw_standardize(v, spec.n_dim, spec.ratio) for v in aggs[0]["per_trial_max"]])
+    s, dens = _centered_histogram(std, 40, (-5.0, 3.0))
+    table = sp.default_tw_table()
+    pdf = np.gradient(np.array([sp.tracy_widom(table, x) for x in s]), s)
+    return {"histogram": {"s": s, "density": dens}, "tw_density": {"s": s, "density": pdf},
+            "standardized": {"values": std}}
+
+
+def _fig8_curves(specs, aggs):
+    n = np.array([spec.n_samples for spec in specs], float)
+    return {"cdr": {"n": n, "rate": np.array([agg["detection_rate"] for agg in aggs])},
+            "clr": {"n": n, "rate": np.array([agg["localization_rate"] for agg in aggs])}}
+
+
+def _fig3_specs(top: float):
+    """Three masses of 100 at 1, 3 and ``top``, one draw at either scale."""
+    return lambda seed, desk: [ScenarioSpec("masses", 300, 3000, 1, seed,
+                                            {"atoms": [(v, 100) for v in (1.0, 3.0, top)]})]
+
+
+def _fig4_specs(seed, desk):
+    snrs = range(-5, 31, 5) if desk else range(-5, 31)
+    return [ScenarioSpec("iid-channel", 24, 128, 2000 if desk else 10_000, seed + i,
+                         {"powers": [1 / 16, 1 / 4, 1.0], "multiplicities": [4, 4, 4], "snr_db": snr})
+            for i, snr in enumerate(snrs)]
+
+
+def _fig8_specs(seed, desk):
+    # the smallest-eigenvalue test needs c = N/n < 1, so n stays above N = 10
+    grid = (24, 40, 55, 71, 86, 102) if desk else (16, 24, 32, 40, 47, 55, 63, 71, 79, 86, 94, 102,
+                                                   110, 118, 125, 133, 141, 149, 157, 164)
+    return [ScenarioSpec("failure", 10, n, 5000 if desk else 100_000, seed + i,
+                         {"n_params": 10, "alpha": -1.0, "failed_index": 0, "noise_var": 1.0, "far": 1e-2})
+            for i, n in enumerate(grid)]
+
+
+FIGURES = {
+    "fig1": Figure(lambda seed, desk: [ScenarioSpec("mp-null", 500, 2000, 1, seed)], _fig1_curves),
+    "fig2": Figure(lambda seed, desk: [], _fig2_curves),
+    "fig3-top": Figure(_fig3_specs(7.0), _fig3_curves, EigBinding("masses")),
+    "fig3-bottom": Figure(_fig3_specs(4.0), _fig3_curves, EigBinding("masses")),
+    "fig4": Figure(_fig4_specs, _fig4_curves),
+    "fig5": Figure(lambda seed, desk: [ScenarioSpec("doa", 20, 150, 500 if desk else 10_000, seed,
+                                                    {"angles_deg": [35.0, 37.0], "snr_db": 10.0})], _fig5_curves),
+    "fig6": Figure(lambda seed, desk: [ScenarioSpec("mp-null", 4, 8, 20_000 if desk else 100_000, seed,
+                                                    {"snr_db": 0.0})], _fig6_curves, DetectionRocBinding()),
+    "fig7": Figure(lambda seed, desk: [ScenarioSpec("mp-null", 256, 768, 2000, seed) if desk
+                                       else ScenarioSpec("mp-null", 500, 1500, 10_000, seed)], _fig7_curves),
+    "fig8": Figure(_fig8_specs, _fig8_curves),
+}
+FIGURE_IDS = tuple(FIGURES)
 
 
 def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: int = 1) -> dict:
     """Re-run one of the bundled reference experiments; returns named curves.
 
     Every output is a dict of numpy columns keyed by curve name, plus a
-    ``manifest`` entry recording the scenario parameters, the worker count and
-    the BLAS thread count of the Monte-Carlo runs (None when the figure runs
-    none or the build could not be pinned).
+    ``manifest`` entry recording the specs of the Monte-Carlo runs in run
+    order, the worker count and the BLAS thread count of those runs (None
+    when the figure runs none or the build could not be pinned).  The curve
+    step runs at that pinned count too.
     """
-    from .stieltjes import density_from_stieltjes, mp_density
-
-    sc = _fig_scales(scale)
-    out: dict = {"manifest": {"figure": figure_id, "seed": seed, "scale": scale,
-                              "workers": max(workers, 1), "blas_threads": None}}
-
-    def monte_carlo(spec, binding):
-        summary = run_monte_carlo(spec, binding, workers)
-        out["manifest"]["blas_threads"] = summary.blas_threads
-        return summary.aggregates
-
-    if figure_id == "fig1":
-        spec = ScenarioSpec("mp-null", 500, 2000, 1, seed)
-        edges, dens = histogram(monte_carlo(spec, EigBinding(spec.kind))["all_eigs"], 50, (0.0, 3.0))
-        centers = (edges[:-1] + edges[1:]) / 2
-        out["histogram"] = {"x": centers, "density": dens}
-        out["theory"] = {"x": centers, "density": mp_density(spec.ratio, centers)}
-        out["manifest"]["spec"] = json.loads(spec.to_json())
-        return out
-
-    if figure_id == "fig2":
-        grid = np.arange(0.0, 3.0001, 0.01)
-        for c in (0.1, 0.2, 0.5):
-            out[f"c={c}"] = {"x": grid, "density": mp_density(c, grid)}
-        return out
-
-    if figure_id in ("fig3-top", "fig3-bottom"):
-        values = (1.0, 3.0, 7.0) if figure_id == "fig3-top" else (1.0, 3.0, 4.0)
-        spec = ScenarioSpec("masses", 300, 3000, 1, seed, {"atoms": [(v, 100) for v in values]})
-        edges, dens = histogram(monte_carlo(spec, EigBinding(spec.kind))["all_eigs"], 55, (0.0, 11.0))
-        centers = (edges[:-1] + edges[1:]) / 2
-        model = SpectralModel.from_multiplicities(values, (100, 100, 100), spec.ratio)
-        grid = np.arange(0.05, 11.0, 0.01)
-        limit = density_from_stieltjes(model, grid, eps=1e-3)
-        out["histogram"] = {"x": centers, "density": dens}
-        out["limit"] = {"x": limit.grid, "density": limit.values}
-        out["manifest"]["spec"] = json.loads(spec.to_json())
-        return out
-
-    if figure_id == "fig4":
-        snrs = sc["fig4_snrs"]
-        rows_g, rows_c = [], []
-        binding = PowerNmseBinding()
-        for i, snr in enumerate(snrs):
-            spec = ScenarioSpec(
-                "iid-channel", 24, 128, sc["fig4_trials"], seed + i,
-                {"powers": [1 / 16, 1 / 4, 1.0], "multiplicities": [4, 4, 4], "snr_db": snr},
-            )
-            agg = monte_carlo(spec, binding)
-            rows_g.append(agg["nmse_g_db"][2])
-            rows_c.append(agg["nmse_classical_db"][2])
-        out["gest"] = {"snr_db": np.array(snrs, float), "nmse_db": np.array(rows_g)}
-        out["classical"] = {"snr_db": np.array(snrs, float), "nmse_db": np.array(rows_c)}
-        return out
-
-    if figure_id == "fig5":
-        grid = np.arange(-90.0, 90.0001, 0.05)
-        spec = ScenarioSpec(
-            "doa", 20, 150, sc["fig5_trials"], seed, {"angles_deg": [35.0, 37.0], "snr_db": 10.0}
-        )
-        y, _ = generate_trial(spec, 0)
-        model = SteeringModel(20)
-        for method in ("music", "gmusic"):
-            res = estimate_doa(y, 2, model, grid, method)
-            out[method] = {"theta_deg": grid, "cost_db": 10 * np.log10(np.maximum(res.costs, 1e-300))}
-        agg = monte_carlo(spec, DoaResolutionBinding())
-        out["resolution"] = agg
-        return out
-
-    if figure_id == "fig6":
-        spec = ScenarioSpec("mp-null", 4, 8, sc["fig6_trials"], seed, {"snr_db": 0.0})
-        agg = monte_carlo(spec, DetectionRocBinding())
-        fars = np.concatenate([np.logspace(-4, -1, 25), np.linspace(0.12, 1.0, 12)])
-        curves = {}
-        for name in ("glrt", "cond"):
-            rates = [DetectionRocBinding.detection_at_far(agg, name, f) for f in fars]
-            curves[name] = {"far": fars, "detection": np.array(rates)}
-        out.update(curves)
-        return out
-
-    if figure_id == "fig7":
-        spec = ScenarioSpec("mp-null", sc["fig7_n_dim"], sc["fig7_n_samples"], sc["fig7_trials"], seed)
-        agg = monte_carlo(spec, EigBinding("mp-null"))
-        lam1 = agg["per_trial_max"]
-        std = np.array([sp.tw_standardize(v, spec.n_dim, spec.ratio) for v in lam1])
-        edges, dens = histogram(std, 40, (-5.0, 3.0))
-        centers = (edges[:-1] + edges[1:]) / 2
-        table = sp.default_tw_table()
-        pdf = np.gradient(np.array([sp.tracy_widom(table, s) for s in centers]), centers)
-        out["histogram"] = {"s": centers, "density": dens}
-        out["tw_density"] = {"s": centers, "density": pdf}
-        out["standardized"] = {"values": std}
-        return out
-
-    if figure_id == "fig8":
-        curves_d, curves_l = [], []
-        grid = sc["fig8_grid"]
-        far = 1e-2
-        for i, n in enumerate(grid):
-            spec = ScenarioSpec(
-                "failure", 10, int(n), sc["fig8_trials"], seed + i,
-                {"n_params": 10, "alpha": -1.0, "failed_index": 0, "noise_var": 1.0},
-            )
-            agg = monte_carlo(spec, FailureBinding(far))
-            curves_d.append(agg["detection_rate"])
-            curves_l.append(agg["localization_rate"])
-        out["cdr"] = {"n": np.array(grid, float), "rate": np.array(curves_d)}
-        out["clr"] = {"n": np.array(grid, float), "rate": np.array(curves_l)}
-        out["manifest"]["far"] = far
-        return out
-
-    raise ParameterError(f"unknown figure id {figure_id!r}; known: {FIGURE_IDS}")
+    if figure_id not in FIGURES:
+        raise ParameterError(f"unknown figure id {figure_id!r}; known: {FIGURE_IDS}")
+    if scale not in ("desk", "paper"):
+        raise ParameterError("scale must be 'desk' or 'paper'")
+    workers = _integer(workers, "workers", 1)
+    figure = FIGURES[figure_id]
+    specs = figure.specs(seed, scale == "desk")
+    runs = [run_monte_carlo(spec, figure.binding or MODELS[spec.kind].binding(spec), workers) for spec in specs]
+    with _pinned_blas():
+        curves = figure.curves(specs, [run.aggregates for run in runs])
+    return {"manifest": {"figure": figure_id, "seed": seed, "scale": scale, "workers": workers,
+                         "blas_threads": runs[-1].blas_threads if runs else None,
+                         "specs": [json.loads(spec.to_json()) for spec in specs]}, **curves}

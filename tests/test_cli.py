@@ -311,7 +311,7 @@ def test_reproduce_fig3_top_bundle(tmp_path):
     assert "fig3-top_histogram.csv" in files
     assert "fig3-top_limit.csv" in files
     manifest = json.loads((out_dir / "fig3-top_manifest.json").read_text())
-    assert manifest["spec"]["N"] == 300 and manifest["spec"]["n"] == 3000
+    assert manifest["specs"][0]["N"] == 300 and manifest["specs"][0]["n"] == 3000
     assert "build" in manifest
 
 
@@ -343,6 +343,17 @@ def test_simulate_command_reproducible(tmp_path):
         manifest = validate("seed_manifest", doc["seed_manifest"])
         assert manifest["workers"] == workers and manifest["blas_threads"] in (None, 1)
     assert a["seed_manifest"]["blas_threads"] == b["seed_manifest"]["blas_threads"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bad_worker_count_is_runtime_error(tmp_path, capsys, workers):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(ScenarioSpec("mp-null", 8, 24, 5, 17).to_json())
+    capsys.readouterr()
+    assert run_cli("simulate", "--spec", str(spec_path), "--workers", workers) == 1
+    # fig2 runs no Monte Carlo, and is refused all the same
+    assert run_cli("reproduce", "fig2", "--workers", workers, "--out-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.count("error: workers must be an integer") == 2
 
 
 @pytest.mark.parametrize("doc", [

@@ -13,6 +13,8 @@ import rmt.simulate as simulate
 from rmt.linalg import sample_covariance, split_gram
 from rmt.simulate import (
     BLOCK_BLAS_THREADS,
+    FIGURE_IDS,
+    FIGURES,
     MODELS,
     SETUP_STREAM,
     DetectionRocBinding,
@@ -248,6 +250,43 @@ def test_failure_worker_count_invariance():
     assert one.aggregates == two.aggregates
 
 
+@pytest.mark.parametrize("workers", [0, -3, True, 1.5], ids=["zero", "negative", "bool", "fraction"])
+def test_bad_worker_counts_are_refused(workers):
+    with pytest.raises(ParameterError, match="workers"):
+        run_monte_carlo(ScenarioSpec("mp-null", 4, 8, 2, 0), EigBinding("mp-null"), workers)
+    with pytest.raises(ParameterError, match="workers"):
+        reproduce_figure("fig2", seed=0, workers=workers)  # runs no Monte Carlo
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs the
+    blocks on this thread, so no process starts."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, blocks):
+        return map(fn, blocks)
+
+
+@pytest.mark.parametrize("trials, workers, processes", [(3, 64, 3), (5, 4, 4), (37, 2, 2)])
+def test_pool_starts_no_more_processes_than_blocks(trials, workers, processes, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers))
+    spec = ScenarioSpec("mp-null", 5, 9, trials, 6)
+    pooled = run_monte_carlo(spec, EigBinding("mp-null"), workers)
+    assert sizes == [processes] and pooled.workers == workers
+    assert _same_records(pooled.records, run_monte_carlo(spec, EigBinding("mp-null")).records)
+
+
 def test_run_monte_carlo_binding_compatibility():
     spec = ScenarioSpec("mp-null", 4, 8, 1, 0)
     with pytest.raises(ParameterError):
@@ -312,7 +351,11 @@ needs_lapacke = pytest.mark.skipif(OPENBLAS is None or OPENBLAS.zheevd is None,
 
 @pytest.fixture
 def two_blas_threads():
-    """The caller runs OpenBLAS at two threads, so a block's pin to one is visible."""
+    """The caller runs OpenBLAS at two threads, so a block's pin to one is
+    visible; None, changing nothing, where this numpy build cannot be pinned."""
+    if OPENBLAS is None:
+        yield None
+        return
     before = OPENBLAS.get_threads()
     OPENBLAS.set_threads(2)
     yield OPENBLAS.get_threads
@@ -643,7 +686,26 @@ def test_reproduce_fig2_density_point():
     assert abs(curve["density"][i] - 0.4211) < 1e-3
 
 
-def test_reproduce_fig5_gmusic_deeper_at_true_angles():
+def _record_runs(monkeypatch):
+    """The JSON spec of every run_monte_carlo call the figure runner makes, in order."""
+    runs, run = [], simulate.run_monte_carlo
+
+    def recorded(spec, binding, workers=1):
+        runs.append(json.loads(spec.to_json()))
+        return run(spec, binding, workers)
+
+    monkeypatch.setattr(simulate, "run_monte_carlo", recorded)
+    return runs
+
+
+def test_reproduce_fig5_gmusic_deeper_at_true_angles(two_blas_threads, monkeypatch):
+    runs, threads, estimate = _record_runs(monkeypatch), [], simulate.estimate_doa
+
+    def recorded(*args):
+        threads.append(OPENBLAS and OPENBLAS.get_threads())
+        return estimate(*args)
+
+    monkeypatch.setattr(simulate, "estimate_doa", recorded)
     out = reproduce_figure("fig5", seed=1)
     grid = out["music"]["theta_deg"]
     for theta in (35.0, 37.0):
@@ -653,11 +715,58 @@ def test_reproduce_fig5_gmusic_deeper_at_true_angles():
     assert res["gmusic_resolution_rate"] >= res["music_resolution_rate"]
     assert out["manifest"]["workers"] == 1
     assert out["manifest"]["blas_threads"] == (None if OPENBLAS is None else BLOCK_BLAS_THREADS)
+    assert out["manifest"]["specs"] == runs and len(runs) == 1
+    # both cost curves, drawn outside any block, run at the pinned count too
+    assert len(threads) == 2 * runs[0]["trials"] + 2 and set(threads) == {out["manifest"]["blas_threads"]}
+    assert two_blas_threads is None or two_blas_threads() == 2
 
 
 @pytest.mark.parametrize("figure", ["fig1", "fig3-bottom"])
-def test_one_draw_figures_run_as_pinned_blocks(figure):
+def test_one_draw_figures_run_as_pinned_blocks(figure, monkeypatch):
+    runs = _record_runs(monkeypatch)
     out = reproduce_figure(figure, seed=2)
     assert out["manifest"]["blas_threads"] == (None if OPENBLAS is None else BLOCK_BLAS_THREADS)
+    assert out["manifest"]["specs"] == runs and len(runs) == 1
     edges = out["histogram"]["x"]
     assert np.isclose(np.sum(out["histogram"]["density"]) * (edges[1] - edges[0]), 1.0)
+
+
+FIG8_PAPER_N = (16, 24, 32, 40, 47, 55, 63, 71, 79, 86, 94, 102, 110, 118, 125, 133, 141, 149, 157, 164)
+FIG8_PARAMS = {"n_params": 10, "alpha": -1.0, "failed_index": 0, "noise_var": 1.0, "far": 0.01}
+
+
+def _figure_oracle(seed, desk):
+    """(kind, N, n, trials, seed, params) of every spec each figure runs, in run order."""
+    def three_masses(top):
+        return [("masses", 300, 3000, 1, seed, {"atoms": [[1.0, 100], [3.0, 100], [top, 100]]})]
+
+    snrs = [-5, 0, 5, 10, 15, 20, 25, 30] if desk else list(range(-5, 31))
+    grid = [24, 40, 55, 71, 86, 102] if desk else FIG8_PAPER_N
+    return {
+        "fig1": [("mp-null", 500, 2000, 1, seed, {})],
+        "fig2": [],
+        "fig3-top": three_masses(7.0),
+        "fig3-bottom": three_masses(4.0),
+        "fig4": [("iid-channel", 24, 128, 2000 if desk else 10_000, seed + i,
+                  {"powers": [0.0625, 0.25, 1.0], "multiplicities": [4, 4, 4], "snr_db": snr})
+                 for i, snr in enumerate(snrs)],
+        "fig5": [("doa", 20, 150, 500 if desk else 10_000, seed, {"angles_deg": [35.0, 37.0], "snr_db": 10.0})],
+        "fig6": [("mp-null", 4, 8, 20_000 if desk else 100_000, seed, {"snr_db": 0.0})],
+        "fig7": [("mp-null", 256, 768, 2000, seed, {}) if desk else ("mp-null", 500, 1500, 10_000, seed, {})],
+        "fig8": [("failure", 10, n, 5000 if desk else 100_000, seed + i, FIG8_PARAMS) for i, n in enumerate(grid)],
+    }
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+@pytest.mark.parametrize("figure", FIGURE_IDS)
+def test_figure_specs_at_both_scales(figure, scale):
+    # builds the specs only: the paper-scale runs take minutes to hours
+    oracle = _figure_oracle(7, scale == "desk")
+    assert FIGURE_IDS == tuple(oracle)
+    specs = FIGURES[figure].specs(7, scale == "desk")
+    assert all(isinstance(spec, ScenarioSpec) for spec in specs)
+    keys = ("kind", "N", "n", "trials", "seed", "params")
+    assert [json.loads(spec.to_json()) for spec in specs] == [dict(zip(keys, row)) for row in oracle[figure]]
+    for spec in specs:
+        binding = FIGURES[figure].binding or MODELS[spec.kind].binding(spec)
+        assert getattr(binding, "kind", spec.kind) == spec.kind
