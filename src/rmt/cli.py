@@ -243,9 +243,9 @@ def _git_describe() -> str:
 def cmd_reproduce(args) -> int:
     if args.figure not in FIGURE_IDS:
         raise UsageError(f"unknown figure id {args.figure!r}; known: {', '.join(FIGURE_IDS)}")
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = reproduce_figure(args.figure, args.seed, args.scale, args.workers)
+    out_dir = pathlib.Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once the run is done: a refused one leaves no directory
     manifest = dict(result.pop("manifest", {}))
     written = []
     for name, columns in result.items():
@@ -305,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("density", help="limiting density of a discrete-spectrum model")
     p.add_argument("--atoms", required=True, help="value:weight,value:weight,...")
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=float, default=0.0,
+                   help="imaginary offset of the evaluation points; 0 (the default) is the exact "
+                        "real-axis density, > 0 the eps-smoothed one")
     p.add_argument("--grid", default=None, help="lo:hi:step (default spans the support)")
     p.add_argument("--out", default="density.csv")
     p.add_argument("--clusters-out", default=None, help="also write support intervals as JSON")

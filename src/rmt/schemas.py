@@ -58,6 +58,7 @@ SCHEMAS: dict = {
         "workers": int,
         "blas_threads": COUNT_OR_NONE,
         "specs": (list, dict),  # one scenario JSON per Monte-Carlo run, in run order
+        "bindings": (list, str),  # the class name of each run's binding, in the same order
         "build": str,
         "files": (list, str),
     },

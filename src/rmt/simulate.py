@@ -789,7 +789,7 @@ def _fig3_curves(specs, aggs):
     spec = specs[0]
     x, dens = _centered_histogram(aggs[0]["all_eigs"], 55, (0.0, 11.0))
     model = SpectralModel.from_multiplicities(spec.state.values, spec.state.mults, spec.ratio)
-    limit = density_from_stieltjes(model, np.arange(0.05, 11.0, 0.01), eps=1e-3)
+    limit = density_from_stieltjes(model, np.arange(0.05, 11.0, 0.01))
     return {"histogram": {"x": x, "density": dens}, "limit": {"x": limit.grid, "density": limit.values}}
 
 
@@ -879,20 +879,25 @@ def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: in
 
     Every output is a dict of numpy columns keyed by curve name, plus a
     ``manifest`` entry recording the specs of the Monte-Carlo runs in run
-    order, the worker count and the BLAS thread count of those runs (None
-    when the figure runs none or the build could not be pinned).  The curve
-    step runs at that pinned count too.
+    order, the class name of each run's binding in the same order, the worker
+    count and the BLAS thread count of those runs (None when the figure runs
+    none or the build could not be pinned).  The curve step runs at that
+    pinned count too.  The seed must lie in [0, 2**64 - 1] even when the
+    figure runs no Monte Carlo.
     """
     if figure_id not in FIGURES:
         raise ParameterError(f"unknown figure id {figure_id!r}; known: {FIGURE_IDS}")
     if scale not in ("desk", "paper"):
         raise ParameterError("scale must be 'desk' or 'paper'")
+    seed = _integer(seed, "seed", 0, 2**64 - 1)
     workers = _integer(workers, "workers", 1)
     figure = FIGURES[figure_id]
     specs = figure.specs(seed, scale == "desk")
-    runs = [run_monte_carlo(spec, figure.binding or MODELS[spec.kind].binding(spec), workers) for spec in specs]
+    bindings = [figure.binding or MODELS[spec.kind].binding(spec) for spec in specs]
+    runs = [run_monte_carlo(spec, binding, workers) for spec, binding in zip(specs, bindings)]
     with _pinned_blas():
         curves = figure.curves(specs, [run.aggregates for run in runs])
     return {"manifest": {"figure": figure_id, "seed": seed, "scale": scale, "workers": workers,
                          "blas_threads": runs[-1].blas_threads if runs else None,
-                         "specs": [json.loads(spec.to_json()) for spec in specs]}, **curves}
+                         "specs": [json.loads(spec.to_json()) for spec in specs],
+                         "bindings": [type(binding).__name__ for binding in bindings]}, **curves}

@@ -13,10 +13,15 @@ into a polynomial of degree K+1 in m whose coefficients are affine in z; for
 Im z > 0 the transform is its unique root with Im m > 0 (Silverstein & Bai,
 J. Multivariate Anal. 54, 1995), so it is found exactly as a companion-matrix
 eigenvalue rather than by iteration.  The transform of the N x N spectrum
-follows from the companion by m_F(z) = (m_under(z) - (c-1)/z) / c, and the
-density is recovered on the real line from f(x) = (1/pi) Im m_F(x + i*eps).
-Its support needs no grid: the cluster edges are the right-hand side, read as
-a real function x(m), at its real critical points.
+follows from the companion by m_F(z) = (m_under(z) - (c-1)/z) / c.
+
+The density needs no smoothing: at real x > 0 the polynomial has real
+coefficients, x lies in the support exactly when it has a non-real root
+(Silverstein & Choi, J. Multivariate Anal. 54, 1995), and f(x) = (1/pi) Im m_F(x)
+is read from the upper root of that conjugate pair; outside the support every
+root is real and f(x) = 0.  The support itself needs no grid: the cluster
+edges are the right-hand side, read as a real function x(m), at its real
+critical points.
 
 For the white (single-atom) population the polynomial is the quadratic
 c*z*m^2 + (z+c-1)*m + 1 = 0 whose Im>0 root is the closed-form
@@ -113,7 +118,9 @@ class StieltjesSolution:
 class Density:
     """Reconstructed limiting density on a grid, plus any Dirac mass at zero.
 
-    ``skipped`` lists grid points left unsolved; the exact solver leaves none.
+    ``values`` is the continuous part only; the (1 - 1/c)^+ mass at zero is
+    ``mass_at_zero``.  ``skipped`` lists grid points left unsolved; the exact
+    solver leaves none (points at x <= 0 read 0 and count as solved).
     """
 
     grid: np.ndarray
@@ -223,15 +230,19 @@ def _companion_polynomial(model: SpectralModel):
 
 
 def _companion_roots(model: SpectralModel, z: np.ndarray) -> np.ndarray:
-    """m_under at every point of z (Im z > 0) by one batched eigensolve.
+    """m_under at every point of z by one batched eigensolve.
 
-    One companion matrix per point; of its K+1 eigenvalues the transform is the
-    only one in the upper half-plane, taken as the largest imaginary part.
+    One companion matrix per point, of z's dtype: complex for Im z > 0, where
+    the transform is the only eigenvalue in the upper half-plane, and real for
+    real z > 0, where ``eigvals`` runs the real solver and the boundary value
+    m_under(x + i0) is the upper root of the conjugate pair (every root real
+    outside the support).  Either way it is taken as the root with the largest
+    imaginary part.
     """
     a, b = _companion_polynomial(model)
     coeffs = a + z[:, None] * b
     degree = b.size - 1
-    companion = np.zeros((z.size, degree, degree), dtype=complex)
+    companion = np.zeros((z.size, degree, degree), dtype=coeffs.dtype)
     companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
     companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
     roots = np.linalg.eigvals(companion)
@@ -252,24 +263,31 @@ def solve_companion_stieltjes(model: SpectralModel, z: complex) -> StieltjesSolu
     return StieltjesSolution(z=z, m_under=m, m=m_f, residual=residual)
 
 
-def density_from_stieltjes(model: SpectralModel, grid, eps: float = 1e-3) -> Density:
-    """Reconstruct the limiting density on a real grid via f = Im m_F(x+i*eps)/pi.
+def density_from_stieltjes(model: SpectralModel, grid, eps: float = 0.0) -> Density:
+    """Reconstruct the limiting density on a real grid as f = Im m_F(x + i*eps)/pi.
 
-    All grid points are solved together as one batch of companion-polynomial
-    roots at z = x + i*eps; every point is solved, so ``Density.skipped`` is
-    empty.
+    At the default ``eps = 0`` the density is exact: each x > 0 is solved on
+    the real axis with real coefficients, f is 0 wherever every root is real,
+    and points at x <= 0, where the leading coefficient vanishes, read 0
+    unsolved (as in :func:`mp_density`).  An ``eps > 0`` evaluates the
+    smoothed transform at z = x + i*eps instead and takes out the smoothed
+    Dirac mass at zero.  All solved points form one batch of
+    companion-polynomial roots, so ``Density.skipped`` is empty.
     """
-    if not (0 < eps < math.inf):
-        raise ParameterError("eps must be positive and finite")
+    if not (0 <= eps < math.inf):
+        raise ParameterError("eps must be nonnegative and finite")
     grid = np.array(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
         raise ParameterError("grid must be a nonempty ascending finite 1-d vector")
     c = model.ratio
-    z = grid + 1j * eps
+    solved = slice(None) if eps else grid > 0
+    x = grid[solved]
+    z = x + 1j * eps if eps else x
     m_f = (_companion_roots(model, z) - (c - 1) / z) / c
     mass0 = max(0.0, 1 - 1 / c)
+    values = np.zeros_like(grid)
     # at c > 1 the eps-smoothed Dirac mass at zero is taken out: it is mass_at_zero
-    values = m_f.imag / np.pi - mass0 * eps / (np.pi * (grid**2 + eps**2))
+    values[solved] = m_f.imag / np.pi - mass0 * eps / (np.pi * (x**2 + eps**2))
     return Density(grid, np.maximum(values, 0.0), mass0)
 
 

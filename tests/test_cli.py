@@ -98,6 +98,18 @@ def test_density_clusters_exact_above_c_one(tmp_path):
     assert abs(doc[0]["mass"] - 0.5) < 1e-9
 
 
+def test_density_defaults_to_the_exact_density(tmp_path):
+    argv = ("density", "--atoms", "1:0.3334,3:0.3333,7:0.3333", "--c", "0.1", "--grid", "0.05:11:0.01")
+    assert run_cli(*argv, "--out", str(tmp_path / "default.csv")) == 0
+    assert run_cli(*argv, "--eps", "0", "--out", str(tmp_path / "exact.csv")) == 0
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()
+    _, data = read_csv(tmp_path / "default.csv")
+    assert np.count_nonzero(data[:, 1] == 0.0) > 0  # exactly 0 between the clusters
+    for eps in ("-1", "nan"):
+        assert run_cli(*argv, "--eps", eps, "--out", str(tmp_path / "refused.csv")) == 1
+    assert not (tmp_path / "refused.csv").exists()
+
+
 def test_bad_grid_is_usage_error(tmp_path):
     assert run_cli("mp-density", "--c", "0.5", "--grid", "nonsense") == 2
     assert run_cli("mp-density", "--c", "0.5", "--grid", "0:inf:0.01") == 2
@@ -312,6 +324,7 @@ def test_reproduce_fig3_top_bundle(tmp_path):
     assert "fig3-top_limit.csv" in files
     manifest = json.loads((out_dir / "fig3-top_manifest.json").read_text())
     assert manifest["specs"][0]["N"] == 300 and manifest["specs"][0]["n"] == 3000
+    assert manifest["bindings"] == ["EigBinding"]  # not the masses kind's default
     assert "build" in manifest
 
 
@@ -322,6 +335,7 @@ def test_reproduce_fig2_bundle(tmp_path):
     validate("manifest", manifest)
     assert manifest["figure"] == "fig2"
     assert (manifest["workers"], manifest["blas_threads"]) == (1, None)  # fig2 runs no Monte Carlo
+    assert manifest["specs"] == manifest["bindings"] == []
     assert manifest["files"]
     for name in manifest["files"]:
         header, _ = read_csv(out_dir / name)
@@ -354,6 +368,19 @@ def test_bad_worker_count_is_runtime_error(tmp_path, capsys, workers):
     # fig2 runs no Monte Carlo, and is refused all the same
     assert run_cli("reproduce", "fig2", "--workers", workers, "--out-dir", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.count("error: workers must be an integer") == 2
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("--workers", "0"), "workers must be an integer in [1, inf], got 0"),
+    (("--seed", "-1"), f"seed must be an integer in [0, {2**64 - 1}], got -1"),
+    (("--seed", str(2**64)), f"seed must be an integer in [0, {2**64 - 1}], got {2**64}"),
+], ids=["workers-0", "seed-minus-1", "seed-2-64"])
+def test_refused_reproduce_leaves_no_directory(tmp_path, capsys, argv, err):
+    out_dir = tmp_path / "refused"
+    capsys.readouterr()
+    assert run_cli("reproduce", "fig2", *argv, "--out-dir", str(out_dir)) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import sys
@@ -679,6 +680,14 @@ def test_reproduce_unknown_id():
         reproduce_figure("fig99", seed=0)
 
 
+def test_reproduce_checks_the_seed_range():
+    # fig2 runs no Monte Carlo, so no spec would catch a bad seed
+    for seed in (-1, 2**64, True, 1.0):
+        with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 18446744073709551615\]"):
+            reproduce_figure("fig2", seed=seed)
+    assert reproduce_figure("fig2", seed=2**64 - 1)["manifest"]["seed"] == 2**64 - 1
+
+
 def test_reproduce_fig2_density_point():
     out = reproduce_figure("fig2", seed=0)
     curve = out["c=0.5"]
@@ -729,6 +738,25 @@ def test_one_draw_figures_run_as_pinned_blocks(figure, monkeypatch):
     assert out["manifest"]["specs"] == runs and len(runs) == 1
     edges = out["histogram"]["x"]
     assert np.isclose(np.sum(out["histogram"]["density"]) * (edges[1] - edges[0]), 1.0)
+
+
+@pytest.mark.parametrize("figure, want", [("fig3-top", ["EigBinding"]), ("fig6", ["DetectionRocBinding"]),
+                                          ("fig4", ["PowerNmseBinding"] * 8)])
+def test_manifest_names_the_binding_of_every_run(figure, want, monkeypatch):
+    # the figure's own specs, bindings and curves, on at most 40 trials a run
+    short = [ScenarioSpec(s.kind, s.n_dim, s.n_samples, min(s.trials, 40), s.seed, s.params)
+             for s in FIGURES[figure].specs(3, True)]
+    monkeypatch.setitem(simulate.FIGURES, figure, dataclasses.replace(FIGURES[figure], specs=lambda seed, desk: short))
+    bindings, run = [], simulate.run_monte_carlo
+
+    def recorded(spec, binding, workers=1):
+        bindings.append(type(binding).__name__)
+        return run(spec, binding, workers)
+
+    monkeypatch.setattr(simulate, "run_monte_carlo", recorded)
+    manifest = reproduce_figure(figure, seed=3)["manifest"]
+    assert manifest["bindings"] == bindings == want
+    assert len(manifest["specs"]) == len(want)
 
 
 FIG8_PAPER_N = (16, 24, 32, 40, 47, 55, 63, 71, 79, 86, 94, 102, 110, 118, 125, 133, 141, 149, 157, 164)

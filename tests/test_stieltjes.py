@@ -5,6 +5,7 @@ from rmt.errors import ParameterError, SingularityError
 from rmt.linalg import RngStream, complex_gaussian
 from rmt.stieltjes import (
     SpectralModel,
+    _companion_polynomial,
     capacity_identity,
     density_from_stieltjes,
     empirical_stieltjes,
@@ -283,8 +284,75 @@ def test_density_rejects_bad_grid():
         density_from_stieltjes(model, [0.5, 1.0], eps=-1.0)
     with pytest.raises(ParameterError):
         density_from_stieltjes(model, [0.5, 1.0], eps=np.inf)
+    for eps in (-1e-300, np.nan):
+        with pytest.raises(ParameterError, match="eps must be nonnegative"):
+            density_from_stieltjes(model, [0.5, 1.0], eps=eps)
     with pytest.raises(ParameterError):
         density_from_stieltjes(model, [0.5, np.nan, 1.0], eps=1e-3)
+
+
+def smoothed_density_oracle(model, grid, eps):
+    """Reference for the eps > 0 route, built in line: complex companion
+    matrices at x + i*eps, the smoothed Dirac mass taken out."""
+    a, b = _companion_polynomial(model)
+    z = grid + 1j * eps
+    coeffs = a + z[:, None] * b
+    degree = b.size - 1
+    companion = np.zeros((z.size, degree, degree), dtype=complex)
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    c = model.ratio
+    m_f = (roots[np.arange(z.size), np.argmax(roots.imag, axis=1)] - (c - 1) / z) / c
+    mass0 = max(0.0, 1 - 1 / c)
+    return np.maximum(m_f.imag / np.pi - mass0 * eps / (np.pi * (grid**2 + eps**2)), 0.0)
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5, 1.0, 2.0])
+def test_exact_density_matches_mp_density(c):
+    _, b, mass0 = mp_support(c)
+    grid = np.arange(0.0, b + 0.5, 1e-3)
+    for dens in (density_from_stieltjes(SpectralModel(SINGLE_ATOM, c), grid),
+                 density_from_stieltjes(SpectralModel(SINGLE_ATOM, c), grid, eps=0)):
+        assert np.array_equal(dens.grid, grid) and not dens.skipped and dens.mass_at_zero == mass0
+        assert np.max(np.abs(dens.values - mp_density(c, grid))) < 1e-12, c
+
+
+def test_exact_density_is_zero_outside_the_support():
+    for model, clusters, grid, inside, away in grid_oracle_models():
+        values = density_from_stieltjes(model, grid).values
+        assert np.all(values[~inside] == 0.0), (model, clusters)
+        assert np.all(values[inside & away] > 0.0), (model, clusters)
+
+
+def test_exact_density_solves_real_companions_at_positive_x_only(monkeypatch):
+    stacks, eigvals = [], np.linalg.eigvals
+
+    def recorded(a):
+        stacks.append(a)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    grid = np.array([-2.0, -0.5, 0.0, 0.1, 1.0, 3.0, 20.0])
+    for c in (0.5, 2.0):
+        model = SpectralModel.from_multiplicities((1.0, 3.0), (1, 1), c)
+        values = density_from_stieltjes(model, grid).values
+        assert np.all(values[grid <= 0] == 0.0)
+        assert np.any(values > 0)
+        assert stacks[-1].dtype == np.float64 and stacks[-1].shape == (4, 3, 3)
+    assert np.all(density_from_stieltjes(model, [-1.0, 0.0]).values == 0.0)  # nothing to solve
+    # an explicit eps > 0 keeps the complex route
+    density_from_stieltjes(model, grid, eps=1e-3)
+    assert stacks[-1].dtype == np.complex128 and stacks[-1].shape == (7, 3, 3)
+
+
+def test_smoothed_density_keeps_its_bits():
+    grid = np.arange(-0.5, 11.0, 0.01)
+    for values, c in (((1.0, 3.0, 7.0), 0.1), ((1.0, 3.0, 4.0), 0.1), ((1.0,), 2.0), ((0.5, 4.0), 3.0)):
+        model = SpectralModel.from_multiplicities(values, (1,) * len(values), c)
+        for eps in (1e-3, 1e-4, 0.5):
+            dens = density_from_stieltjes(model, grid, eps=eps)
+            assert dens.values.tobytes() == smoothed_density_oracle(model, grid, eps).tobytes(), (values, c, eps)
 
 
 # --- support clusters -----------------------------------------------------------
@@ -321,8 +389,10 @@ def continuous_density(model, grid, eps=1e-9):
     return dens.values - mass0 * eps / (np.pi * (grid**2 + eps**2))
 
 
-def test_support_clusters_match_grid_oracle():
-    # K = 1..5, c log-uniform on [0.01, 5], and every fifth model at c = 1
+def grid_oracle_models():
+    """50 models (K = 1..5, c log-uniform on [0.01, 5], every fifth at c = 1),
+    each with its exact clusters, a 4000-point grid past the top edge, and the
+    grid points inside a cluster and away from every edge."""
     rng = RngStream(23).generator()
     for trial in range(50):
         atoms = random_atoms(rng, rng.integers(1, 6))
@@ -335,6 +405,11 @@ def test_support_clusters_match_grid_oracle():
         for lo, hi in clusters.intervals:
             inside |= (grid > lo) & (grid < hi)
         away = np.min(np.abs(grid[:, None] - edges), axis=1) > 1e-3 * edges[-1]
+        yield model, clusters, grid, inside, away
+
+
+def test_support_clusters_match_grid_oracle():
+    for model, clusters, grid, inside, away in grid_oracle_models():
         positive = continuous_density(model, grid) > 1e-6
         assert np.array_equal(positive[away], inside[away]), (model, clusters)
         for (lo, hi), mass in zip(clusters.intervals, clusters.masses):
