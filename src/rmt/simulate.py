@@ -347,8 +347,7 @@ class FailureModel(ObservationModel):
         g = RngStream(spec.seed, SETUP_STREAM).generator()
         h = complex_gaussian(spec.n_dim, m, g)
         t_cov = h @ h.conj().T + sigma2 * np.eye(spec.n_dim)
-        te = np.linalg.eigh(t_cov)
-        inv_sqrt = (te.eigenvectors / np.sqrt(te.eigenvalues)) @ te.eigenvectors.conj().T
+        inv_sqrt = sp._inverse_sqrt(t_cov)
         gain = np.where(np.arange(m) == failed, 1.0 + alpha, 1.0)[:, None]  # all ones if failed is None
         hypotheses, stats, _ = sp.localizable_hypotheses(sp.failure_hypotheses(h, t_cov, [alpha] * m), spec.ratio)
         return SimpleNamespace(n_params=m, failed=failed, alpha=alpha, noise_var=sigma2, network=h, t_cov=t_cov,

@@ -15,15 +15,16 @@ its centered-scaled fluctuation follows the complex Tracy-Widom law.  The
 squared-projection reading of xi is adopted throughout (the unsquared variant
 is inconsistent with the fluctuation statement built on |.|^2).
 
-Downward spikes (omega in (-1, 0), e.g. a variance drop) are handled through
-the smallest eigenvalue and its mirrored Tracy-Widom fluctuation, available
-only for c < 1.
+One law covers both signs of omega >= -1: a downward spike (omega < 0, e.g. a
+variance drop) is read off the smallest eigenvalue and its mirrored
+Tracy-Widom fluctuation, which leaves zero only for c < 1.  omega = 0 is no
+spike and is never detectable.  The Tracy-Widom table is the bundled one,
+which ``tools/gen_tw_table.py`` regenerates in place.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
@@ -41,7 +42,6 @@ __all__ = [
     "FailureHypothesis",
     "GlrtDecision",
     "spike_limits",
-    "downward_spike_limits",
     "tracy_widom",
     "tw_quantile",
     "tw_standardize",
@@ -55,9 +55,6 @@ __all__ = [
     "localizable_hypotheses",
     "localize_failure",
 ]
-
-TW_TABLE_ENV = "RMT_TW_TABLE"
-
 
 @dataclass(frozen=True)
 class SpikeLimit:
@@ -114,33 +111,24 @@ class GlrtDecision:
 
 
 def spike_limits(omega: float, c: float) -> SpikeLimit:
-    """Limits (rho, xi) for an upward spike omega > 0 at ratio c."""
-    if not (omega > 0) or not (c > 0):
-        raise ParameterError("omega and c must be positive")
-    sq = math.sqrt(c)
-    if omega > sq:
-        rho = 1 + omega + c * (1 + omega) / omega
-        xi = (1 - c / omega**2) / (1 + c / omega)
-        return SpikeLimit(omega, c, True, rho, xi)
-    return SpikeLimit(omega, c, False, (1 + sq) ** 2, 0.0)
+    """Limits (rho, xi) of a spike omega >= -1 at ratio c, either sign.
 
-
-def downward_spike_limits(omega: float, c: float) -> SpikeLimit:
-    """Limits for a variance-drop spike omega in (-1, 0), smallest-eigenvalue side.
-
-    Only meaningful for c < 1, where the bulk stays away from zero; refused
-    otherwise.
+    Detectable iff |omega| > sqrt(c).  Below that the extreme eigenvalue on
+    the spike's side sticks to its bulk edge, (1 + sqrt(c))^2 for omega >= 0
+    and (1 - sqrt(c))^2 for omega < 0, and xi = 0.  :class:`ParameterError`
+    for a non-finite or out-of-range input; :class:`RegimeError` for a
+    downward spike at c >= 1, where the bulk reaches zero.
     """
-    if not (-1 <= omega < 0):
-        raise ParameterError("downward spike needs omega in [-1, 0)")
-    if not (0 < c < 1):
+    if not (math.isfinite(omega) and omega >= -1 and math.isfinite(c) and c > 0):
+        raise ParameterError(f"need finite omega >= -1 and finite c > 0, got omega = {omega!r}, c = {c!r}")
+    if omega < 0 and c >= 1:
         raise RegimeError("downward spikes are only resolvable for c < 1")
     sq = math.sqrt(c)
-    if -omega > sq:
+    if abs(omega) > sq:
         rho = 1 + omega + c * (1 + omega) / omega
         xi = (1 - c / omega**2) / (1 + c / omega)
         return SpikeLimit(omega, c, True, rho, xi)
-    return SpikeLimit(omega, c, False, (1 - sq) ** 2, 0.0)
+    return SpikeLimit(omega, c, False, (1 + sq) ** 2 if omega >= 0 else (1 - sq) ** 2, 0.0)
 
 
 # --- Tracy-Widom table ------------------------------------------------------
@@ -178,7 +166,6 @@ class TracyWidomTable:
 
     s: np.ndarray
     cdf: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
@@ -197,48 +184,18 @@ class TracyWidomTable:
         object.__setattr__(self, "_levels", cdf.tolist())
         object.__setattr__(self, "_coef", _pchip_coefficients(s, cdf).tolist())
 
-    @classmethod
-    def load(cls, path=None) -> "TracyWidomTable":
-        """Load a two-column s,cdf table; defaults to the bundled one.
-
-        The ``RMT_TW_TABLE`` environment variable overrides the bundled path.
-        """
-        provenance_lines = []
-        if path is None:
-            path = os.environ.get(TW_TABLE_ENV)
-        if path is None:
-            ref = resources.files("rmt").joinpath("data/tw2_cdf.csv")
-            text = ref.read_text()
-            provenance = "bundled tw2_cdf.csv"
-        else:
-            with open(path) as fh:
-                text = fh.read()
-            provenance = str(path)
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("s,"):
-                if line.startswith("#"):
-                    provenance_lines.append(line.lstrip("# "))
-                continue
-            a, b = line.split(",")
-            rows.append((float(a), float(b)))
-        arr = np.array(rows)
-        if provenance_lines:
-            provenance += ": " + " ".join(provenance_lines)
-        return cls(arr[:, 0], arr[:, 1], provenance)
-
 
 _DEFAULT_TABLE = None
 
 
 def default_tw_table() -> TracyWidomTable:
-    """The bundled table, loaded once; a ``RMT_TW_TABLE`` file is read afresh on each call."""
+    """The bundled table (``data/tw2_cdf.csv``, an ``s,cdf`` CSV after ``#``
+    comment lines), parsed on the first call and shared after."""
     global _DEFAULT_TABLE
-    if os.environ.get(TW_TABLE_ENV):
-        return TracyWidomTable.load()
     if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = TracyWidomTable.load()
+        text = resources.files("rmt").joinpath("data/tw2_cdf.csv").read_text()
+        rows = [line.split(",") for line in text.splitlines() if line and not line.startswith(("#", "s,"))]
+        _DEFAULT_TABLE = TracyWidomTable(*np.array(rows, dtype=float).T)
     return _DEFAULT_TABLE
 
 
@@ -312,8 +269,9 @@ def glrt_statistic(eigs) -> float:
     return float(np.max(eigs)) / mean
 
 
-def glrt_test(eigs, n_dim: int, n_samples: int, far: float, table: TracyWidomTable | None = None) -> GlrtDecision:
-    """Threshold the standardized GLRT statistic at the 1-far TW quantile.
+def glrt_test(eigs, n_dim: int, n_samples: int, far: float) -> GlrtDecision:
+    """Threshold the standardized GLRT statistic at the 1-far quantile of the
+    bundled Tracy-Widom table.
 
     Rejects the noise hypothesis iff the standardized statistic is strictly
     greater than the quantile.  A ``far`` below the table's upper tail at its
@@ -321,8 +279,7 @@ def glrt_test(eigs, n_dim: int, n_samples: int, far: float, table: TracyWidomTab
     """
     if not (0 < far < 1):
         raise ParameterError("false alarm rate must lie in (0, 1)")
-    if table is None:
-        table = default_tw_table()
+    table = default_tw_table()
     if 1 - far > table._levels[-1]:
         tail = 1 - table._levels[-1]
         digits = 10 ** (2 - math.floor(math.log10(tail)))
@@ -375,13 +332,6 @@ def spike_outlier_root(omega: float, c: float) -> float:
 # --- spike fluctuations and localization ------------------------------------
 
 
-def _detectable_limit(omega: float, c: float) -> SpikeLimit:
-    limit = spike_limits(omega, c) if omega > 0 else downward_spike_limits(omega, c)
-    if not limit.detectable:
-        raise RegimeError("fluctuations are Gaussian only for |omega| > sqrt(c)")
-    return limit
-
-
 def fluctuation_stats(omega: float, c: float) -> FluctuationStats:
     """Limiting covariance of sqrt(N)(|u^H u_hat|^2 - xi, lam - rho) for one spike.
 
@@ -400,12 +350,15 @@ def fluctuation_stats(omega: float, c: float) -> FluctuationStats:
                    [-(xi/a^2)(k a - b/2),          1/a                 ]].
 
     So Sigma_22 = c (1+omega)^2 (1 - c/omega^2), and Sigma is positive
-    definite wherever xi > 0.  :class:`RegimeError` unless |omega| > sqrt(c),
-    and c < 1 for a downward spike.
+    definite wherever xi > 0.  :class:`RegimeError` unless :func:`spike_limits`
+    finds the spike detectable (|omega| > sqrt(c), and c < 1 for omega < 0),
+    so omega = 0 is refused there too.
     """
     if not (omega > -1):
         raise ParameterError("need omega > -1: at -1 the spike direction carries no variance")
-    limit = _detectable_limit(omega, c)
+    limit = spike_limits(omega, c)
+    if not limit.detectable:
+        raise RegimeError("fluctuations are Gaussian only for |omega| > sqrt(c)")
     m0 = -1.0 / (1.0 + omega)
     z1 = 1 / m0**2 - c / (1 + m0) ** 2
     z2 = -2 / m0**3 + 2 * c / (1 + m0) ** 3
@@ -418,18 +371,29 @@ def fluctuation_stats(omega: float, c: float) -> FluctuationStats:
     return FluctuationStats(omega, c, xi, limit.rho, sigma)
 
 
+def _inverse_sqrt(t_cov) -> np.ndarray:
+    """T^(-1/2) of a Hermitian positive definite T, from its eigendecomposition."""
+    te = hermitian_eig(t_cov)
+    if te.eigenvalues[0] <= 1e-14 * te.eigenvalues[-1]:
+        raise SingularityError("T must be positive definite")
+    return (te.eigenvectors / np.sqrt(te.eigenvalues)) @ te.eigenvectors.conj().T
+
+
 def failure_hypotheses(h, t_cov, alphas) -> list[FailureHypothesis]:
     """Rank-one spike hypotheses for per-parameter variance changes.
 
     For parameter k with change alpha_k, the whitened observation covariance
     becomes I + omega_k u_k u_k^H with v_k = T^(-1/2) H e_k,
     omega_k = ((1+alpha_k)^2 - 1) ||v_k||^2 and u_k = v_k/||v_k|| phase-fixed
-    so its first nonzero component is real positive.
+    so its first nonzero component is real positive.  A zero column of H has
+    no direction u_k and is refused.
     """
     h = np.asarray(h, dtype=complex)
     t_cov = np.asarray(t_cov, dtype=complex)
     if h.ndim != 2 or t_cov.shape != (h.shape[0], h.shape[0]):
         raise ParameterError("H must be N x M and T must be N x N")
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(t_cov))):
+        raise ParameterError("H and T must be finite")
     try:
         alphas = np.asarray(alphas, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -440,14 +404,13 @@ def failure_hypotheses(h, t_cov, alphas) -> list[FailureHypothesis]:
         raise ParameterError("need one alpha per column of H")
     if not np.all(np.isfinite(alphas) & (alphas >= -1)):
         raise ParameterError(f"alphas must be finite numbers >= -1, got {alphas.tolist()!r}")
-    te = hermitian_eig(t_cov)
-    if te.eigenvalues[0] <= 1e-14 * te.eigenvalues[-1]:
-        raise SingularityError("T must be positive definite")
-    inv_sqrt = (te.eigenvectors / np.sqrt(te.eigenvalues)) @ te.eigenvectors.conj().T
+    inv_sqrt = _inverse_sqrt(t_cov)
     out = []
     for k, alpha in enumerate(alphas.tolist()):
         v = inv_sqrt @ h[:, k]
         norm2 = float(np.vdot(v, v).real)
+        if norm2 == 0:
+            raise ParameterError(f"column {k} of H is zero, so it has no spike direction")
         u = v / math.sqrt(norm2)
         nz = np.flatnonzero(np.abs(u) > 1e-12)[0]
         u = u * (np.conj(u[nz]) / abs(u[nz]))
@@ -459,8 +422,9 @@ def failure_hypotheses(h, t_cov, alphas) -> list[FailureHypothesis]:
 def localizable_hypotheses(hypotheses, c: float) -> tuple[list, list, list]:
     """Split hypotheses at ratio c into (usable, their fluctuation stats, skipped indices).
 
-    A hypothesis outside the detectable regime (|omega| <= sqrt(c), or a
-    downward spike at c >= 1) has no outlier to localize and is skipped.
+    A hypothesis outside the detectable regime (|omega| <= sqrt(c), omega = 0
+    included, or a downward spike at c >= 1) has no outlier to localize and is
+    skipped.
     """
     usable, stats, skipped = [], [], []
     for hyp in hypotheses:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import struct
 import subprocess
@@ -276,6 +277,55 @@ def test_localize_refuses_a_malformed_model(tmp_path, capsys, change, message):
     assert run_cli("localize", "--input", str(y_path), "--model", str(model_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
+
+
+def _localize_files(tmp_path, alphas, n_dim=6, n_samples=40, zero_column=None):
+    g = RngStream(9).generator()
+    h = complex_gaussian(n_dim, len(alphas), g)
+    if zero_column is not None:
+        h[:, zero_column] = 0
+    model = {
+        "H": [[[z.real, z.imag] for z in row] for row in h],
+        "T": [[[z.real, z.imag] for z in row] for row in h @ h.conj().T + np.eye(n_dim)],
+        "alphas": alphas,
+    }
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    y_path = tmp_path / "y.csv"
+    save_matrix_csv(y_path, complex_gaussian(n_dim, n_samples, g))
+    return y_path, model_path
+
+
+@pytest.mark.parametrize("alphas, side", [([1.0, 0.0, 1.0], "largest"), ([-1.0, 0.0, -1.0], "smallest")])
+def test_localize_skips_a_zero_alpha(tmp_path, alphas, side):
+    # omega = 0 is no spike: it is skipped and listed, whatever the other hypotheses' sign
+    y_path, model_path = _localize_files(tmp_path, alphas)
+    out = tmp_path / "loc.json"
+    assert run_cli("localize", "--input", str(y_path), "--model", str(model_path), "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    validate("localize", doc)
+    assert doc["side"] == side
+    assert doc["skipped_hypotheses"] == [1]
+    assert len(doc["scores"]) == 2
+
+
+def test_localize_refuses_all_zero_alphas(tmp_path, capsys):
+    y_path, model_path = _localize_files(tmp_path, [0.0, 0.0, 0.0])
+    capsys.readouterr()
+    assert run_cli("localize", "--input", str(y_path), "--model", str(model_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no hypothesis is in the detectable regime" in err, err
+
+
+def test_localize_refuses_a_zero_column_of_h(tmp_path):
+    # run as a process, so a warning or a traceback on stderr would show
+    y_path, model_path = _localize_files(tmp_path, [1.0, 1.0, 1.0], zero_column=1)
+    src = str(pathlib.Path(rmt.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "rmt.cli", "localize", "--input", str(y_path), "--model",
+                          str(model_path)], capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 1
+    assert out.stderr == "error: column 1 of H is zero, so it has no spike direction\n", out.stderr
+    assert out.stdout == ""
 
 
 @pytest.mark.parametrize("key", ["H", "T", "alphas"])

@@ -1,4 +1,6 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -6,13 +8,11 @@ import pytest
 from rmt.errors import ParameterError, RegimeError, SingularityError
 from rmt.linalg import RngStream, complex_gaussian, hermitian_eig, sample_covariance
 from rmt.spikes import (
-    TW_TABLE_ENV,
     FailureHypothesis,
     FluctuationStats,
     TracyWidomTable,
     condition_number_statistic,
     default_tw_table,
-    downward_spike_limits,
     failure_hypotheses,
     fluctuation_stats,
     glrt_statistic,
@@ -64,22 +64,82 @@ def test_spike_limits_monotone_and_xi_range():
 
 
 def test_spike_limits_rejects_nonpositive():
-    with pytest.raises(ParameterError):
-        spike_limits(-1.0, 0.5)
-    with pytest.raises(ParameterError):
-        spike_limits(1.0, 0.0)
+    for omega, c in [(-1.5, 0.5), (1.0, 0.0), (1.0, math.inf), (math.inf, 0.5), (-0.5, math.nan), (math.nan, 0.5),
+                     (-math.inf, 0.5), (-0.5, -0.5)]:
+        with pytest.raises(ParameterError):
+            spike_limits(omega, c)
 
 
 def test_downward_spike_limits():
-    lim = downward_spike_limits(-0.9, 0.1)
+    lim = spike_limits(-0.9, 0.1)
     assert lim.detectable
     assert np.isclose(lim.rho, 1 - 0.9 + 0.1 * 0.1 / -0.9)
     assert 0 < lim.xi < 1
-    assert np.isclose(downward_spike_limits(-1.0, 0.5).rho, 0.0)
-    weak = downward_spike_limits(-0.2, 0.3)
+    assert np.isclose(spike_limits(-1.0, 0.5).rho, 0.0)
+    weak = spike_limits(-0.2, 0.3)
     assert not weak.detectable and np.isclose(weak.rho, (1 - math.sqrt(0.3)) ** 2)
     with pytest.raises(RegimeError):
-        downward_spike_limits(-0.5, 1.5)
+        spike_limits(-0.5, 1.5)
+
+
+def test_zero_spike_is_not_detectable():
+    for c in (0.25, 1.0, 2.0):
+        lim = spike_limits(0.0, c)
+        assert not lim.detectable and lim.xi == 0.0 and lim.rho == (1 + math.sqrt(c)) ** 2
+
+
+def _old_spike_limits(omega, c):
+    """The upward-only ``spike_limits`` as it stood before it took both signs."""
+    if not (omega > 0) or not (c > 0):
+        raise ParameterError("omega and c must be positive")
+    sq = math.sqrt(c)
+    if omega > sq:
+        rho = 1 + omega + c * (1 + omega) / omega
+        xi = (1 - c / omega**2) / (1 + c / omega)
+        return (True, rho, xi)
+    return (False, (1 + sq) ** 2, 0.0)
+
+
+def _old_downward_spike_limits(omega, c):
+    """The removed ``downward_spike_limits``: omega in [-1, 0), c < 1."""
+    if not (-1 <= omega < 0):
+        raise ParameterError("downward spike needs omega in [-1, 0)")
+    if not (0 < c < 1):
+        raise RegimeError("downward spikes are only resolvable for c < 1")
+    sq = math.sqrt(c)
+    if -omega > sq:
+        rho = 1 + omega + c * (1 + omega) / omega
+        xi = (1 - c / omega**2) / (1 + c / omega)
+        return (True, rho, xi)
+    return (False, (1 - sq) ** 2, 0.0)
+
+
+def test_spike_limits_equal_the_two_old_formulas():
+    rng = np.random.default_rng(21)
+    cs = np.concatenate([np.linspace(0.01, 4.0, 40), rng.uniform(0, 4, 40), [0.25, 0.5, 1.0]])
+    cs = cs[cs > 0]
+    downs = np.concatenate([np.linspace(-1.0, -1e-3, 60), rng.uniform(-1, 0, 60), [-1.0, -0.5, -np.sqrt(0.25)]])
+    ups = np.concatenate([np.geomspace(1e-3, 50, 60), rng.uniform(0, 50, 60), [0.5, 1.0, 50.0]])
+    checked = 0
+    for c in cs.tolist():
+        sq = math.sqrt(c)
+        omegas = np.concatenate([downs, ups, [-sq, sq]])  # the threshold itself on both sides
+        for omega in omegas[(omegas >= -1) & (omegas != 0) & (omegas <= 50)].tolist():
+            old = _old_spike_limits if omega > 0 else _old_downward_spike_limits
+            try:
+                expected = old(omega, c)
+            except RegimeError:
+                with pytest.raises(RegimeError):
+                    spike_limits(omega, c)
+                continue
+            lim = spike_limits(omega, c)
+            assert (lim.omega, lim.ratio) == (omega, c)
+            # equal bits, not just equal values: compare the float's bytes
+            got = (lim.detectable, lim.rho, lim.xi)
+            assert got[0] == expected[0] and struct.pack("<2d", *got[1:]) == struct.pack("<2d", *expected[1:]), \
+                (omega, c, got, expected)
+            checked += 1
+    assert checked > 10_000
 
 
 # --- root-condition cross-validation -----------------------------------------
@@ -113,10 +173,13 @@ def test_table_bounds():
 
 
 def test_table_mean_matches_painleve_oracle():
-    # E[S] via integration by parts over the tabulated CDF
+    # E[S] and E[S^2] via integration by parts over the tabulated CDF
     s, cdf = TABLE.s, TABLE.cdf
     mean = s[-1] * cdf[-1] - s[0] * cdf[0] - np.trapezoid(cdf, s)
     assert abs(mean - (-1.7711)) < 2e-3
+    # the generator's published TW2 variance (tools/gen_tw_table.py TARGET_VAR) and its gate
+    second = s[-1] ** 2 * cdf[-1] - s[0] ** 2 * cdf[0] - 2.0 * np.trapezoid(s * cdf, s)
+    assert abs(second - mean**2 - 0.8131948) < 1e-4
 
 
 def test_table_median_negative():
@@ -168,12 +231,9 @@ def test_tracy_widom_matches_scipy_pchip_bit_for_bit():
     np.testing.assert_array_equal(ours, np.clip(pchip_reference(TABLE)(xs), 0.0, 1.0))
 
 
-def test_env_table_with_flat_runs_matches_scipy_pchip(tmp_path, monkeypatch):
+def test_flat_run_table_matches_scipy_pchip():
     s, cdf = flat_run_table()
-    path = tmp_path / "tw.csv"
-    path.write_text("s,cdf\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(s.tolist(), cdf.tolist())))
-    monkeypatch.setenv(TW_TABLE_ENV, str(path))
-    table = default_tw_table()
+    table = TracyWidomTable(s, cdf)
     np.testing.assert_array_equal(table.cdf, cdf)
     xs = interpolation_points(table, 5_000, seed=6)
     ours = np.array([tracy_widom(table, x) for x in xs])
@@ -184,8 +244,6 @@ def test_env_table_with_flat_runs_matches_scipy_pchip(tmp_path, monkeypatch):
     # a plateau level maps to the plateau's first knot, where the CDF first reaches it
     for start in (8, 25):
         assert abs(tw_quantile(table, cdf[start]) - s[start]) < 1e-8
-    monkeypatch.delenv(TW_TABLE_ENV)
-    assert default_tw_table().provenance.startswith("bundled")
 
 
 def test_quantile_matches_root_oracle():
@@ -313,7 +371,7 @@ def calibrate_fluctuations(omega: float, c: float, n_dim: int, trials: int, rng:
         raise ParameterError("calibration needs at least 1000 trials")
     if n_dim < 2:
         raise ParameterError("need N >= 2")
-    limit = spike_limits(omega, c) if omega > 0 else downward_spike_limits(omega, c)
+    limit = spike_limits(omega, c)
     if not limit.detectable:
         raise RegimeError("fluctuations are Gaussian only for |omega| > sqrt(c)")
     n_samples = max(1, int(round(n_dim / c)))
@@ -351,7 +409,7 @@ def test_fluctuation_stats_matches_monte_carlo(omega, c, n_dim):
 @pytest.mark.parametrize("omega, c", [(2.0, 0.5), (0.9, 0.1), (3.0, 2.0), (40.0, 7.0), (-0.8, 0.1), (-0.5, 0.04)])
 def test_fluctuation_stats_eigenvalue_entry_and_limits(omega, c):
     st = fluctuation_stats(omega, c)
-    limit = spike_limits(omega, c) if omega > 0 else downward_spike_limits(omega, c)
+    limit = spike_limits(omega, c)
     assert st.sigma[1, 1] == pytest.approx(c * (1 + omega) ** 2 * (1 - c / omega**2), rel=1e-12, abs=0)
     assert st.xi == pytest.approx(limit.xi, rel=1e-12, abs=0)
     assert st.rho == pytest.approx(limit.rho, rel=1e-12, abs=0)
@@ -372,10 +430,11 @@ def test_fluctuation_stats_positive_definite():
 
 
 def test_fluctuation_stats_regimes():
-    for omega, c in [(0.5, 0.5), (math.sqrt(0.5), 0.5), (-0.3, 0.25), (-0.5, 0.25), (-0.9, 1.0), (-0.9, 2.0)]:
+    for omega, c in [(0.5, 0.5), (math.sqrt(0.5), 0.5), (-0.3, 0.25), (-0.5, 0.25), (-0.9, 1.0), (-0.9, 2.0),
+                     (0.0, 0.5), (0.0, 2.0)]:
         with pytest.raises(RegimeError):
             fluctuation_stats(omega, c)
-    for omega in (-1.0, -1.5, 0.0, math.nan):
+    for omega in (-1.0, -1.5, math.inf, math.nan):
         with pytest.raises(ParameterError):
             fluctuation_stats(omega, 0.5)
 
@@ -405,7 +464,7 @@ def test_calibrate_seed_stability_and_centering():
 
 
 def _spike_pairs(omega, c, n_dim, trials, seed):
-    lim = spike_limits(omega, c) if omega > 0 else downward_spike_limits(omega, c)
+    lim = spike_limits(omega, c)
     n_samples = int(round(n_dim / c))
     out = np.empty((trials, 2))
     for t in range(trials):
@@ -462,7 +521,22 @@ def test_failure_hypotheses_guards():
             failure_hypotheses(np.eye(3), np.eye(3), alphas)
     with pytest.raises(SingularityError):
         failure_hypotheses(np.eye(3), np.zeros((3, 3)), [0.0] * 3)
+    for bad in (np.array([[math.nan, 0, 0], [0, 1, 0], [0, 0, 1]]), np.diag([1.0, math.inf, 1.0])):
+        with pytest.raises(ParameterError, match="H and T must be finite"):
+            failure_hypotheses(bad, np.eye(3), [0.0] * 3)
+        with pytest.raises(ParameterError, match="H and T must be finite"):
+            failure_hypotheses(np.eye(3), bad, [0.0] * 3)
 
+
+
+def test_failure_hypotheses_refuse_a_zero_column():
+    h = complex_gaussian(4, 3, RngStream(12))
+    h[:, 1] = 0
+    t_cov = h @ h.conj().T + np.eye(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any 0/0
+        with pytest.raises(ParameterError, match="column 1 of H is zero"):
+            failure_hypotheses(h, t_cov, [1.0, 1.0, 1.0])
 
 def _unit(n, k):
     u = np.zeros(n, dtype=complex)
