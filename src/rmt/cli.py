@@ -104,9 +104,9 @@ def cmd_density(args) -> int:
         hi = max(v for v, _ in atoms) * (1 + args.c**0.5) ** 2 * 1.4
         grid = np.arange(0.01, hi, 0.01)
     dens = density_from_stieltjes(model, grid, eps=args.eps)
+    clusters = support_clusters(model) if args.clusters_out else None  # may refuse: before any file is written
     _write_csv(args.out, {"x": dens.grid, "f": dens.values})
-    if args.clusters_out:
-        clusters = support_clusters(model)
+    if clusters is not None:
         doc = [
             {"lo": lo, "hi": hi_, "mass": mass}
             for (lo, hi_), mass in zip(clusters.intervals, clusters.masses)
@@ -197,7 +197,7 @@ def cmd_localize(args) -> int:
     t_cov = _json_to_complex(model["T"])
     if y.shape[0] != h.shape[0]:
         raise DimensionError(f"the observations have {y.shape[0]} rows but H has {h.shape[0]}: they must match")
-    hyps = sp.failure_hypotheses(h, t_cov, model["alphas"])
+    hyps = sp.failure_hypotheses(h, sp.inverse_sqrt(t_cov), model["alphas"])
     if all(hyp.omega <= 0 for hyp in hyps):
         side = "smallest"
     elif all(hyp.omega >= 0 for hyp in hyps):

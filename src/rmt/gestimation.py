@@ -191,10 +191,11 @@ def power_estimate_iid_channel(eigs, n_dim: int, n_samples: int, clusters: Clust
 def clusters_from_gaps(eigs, k: int, multiplicities) -> ClusterAssignment:
     """Assign the top sum(multiplicities) eigenvalues to K clusters by gaps.
 
-    The K-1 largest consecutive gaps inside that window propose the splits
-    (ties break to the lowest split index); if the implied sizes disagree with
-    the multiplicities, the fixed-size partition from the top is used instead
-    and the result is flagged ``gap_aligned=False``.
+    The clusters are always the fixed-size partition from the top,
+    :meth:`ClusterAssignment.top_ranges`.  The K-1 largest consecutive gaps
+    inside that window (ties break to the lowest split index) only set
+    ``gap_aligned``: True when the cluster sizes they imply equal the
+    multiplicities.
     """
     eigs = _check_eigs(eigs)
     mult = tuple(int(m) for m in multiplicities)

@@ -3,15 +3,15 @@ suite.
 
 A :class:`ScenarioSpec` freezes one experiment (observation model, dimensions,
 trial count, seed); :func:`generate_trial` draws the trial-indexed observation
-matrix together with its ground truth, and :func:`run_monte_carlo` maps a
-binding over all trials, reducing per-trial records into aggregates.  Trials
-use independent counter-based streams keyed (seed, trial), so results are
-bit-identical for any worker count.
+matrix Y, and :func:`run_monte_carlo` maps a binding over all trials, reducing
+per-trial records into aggregates.  Trials use independent counter-based
+streams keyed (seed, trial), so results are bit-identical for any worker count.
 
 Each observation model is one class in :data:`MODELS`: ``setup(spec, params)``
 validates the parameters once and builds ``spec.state`` (made with the spec and
-pickled with it), ``draw(spec, state, g)`` draws one trial, ``covariance(spec,
-truth)`` rebuilds E[y y^H] and ``binding(spec)`` is ``rmt simulate``'s default.
+pickled with it), the population parameters that bindings read;
+``draw(spec, state, g)`` returns one trial's Y and ``binding(spec)`` is ``rmt
+simulate``'s default.
 ``spectra(spec, state, trials)`` returns the eigenvalues of (1/n) Y Y^H for a
 block of trials, one row per trial.  Its shared default draws Y and forms the
 Gram per trial; ``mp-null``, ``spike`` and ``masses`` never build the complex
@@ -56,7 +56,6 @@ __all__ = [
     "ScenarioSpec",
     "McSummary",
     "generate_trial",
-    "rebuild_population_covariance",
     "run_monte_carlo",
     "histogram",
     "EigBinding",
@@ -108,7 +107,7 @@ class ObservationModel:
         its Gram, which every model supports."""
         out = np.empty((len(trials), spec.n_dim))
         for i, t in enumerate(trials):
-            y, _ = self.draw(spec, s, spec.stream(t).generator())
+            y = self.draw(spec, s, spec.stream(t).generator())
             out[i] = np.linalg.eigvalsh(sample_covariance(y))
         return out
 
@@ -206,13 +205,10 @@ class MpNullModel(ObservationModel):
         return SimpleNamespace(sigma=_snr_sigma(p) if "snr_db" in p else 1.0)
 
     def draw(self, spec, s, g):
-        return complex_gaussian(spec.n_dim, spec.n_samples, g), {"kind": spec.kind}
+        return complex_gaussian(spec.n_dim, spec.n_samples, g)
 
     def spectra(self, spec, s, trials):
         return _gaussian_spectra(spec, trials)
-
-    def covariance(self, spec, truth):
-        return np.eye(spec.n_dim)
 
     def binding(self, spec):
         return EigBinding(spec.kind)
@@ -230,21 +226,17 @@ class MassesModel(ObservationModel):
         mults = tuple(_integer(m, "atom multiplicity", 1) for _, m in atoms)
         if sum(mults) != spec.n_dim:
             raise ParameterError("mass multiplicities must sum to N")
-        diag = np.repeat(values, mults)
-        return SimpleNamespace(values=values, mults=mults, diag=diag, scale=np.sqrt(diag)[:, None])
+        return SimpleNamespace(values=values, mults=mults, scale=np.sqrt(np.repeat(values, mults))[:, None])
 
     def draw(self, spec, s, g):
         u = haar_unitary(spec.n_dim, g)
         x = complex_gaussian(spec.n_dim, spec.n_samples, g)
-        return u @ (s.scale * x), {"kind": spec.kind, "unitary": u, "pop_eigs": s.diag}
+        return u @ (s.scale * x)
 
     def spectra(self, spec, s, trials):
         # the spectrum is unitarily invariant: U's Gaussians are drawn, to keep
         # X's stream position, but U is neither built nor applied
         return _gaussian_spectra(spec, trials, s.scale, skip=spec.n_dim)
-
-    def covariance(self, spec, truth):
-        return (truth["unitary"] * truth["pop_eigs"]) @ truth["unitary"].conj().T
 
     def binding(self, spec):
         return GEstimatorBinding()
@@ -258,17 +250,13 @@ class SpikeModel(ObservationModel):
         if any(w <= 0 for w in omegas) or len(omegas) >= spec.n_dim:
             raise ParameterError("spike scenario needs a short positive omega list")
         diag = np.concatenate([1.0 + np.asarray(omegas), np.ones(spec.n_dim - len(omegas))])
-        return SimpleNamespace(omegas=omegas, diag=diag, scale=np.sqrt(diag)[:, None])
+        return SimpleNamespace(omegas=omegas, scale=np.sqrt(diag)[:, None])
 
     def draw(self, spec, s, g):
-        y = s.scale * complex_gaussian(spec.n_dim, spec.n_samples, g)
-        return y, {"kind": spec.kind, "pop_eigs": s.diag, "omegas": list(s.omegas)}
+        return s.scale * complex_gaussian(spec.n_dim, spec.n_samples, g)
 
     def spectra(self, spec, s, trials):
         return _gaussian_spectra(spec, trials, s.scale)
-
-    def covariance(self, spec, truth):
-        return np.diag(truth["pop_eigs"]).astype(complex)
 
     def binding(self, spec):
         return EigBinding(spec.kind)
@@ -293,12 +281,7 @@ class IidChannelModel(ObservationModel):
         h = complex_gaussian(spec.n_dim, s.pdiag.size, g) / math.sqrt(spec.n_dim)
         x = complex_gaussian(s.pdiag.size, spec.n_samples, g)
         w = complex_gaussian(spec.n_dim, spec.n_samples, g)
-        y = h @ (s.scale * x) + s.sigma * w
-        return y, {"kind": spec.kind, "channel": h, "pop_powers": s.pdiag, "noise_var": s.sigma**2}
-
-    def covariance(self, spec, truth):
-        h = truth["channel"]
-        return (h * truth["pop_powers"]) @ h.conj().T + truth["noise_var"] * np.eye(spec.n_dim)
+        return h @ (s.scale * x) + s.sigma * w
 
     def binding(self, spec):
         return PowerNmseBinding()
@@ -316,11 +299,7 @@ class DoaModel(ObservationModel):
     def draw(self, spec, s, g):
         x = complex_gaussian(len(s.angles), spec.n_samples, g)
         w = complex_gaussian(spec.n_dim, spec.n_samples, g)
-        return s.steering @ x + s.sigma * w, {"kind": spec.kind, "angles_deg": list(s.angles),
-                                              "noise_var": s.sigma**2, "steering": s.steering}
-
-    def covariance(self, spec, truth):
-        return truth["steering"] @ truth["steering"].conj().T + truth["noise_var"] * np.eye(spec.n_dim)
+        return s.steering @ x + s.sigma * w
 
     def binding(self, spec):
         return DoaResolutionBinding()
@@ -346,26 +325,17 @@ class FailureModel(ObservationModel):
         sigma2 = _real(p.get("noise_var", 1.0), "noise_var", 0.0)
         g = RngStream(spec.seed, SETUP_STREAM).generator()
         h = complex_gaussian(spec.n_dim, m, g)
-        t_cov = h @ h.conj().T + sigma2 * np.eye(spec.n_dim)
-        inv_sqrt = sp._inverse_sqrt(t_cov)
+        inv_sqrt = sp.inverse_sqrt(h @ h.conj().T + sigma2 * np.eye(spec.n_dim))
         gain = np.where(np.arange(m) == failed, 1.0 + alpha, 1.0)[:, None]  # all ones if failed is None
-        hypotheses, stats, _ = sp.localizable_hypotheses(sp.failure_hypotheses(h, t_cov, [alpha] * m), spec.ratio)
-        return SimpleNamespace(n_params=m, failed=failed, alpha=alpha, noise_var=sigma2, network=h, t_cov=t_cov,
+        hypotheses, stats, _ = sp.localizable_hypotheses(sp.failure_hypotheses(h, inv_sqrt, [alpha] * m), spec.ratio)
+        return SimpleNamespace(n_params=m, failed=failed, alpha=alpha, noise_var=sigma2, network=h,
                                gain=gain, inv_sqrt=inv_sqrt, hypotheses=hypotheses, stats=stats)
 
     def draw(self, spec, s, g):
         theta = complex_gaussian(s.n_params, spec.n_samples, g)
         w = complex_gaussian(spec.n_dim, spec.n_samples, g)
         x = s.network @ (s.gain * theta) + math.sqrt(s.noise_var) * w
-        return s.inv_sqrt @ x, {"kind": spec.kind, "network": s.network, "t_cov": s.t_cov,
-                                "noise_var": s.noise_var, "failed_index": s.failed, "alpha": s.alpha}
-
-    def covariance(self, spec, truth):
-        if truth["failed_index"] is None:
-            return np.eye(spec.n_dim).astype(complex)
-        v = spec.state.inv_sqrt @ truth["network"][:, truth["failed_index"]]
-        w = (1.0 + truth["alpha"]) ** 2 - 1.0
-        return np.eye(spec.n_dim) + w * np.outer(v, v.conj())
+        return s.inv_sqrt @ x
 
     def binding(self, spec):
         return FailureBinding(_real(spec.params.get("far", 1e-2), "far"))
@@ -400,7 +370,7 @@ class ScenarioSpec:
         state = MODELS[self.kind].setup(self, self.params)
         for value in vars(state).values():
             if isinstance(value, np.ndarray):
-                value.flags.writeable = False  # every trial's truth record shares them
+                value.flags.writeable = False  # shared by every trial, lane and pool block
         object.__setattr__(self, "state", state)
 
     @property
@@ -432,15 +402,10 @@ class ScenarioSpec:
 
 
 def generate_trial(spec: ScenarioSpec, trial: int):
-    """Draw observation matrix Y (N x n) and the trial's ground-truth record."""
+    """Y (N x n) of one trial and the scenario state it was drawn under, ``spec.state``."""
     if not (0 <= trial < spec.trials):
         raise ParameterError("trial index out of range")
-    return MODELS[spec.kind].draw(spec, spec.state, spec.stream(trial).generator())
-
-
-def rebuild_population_covariance(spec: ScenarioSpec, truth: dict) -> np.ndarray:
-    """Reassemble E[y y^H] from a trial's ground-truth record."""
-    return MODELS[spec.kind].covariance(spec, truth)
+    return MODELS[spec.kind].draw(spec, spec.state, spec.stream(trial).generator()), spec.state
 
 
 @dataclass(frozen=True)
@@ -513,13 +478,14 @@ def _pinned_blas():
 
 def _run_block(args):
     """Records of one block of trials, run pinned: spectrum-only bindings read
-    the model's ``spectra``, the others get each trial's Y and truth record."""
+    the model's ``spectra``, the others get each trial's Y."""
     spec, binding, trials = args
     with _pinned_blas():
         if hasattr(binding, "per_spectrum"):
             spectra = MODELS[spec.kind].spectra(spec, spec.state, trials)
             return [binding.per_spectrum(spec, t, eigs) for t, eigs in zip(trials, spectra, strict=True)]
-        return [binding.per_trial(spec, t, *generate_trial(spec, t)) for t in trials]
+        model = MODELS[spec.kind]
+        return [binding.per_trial(spec, t, model.draw(spec, spec.state, spec.stream(t).generator())) for t in trials]
 
 
 def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
@@ -527,7 +493,7 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
 
     The binding provides ``reduce(spec, records) -> dict`` and either
     ``per_spectrum(spec, trial, eigs) -> dict``, if it reads only the ascending
-    eigenvalues of (1/n) Y Y^H, or ``per_trial(spec, trial, y, truth) -> dict``.
+    eigenvalues of (1/n) Y Y^H, or ``per_trial(spec, trial, y) -> dict``.
     Trials run in blocks of consecutive indices, all of them in one block when
     serial and one block per pool task otherwise; records reach ``reduce`` in
     trial order, so aggregates do not depend on worker scheduling.  Every block
@@ -651,7 +617,7 @@ class DetectionRocBinding:
 
     kind = "mp-null"
 
-    def per_trial(self, spec, trial, y, truth):
+    def per_trial(self, spec, trial, y):
         # y is the null draw; the alternative reuses the same stream for its
         # channel, signal and noise so trials stay self-contained.
         g = RngStream(spec.seed, trial + SETUP_STREAM).generator()
@@ -697,7 +663,7 @@ class DoaResolutionBinding:
     def __init__(self, window_deg: float = 1.0):
         self.window = window_deg
 
-    def per_trial(self, spec, trial, y, truth):
+    def per_trial(self, spec, trial, y):
         s = spec.state
         # only the angles are kept: a 3-point search range samples no cost curve
         return {m: estimate_doa(y, len(s.angles), s.model, (-90.0, 0.0, 90.0), m).angles
@@ -730,7 +696,7 @@ class FailureBinding:
     def __init__(self, far: float):
         self.threshold = sp.tw_quantile(sp.default_tw_table(), 1 - far)
 
-    def per_trial(self, spec, trial, y, truth):
+    def per_trial(self, spec, trial, y):
         s = spec.state
         eig = np.linalg.eigh(sample_covariance(y))
         side = -1 if s.alpha > 0 else 0

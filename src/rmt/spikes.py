@@ -51,10 +51,15 @@ __all__ = [
     "condition_number_statistic",
     "spike_outlier_root",
     "fluctuation_stats",
+    "inverse_sqrt",
     "failure_hypotheses",
     "localizable_hypotheses",
     "localize_failure",
 ]
+
+_OMEGA_MAX = 1e30  # fluctuation_stats' z'^5 grows as (1 + omega)^10, which overflows a double soon after
+_ALPHA_MAX = 1e150  # failure_hypotheses' (1 + alpha)^2 overflows a double near 1.3e154
+
 
 @dataclass(frozen=True)
 class SpikeLimit:
@@ -352,10 +357,15 @@ def fluctuation_stats(omega: float, c: float) -> FluctuationStats:
     So Sigma_22 = c (1+omega)^2 (1 - c/omega^2), and Sigma is positive
     definite wherever xi > 0.  :class:`RegimeError` unless :func:`spike_limits`
     finds the spike detectable (|omega| > sqrt(c), and c < 1 for omega < 0),
-    so omega = 0 is refused there too.
+    so omega = 0 is refused there too.  :class:`ParameterError` for omega <= -1,
+    where the spike direction carries no variance, and for omega > 1e30, past
+    which z'^5 ~ (1 + omega)^10 overflows a double.
     """
     if not (omega > -1):
         raise ParameterError("need omega > -1: at -1 the spike direction carries no variance")
+    if not (omega <= _OMEGA_MAX):
+        raise ParameterError(f"need omega <= {_OMEGA_MAX:g}, got {omega!r}: beyond that the fluctuation "
+                             "covariance overflows a double")
     limit = spike_limits(omega, c)
     if not limit.detectable:
         raise RegimeError("fluctuations are Gaussian only for |omega| > sqrt(c)")
@@ -371,29 +381,34 @@ def fluctuation_stats(omega: float, c: float) -> FluctuationStats:
     return FluctuationStats(omega, c, xi, limit.rho, sigma)
 
 
-def _inverse_sqrt(t_cov) -> np.ndarray:
-    """T^(-1/2) of a Hermitian positive definite T, from its eigendecomposition."""
+def inverse_sqrt(t_cov) -> np.ndarray:
+    """T^(-1/2) of a finite Hermitian positive definite T, from its eigendecomposition."""
+    t_cov = np.asarray(t_cov, dtype=complex)
+    if not np.all(np.isfinite(t_cov)):
+        raise ParameterError("T must be finite")
     te = hermitian_eig(t_cov)
     if te.eigenvalues[0] <= 1e-14 * te.eigenvalues[-1]:
         raise SingularityError("T must be positive definite")
     return (te.eigenvectors / np.sqrt(te.eigenvalues)) @ te.eigenvectors.conj().T
 
 
-def failure_hypotheses(h, t_cov, alphas) -> list[FailureHypothesis]:
+def failure_hypotheses(h, inv_sqrt, alphas) -> list[FailureHypothesis]:
     """Rank-one spike hypotheses for per-parameter variance changes.
 
     For parameter k with change alpha_k, the whitened observation covariance
     becomes I + omega_k u_k u_k^H with v_k = T^(-1/2) H e_k,
     omega_k = ((1+alpha_k)^2 - 1) ||v_k||^2 and u_k = v_k/||v_k|| phase-fixed
-    so its first nonzero component is real positive.  A zero column of H has
-    no direction u_k and is refused.
+    so its first nonzero component is real positive.  ``inv_sqrt`` is
+    T^(-1/2), as :func:`inverse_sqrt` computes it.  A zero column of H has no
+    direction u_k and is refused, and so is an alpha above 1e150, near where
+    (1 + alpha)^2 overflows a double.
     """
     h = np.asarray(h, dtype=complex)
-    t_cov = np.asarray(t_cov, dtype=complex)
-    if h.ndim != 2 or t_cov.shape != (h.shape[0], h.shape[0]):
-        raise ParameterError("H must be N x M and T must be N x N")
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(t_cov))):
-        raise ParameterError("H and T must be finite")
+    inv_sqrt = np.asarray(inv_sqrt, dtype=complex)
+    if h.ndim != 2 or inv_sqrt.shape != (h.shape[0], h.shape[0]):
+        raise ParameterError("H must be N x M and T^(-1/2) must be N x N")
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(inv_sqrt))):
+        raise ParameterError("H and T^(-1/2) must be finite")
     try:
         alphas = np.asarray(alphas, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -402,9 +417,8 @@ def failure_hypotheses(h, t_cov, alphas) -> list[FailureHypothesis]:
         raise ParameterError(f"alphas must be a list of numbers, got {alphas.tolist()!r}")
     if alphas.size != h.shape[1]:
         raise ParameterError("need one alpha per column of H")
-    if not np.all(np.isfinite(alphas) & (alphas >= -1)):
-        raise ParameterError(f"alphas must be finite numbers >= -1, got {alphas.tolist()!r}")
-    inv_sqrt = _inverse_sqrt(t_cov)
+    if not np.all((alphas >= -1) & (alphas <= _ALPHA_MAX)):
+        raise ParameterError(f"alphas must be finite numbers in [-1, {_ALPHA_MAX:g}], got {alphas.tolist()!r}")
     out = []
     for k, alpha in enumerate(alphas.tolist()):
         v = inv_sqrt @ h[:, k]

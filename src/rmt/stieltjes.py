@@ -299,14 +299,20 @@ def support_clusters(model: SpectralModel) -> SupportClusters:
     1995), solved in u = 1/m so that the root running off to m = infinity as
     c -> 1 stays well conditioned; at c = 1 it gives the lowest edge x = 0.
     A cluster holds the weights of the poles u = -t_k between its edges, less
-    the (1 - 1/c)^+ mass at zero if it spans u = 0 (m = +-infinity).
+    the (1 - 1/c)^+ mass at zero if it spans u = 0 (m = +-infinity).  Every
+    pole lies inside exactly one cluster, since x'(m) -> -infinity there.
+    Where c w_k is so small that double precision merges the two edges around
+    a pole, that pole falls outside every cluster, and :class:`ParameterError`
+    is raised rather than a cluster dropped.
     """
     a, b = _companion_polynomial(model)
     critical = np.polysub(np.polymul(np.polyder(a), b), np.polymul(a, np.polyder(b)))
     u = np.roots(critical[::-1])
-    # a[0] = 0 zeroes the leading coefficient of a'b - ab', so u = 0 is a spurious root
-    u = u[(np.abs(u.imag) <= 1e-9 * np.abs(u)) & (u != 0)].real
     t, w, c = model.values(), model.weights(), model.ratio
+    # a[0] = 0 zeroes the leading coefficient of a'b - ab', so u = 0 is a spurious root;
+    # a root on a pole is two edges merged in rounding, and leaves that pole outside every cluster
+    u = u[(np.abs(u.imag) <= 1e-9 * np.abs(u)) & (u != 0)].real
+    u = u[np.all(t + u[:, None] != 0, axis=1)]
     x = u * (c * np.sum(w * t / (t + u[:, None]), axis=1) - 1)  # x(m) at m = 1/u
     order = np.argsort(x)
     order = order[x[order] > 0]
@@ -315,6 +321,9 @@ def support_clusters(model: SpectralModel) -> SupportClusters:
         x, u = np.append(0.0, x), np.append(0.0, u)
     lo, hi = u[0::2, None], u[1::2, None]
     poles_inside = (-t - lo) * (-t - hi) < 0
+    if not np.all(poles_inside.sum(axis=0) == 1):
+        raise ParameterError(f"the support at c = {c:g} is too narrow around some atom for double precision "
+                             "to resolve its edges")
     spans_zero = (lo * hi < 0)[:, 0]
     masses = poles_inside @ w - spans_zero * max(0.0, 1 - 1 / c)
     return SupportClusters(tuple(map(tuple, x.reshape(-1, 2).tolist())), tuple(masses.tolist()))

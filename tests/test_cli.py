@@ -99,6 +99,24 @@ def test_density_clusters_exact_above_c_one(tmp_path):
     assert abs(doc[0]["mass"] - 0.5) < 1e-9
 
 
+def _run_as_process(*argv):
+    """``rmt`` in a child process, so a warning or a traceback on its stderr shows."""
+    src = str(pathlib.Path(rmt.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "rmt.cli", *argv], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_density_refuses_clusters_double_precision_cannot_resolve(tmp_path):
+    # the cluster's edges (1 -+ 1e-150)^2 are one double: refused, with no numpy warning and no file
+    out, clusters = tmp_path / "d.csv", tmp_path / "clusters.json"
+    run = _run_as_process("density", "--atoms", "1:1", "--c", "1e-300", "--out", str(out),
+                          "--clusters-out", str(clusters))
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+    assert "too narrow around some atom" in run.stderr
+    assert not out.exists() and not clusters.exists()
+
+
 def test_density_defaults_to_the_exact_density(tmp_path):
     argv = ("density", "--atoms", "1:0.3334,3:0.3333,7:0.3333", "--c", "0.1", "--grid", "0.05:11:0.01")
     assert run_cli(*argv, "--out", str(tmp_path / "default.csv")) == 0
@@ -318,14 +336,23 @@ def test_localize_refuses_all_zero_alphas(tmp_path, capsys):
 
 
 def test_localize_refuses_a_zero_column_of_h(tmp_path):
-    # run as a process, so a warning or a traceback on stderr would show
     y_path, model_path = _localize_files(tmp_path, [1.0, 1.0, 1.0], zero_column=1)
-    src = str(pathlib.Path(rmt.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-m", "rmt.cli", "localize", "--input", str(y_path), "--model",
-                          str(model_path)], capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    out = _run_as_process("localize", "--input", str(y_path), "--model", str(model_path))
     assert out.returncode == 1
     assert out.stderr == "error: column 1 of H is zero, so it has no spike direction\n", out.stderr
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (1e200, "alphas must be finite numbers in [-1, 1e+150]"),  # (1 + alpha)^2 overflows a double
+    (1e60, "need omega <= 1e+30"),  # the covariance's 1/m0^k terms divide by an underflowed 0
+])
+def test_localize_refuses_a_huge_alpha(tmp_path, alpha, message):
+    y_path, model_path = _localize_files(tmp_path, [alpha, 1.0, 1.0])
+    out = _run_as_process("localize", "--input", str(y_path), "--model", str(model_path))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert message in out.stderr and out.stdout == ""
 
 
 @pytest.mark.parametrize("key", ["H", "T", "alphas"])

@@ -17,6 +17,7 @@ from rmt.spikes import (
     fluctuation_stats,
     glrt_statistic,
     glrt_test,
+    inverse_sqrt,
     localize_failure,
     spike_limits,
     spike_outlier_root,
@@ -437,6 +438,10 @@ def test_fluctuation_stats_regimes():
     for omega in (-1.0, -1.5, math.inf, math.nan):
         with pytest.raises(ParameterError):
             fluctuation_stats(omega, 0.5)
+    for omega in (1e31, 1e60, 1e200):  # the closed form overflows or divides by an underflowed 0
+        with pytest.raises(ParameterError, match=r"omega <= 1e\+30") as info:
+            fluctuation_stats(omega, 0.5)
+        assert not isinstance(info.value, RegimeError)  # so localization refuses them instead of skipping
 
 
 def test_calibrate_guards():
@@ -484,8 +489,7 @@ def _spike_pairs(omega, c, n_dim, trials, seed):
 
 def test_failure_hypotheses_no_change():
     h = complex_gaussian(6, 3, RngStream(11))
-    t_cov = h @ h.conj().T + np.eye(6)
-    hyps = failure_hypotheses(h, t_cov, [0.0, 0.0, 0.0])
+    hyps = failure_hypotheses(h, inverse_sqrt(h @ h.conj().T + np.eye(6)), [0.0, 0.0, 0.0])
     assert all(hyp.omega == 0.0 for hyp in hyps)
     for hyp in hyps:
         assert np.isclose(np.linalg.norm(hyp.u), 1.0, atol=1e-10)
@@ -498,14 +502,13 @@ def test_failure_hypotheses_hand_case():
     # H = I, T = (1+s2) I, alpha_1 = 1  =>  omega_1 = 3/(1+s2)
     s2 = 0.5
     n = 4
-    hyps = failure_hypotheses(np.eye(n), (1 + s2) * np.eye(n), [1.0, 0.0, 0.0, 0.0])
+    hyps = failure_hypotheses(np.eye(n), inverse_sqrt((1 + s2) * np.eye(n)), [1.0, 0.0, 0.0, 0.0])
     assert np.isclose(hyps[0].omega, 3.0 / (1 + s2))
 
 
 def test_failure_hypotheses_total_collapse_negative():
     h = complex_gaussian(5, 5, RngStream(13))
-    t_cov = h @ h.conj().T + 0.25 * np.eye(5)
-    hyps = failure_hypotheses(h, t_cov, [-1.0] * 5)
+    hyps = failure_hypotheses(h, inverse_sqrt(h @ h.conj().T + 0.25 * np.eye(5)), [-1.0] * 5)
     for hyp in hyps:
         v2 = -hyp.omega
         assert 0 < v2 < 1  # ||v||^2 = norm of whitened column, strictly below 1
@@ -516,27 +519,38 @@ def test_failure_hypotheses_guards():
         failure_hypotheses(np.eye(3), np.eye(3), [0.0])
     with pytest.raises(ParameterError):
         failure_hypotheses(np.eye(3), np.eye(3), [-2.0, 0.0, 0.0])
-    for alphas in (1.0, None, "1.0", [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], ["x", 0.0, 0.0], [[0.0] * 3]):
+    for alphas in (1.0, None, "1.0", [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], ["x", 0.0, 0.0], [[0.0] * 3],
+                   [1e200, 1.0, 1.0]):  # (1 + 1e200)^2 overflows a double
         with pytest.raises(ParameterError, match="alphas must be"):
             failure_hypotheses(np.eye(3), np.eye(3), alphas)
-    with pytest.raises(SingularityError):
-        failure_hypotheses(np.eye(3), np.zeros((3, 3)), [0.0] * 3)
     for bad in (np.array([[math.nan, 0, 0], [0, 1, 0], [0, 0, 1]]), np.diag([1.0, math.inf, 1.0])):
-        with pytest.raises(ParameterError, match="H and T must be finite"):
+        with pytest.raises(ParameterError, match=r"H and T\^\(-1/2\) must be finite"):
             failure_hypotheses(bad, np.eye(3), [0.0] * 3)
-        with pytest.raises(ParameterError, match="H and T must be finite"):
+        with pytest.raises(ParameterError, match=r"H and T\^\(-1/2\) must be finite"):
             failure_hypotheses(np.eye(3), bad, [0.0] * 3)
+    with pytest.raises(ParameterError, match="N x N"):
+        failure_hypotheses(np.eye(3), np.eye(2), [0.0] * 3)
 
+
+def test_inverse_sqrt_guards():
+    with pytest.raises(SingularityError):
+        inverse_sqrt(np.zeros((3, 3)))
+    for bad in (np.array([[math.nan, 0, 0], [0, 1, 0], [0, 0, 1]]), np.diag([1.0, math.inf, 1.0])):
+        with pytest.raises(ParameterError, match="T must be finite"):
+            inverse_sqrt(bad)
+    t_cov = np.array([[2.0, 1j], [-1j, 2.0]])
+    w = inverse_sqrt(t_cov)
+    assert np.allclose(w @ t_cov @ w, np.eye(2), atol=1e-14)
 
 
 def test_failure_hypotheses_refuse_a_zero_column():
     h = complex_gaussian(4, 3, RngStream(12))
     h[:, 1] = 0
-    t_cov = h @ h.conj().T + np.eye(4)
+    inv_sqrt = inverse_sqrt(h @ h.conj().T + np.eye(4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before any 0/0
         with pytest.raises(ParameterError, match="column 1 of H is zero"):
-            failure_hypotheses(h, t_cov, [1.0, 1.0, 1.0])
+            failure_hypotheses(h, inv_sqrt, [1.0, 1.0, 1.0])
 
 def _unit(n, k):
     u = np.zeros(n, dtype=complex)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -379,6 +381,19 @@ def test_support_clusters_c_one_reaches_zero():
     want = ((0.0, 5.194793424525635), (8.19733471034072, 135.83390480851108))
     assert np.allclose(clusters.intervals, want, rtol=1e-9, atol=0.0)
     assert np.allclose(clusters.masses, (0.6, 0.4), atol=1e-12)
+
+
+def test_support_clusters_refuse_edges_double_precision_merges():
+    # at c = 1e-300 both edges of the one cluster round onto the pole u = -1; at
+    # 1e-16 the edges around the atom at 1 merge while those around 3 do not
+    for atoms, c in ((SINGLE_ATOM, 1e-300), (((1.0, 0.5), (3.0, 0.5)), 1e-16)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="too narrow around some atom"):
+                support_clusters(SpectralModel(atoms, c))
+    a, b, _ = mp_support(1e-12)
+    clusters = support_clusters(SpectralModel(SINGLE_ATOM, 1e-12))
+    assert clusters.masses == (1.0,) and np.allclose(clusters.intervals, ((a, b),), rtol=1e-12, atol=0.0)
 
 
 def continuous_density(model, grid, eps=1e-9):
