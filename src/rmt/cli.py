@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import pathlib
 import sys
 
@@ -28,8 +29,18 @@ from .stieltjes import SpectralModel, density_from_stieltjes, mp_density, mp_sup
 from .simulate import FIGURE_IDS, ScenarioSpec, reproduce_figure, run_monte_carlo
 
 
+_GRID_MAX = 10**6  # grid points per command: 8 MB a column
+
+
 class UsageError(Exception):
     pass
+
+
+def _arange(start: float, stop: float, step: float) -> np.ndarray:
+    """``np.arange(start, stop, step)``, refused before allocating if it exceeds :data:`_GRID_MAX` points."""
+    if (stop - start) / step > _GRID_MAX:
+        raise ParameterError(f"the grid would exceed the cap of {_GRID_MAX} points")
+    return np.arange(start, stop, step)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -39,7 +50,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"bad grid spec {text!r}, expected lo:hi:step") from exc
     if not (np.isfinite([lo, hi, step]).all() and step > 0 and hi > lo):
         raise UsageError(f"bad grid spec {text!r}")
-    return np.arange(lo, hi + step / 2, step)
+    try:
+        return _arange(lo, hi + step / 2, step)
+    except ParameterError as exc:
+        raise UsageError(f"bad grid spec {text!r}: {exc}") from exc
 
 
 def _parse_atoms(text: str):
@@ -54,10 +68,20 @@ def _parse_atoms(text: str):
 
 
 def _load_matrix(path: str) -> np.ndarray:
+    """The observation matrix in ``path``; refused unless its entries are finite
+    and the sum of their squared moduli, which bounds every Gram entry, is too."""
     p = pathlib.Path(path)
     if not p.exists():
         raise UsageError(f"input file not found: {path}")
-    return load_matrix_csv(p) if p.suffix.lower() == ".csv" else load_matrix_bin(p)
+    y = load_matrix_csv(p) if p.suffix.lower() == ".csv" else load_matrix_bin(p)
+    parts = y.view(float).ravel()  # the loaders return C-contiguous arrays
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = float(np.vdot(parts, parts))  # one BLAS pass; nan or inf on a non-finite entry too
+    if not math.isfinite(energy):
+        if not np.all(np.isfinite(parts)):
+            raise ParameterError(f"{path} holds a non-finite entry (nan or inf)")
+        raise ParameterError(f"{path} holds entries so large that its sample covariance overflows a double")
+    return y
 
 
 def _write_csv(path, columns: dict) -> None:
@@ -102,7 +126,7 @@ def cmd_density(args) -> int:
         grid = _parse_grid(args.grid)
     else:
         hi = max(v for v, _ in atoms) * (1 + args.c**0.5) ** 2 * 1.4
-        grid = np.arange(0.01, hi, 0.01)
+        grid = _arange(0.01, hi, 0.01)
     dens = density_from_stieltjes(model, grid, eps=args.eps)
     clusters = support_clusters(model) if args.clusters_out else None  # may refuse: before any file is written
     _write_csv(args.out, {"x": dens.grid, "f": dens.values})

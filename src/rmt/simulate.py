@@ -694,7 +694,7 @@ class FailureBinding:
     kind = "failure"
 
     def __init__(self, far: float):
-        self.threshold = sp.tw_quantile(sp.default_tw_table(), 1 - far)
+        self.threshold = sp.false_alarm_threshold(far)
 
     def per_trial(self, spec, trial, y):
         s = spec.state
@@ -707,7 +707,7 @@ class FailureBinding:
         if detected and s.hypotheses:
             best, _ = sp.localize_failure(lam, eig.eigenvectors[:, side], s.hypotheses, s.stats)
             k_hat = s.hypotheses[best].index
-        return {"detected": detected, "k_hat": k_hat, "lam_min": float(eig.eigenvalues[0])}
+        return {"detected": detected, "k_hat": k_hat}
 
     def reduce(self, spec, records):
         truth_k = spec.state.failed

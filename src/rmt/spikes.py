@@ -47,6 +47,7 @@ __all__ = [
     "tw_standardize",
     "tw_standardize_smallest",
     "glrt_statistic",
+    "false_alarm_threshold",
     "glrt_test",
     "condition_number_statistic",
     "spike_outlier_root",
@@ -57,7 +58,6 @@ __all__ = [
     "localize_failure",
 ]
 
-_OMEGA_MAX = 1e30  # fluctuation_stats' z'^5 grows as (1 + omega)^10, which overflows a double soon after
 _ALPHA_MAX = 1e150  # failure_hypotheses' (1 + alpha)^2 overflows a double near 1.3e154
 
 
@@ -77,7 +77,7 @@ class FluctuationStats:
     """Covariance ``sigma`` of sqrt(N)(|u^H u_hat|^2 - xi, lam - rho) for one spike,
     with the inverse and log-determinant that :func:`localize_failure` scores with.
 
-    A ``sigma`` that is not positive definite is refused here, once.
+    A ``sigma`` that is not finite or not positive definite is refused here, once.
     """
 
     omega: float
@@ -89,6 +89,8 @@ class FluctuationStats:
     logdet: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.sigma)):
+            raise ParameterError(f"the fluctuation covariance of omega = {self.omega:g} overflows a double")
         sign, logdet = np.linalg.slogdet(self.sigma)
         if not (sign > 0 and self.sigma[0, 0] > 0):  # both leading minors positive: 2x2 positive definite
             raise ParameterError("fluctuation covariance is not positive definite")
@@ -131,7 +133,7 @@ def spike_limits(omega: float, c: float) -> SpikeLimit:
     sq = math.sqrt(c)
     if abs(omega) > sq:
         rho = 1 + omega + c * (1 + omega) / omega
-        xi = (1 - c / omega**2) / (1 + c / omega)
+        xi = (1 - c / (omega * omega)) / (1 + c / omega)  # omega**2 would raise OverflowError past 1e154
         return SpikeLimit(omega, c, True, rho, xi)
     return SpikeLimit(omega, c, False, (1 + sq) ** 2 if omega >= 0 else (1 - sq) ** 2, 0.0)
 
@@ -274,13 +276,12 @@ def glrt_statistic(eigs) -> float:
     return float(np.max(eigs)) / mean
 
 
-def glrt_test(eigs, n_dim: int, n_samples: int, far: float) -> GlrtDecision:
-    """Threshold the standardized GLRT statistic at the 1-far quantile of the
-    bundled Tracy-Widom table.
+def false_alarm_threshold(far: float) -> float:
+    """The 1-far quantile of the bundled Tracy-Widom table: the threshold a
+    standardized extreme eigenvalue must exceed at false alarm rate ``far``.
 
-    Rejects the noise hypothesis iff the standardized statistic is strictly
-    greater than the quantile.  A ``far`` below the table's upper tail at its
-    last knot has no quantile in the table and is refused.
+    A ``far`` outside (0, 1) is refused, and so is one below the table's upper
+    tail at its last knot, which has no quantile in the table.
     """
     if not (0 < far < 1):
         raise ParameterError("false alarm rate must lie in (0, 1)")
@@ -291,10 +292,14 @@ def glrt_test(eigs, n_dim: int, n_samples: int, far: float) -> GlrtDecision:
         raise ParameterError(f"false alarm rate {far:g} is beyond the Tracy-Widom table, whose CDF ends at "
                              f"s = {table._knots[-1]:g}; the smallest usable rate is "
                              f"{math.ceil(tail * digits) / digits:.3g}")
+    return tw_quantile(table, 1 - far)
+
+
+def glrt_test(eigs, n_dim: int, n_samples: int, far: float) -> GlrtDecision:
+    """Reject noise iff the standardized GLRT statistic strictly exceeds :func:`false_alarm_threshold`."""
+    thr = false_alarm_threshold(far)
     stat = glrt_statistic(eigs)
-    c = n_dim / n_samples
-    std = tw_standardize(stat, n_dim, c)
-    thr = tw_quantile(table, 1 - far)
+    std = tw_standardize(stat, n_dim, n_dim / n_samples)
     return GlrtDecision(std > thr, stat, std, thr, far)
 
 
@@ -346,39 +351,33 @@ def fluctuation_stats(omega: float, c: float) -> FluctuationStats:
     fluctuations are those of Gaussian quadratic forms with covariances
     tr Q^(i+j) / n (Couillet & Hachem, IEEE T-IT 59(1), 2013; the eigenvalue
     entry as in Paul, Stat. Sinica 17, 2007), which are derivatives of the
-    companion Marchenko-Pastur Stieltjes transform m at rho.  They follow from
-    its inverse z(m) = -1/m + c/(1+m) at m0 = -1/(1+omega), where z(m0) = rho:
-    a = m'(rho) = 1/z', b = m''(rho) = -z''/z'^3, d = m'''(rho) =
-    (3 z''^2 - z' z''')/z'^5 and, with k = 1/rho + b/a,
+    companion Marchenko-Pastur Stieltjes transform at rho.  Taken through its
+    inverse z(m) = -1/m + c/(1+m) at m = -1/(1+omega), they reduce to
 
-        Sigma = c [[(xi/a)^2 (k^2 a - k b + d/6), -(xi/a^2)(k a - b/2)],
-                   [-(xi/a^2)(k a - b/2),          1/a                 ]].
+        Sigma_11 = c^2 (1+omega)^2 (c^2 + c + 4 c omega + (1+c) omega^2)
+                   / ((c+omega)^4 (omega^2 - c)),
+        Sigma_12 = c^2 (1+omega)^3 / (omega (c+omega)^2),
+        Sigma_22 = c (1+omega)^2 (1 - c/omega^2),
 
-    So Sigma_22 = c (1+omega)^2 (1 - c/omega^2), and Sigma is positive
-    definite wherever xi > 0.  :class:`RegimeError` unless :func:`spike_limits`
-    finds the spike detectable (|omega| > sqrt(c), and c < 1 for omega < 0),
-    so omega = 0 is refused there too.  :class:`ParameterError` for omega <= -1,
-    where the spike direction carries no variance, and for omega > 1e30, past
-    which z'^5 ~ (1 + omega)^10 overflows a double.
+    with det Sigma = c^3 (1+omega)^4 / (omega^2 (c+omega)^2), so Sigma is
+    positive definite wherever the spike is detectable.  :class:`RegimeError`
+    unless :func:`spike_limits` finds it detectable (|omega| > sqrt(c), and
+    c < 1 for omega < 0), so omega = 0 is refused there too.
+    :class:`ParameterError` for omega <= -1, where the spike direction carries
+    no variance, and where an entry overflows a double (from omega near
+    1e154 / sqrt(c) on, where Sigma_22 does).
     """
     if not (omega > -1):
         raise ParameterError("need omega > -1: at -1 the spike direction carries no variance")
-    if not (omega <= _OMEGA_MAX):
-        raise ParameterError(f"need omega <= {_OMEGA_MAX:g}, got {omega!r}: beyond that the fluctuation "
-                             "covariance overflows a double")
     limit = spike_limits(omega, c)
     if not limit.detectable:
         raise RegimeError("fluctuations are Gaussian only for |omega| > sqrt(c)")
-    m0 = -1.0 / (1.0 + omega)
-    z1 = 1 / m0**2 - c / (1 + m0) ** 2
-    z2 = -2 / m0**3 + 2 * c / (1 + m0) ** 3
-    z3 = 6 / m0**4 - 6 * c / (1 + m0) ** 4
-    a, b, d = 1 / z1, -z2 / z1**3, (3 * z2**2 - z1 * z3) / z1**5
-    k = 1 / limit.rho + b / a
-    xi = limit.xi
-    cross = -c * (xi / a**2) * (k * a - b / 2)
-    sigma = np.array([[c * (xi / a) ** 2 * (k * k * a - k * b + d / 6), cross], [cross, c / a]])
-    return FluctuationStats(omega, c, xi, limit.rho, sigma)
+    # intermediates stay near the entries' size, and products replace **, which raises OverflowError on a float
+    cr = c * (1 + omega) / (c + omega)
+    s11 = cr * cr * ((1 + c) * omega + 4 * c + c * (1 + c) / omega) / (omega - c / omega) / (c + omega) / (c + omega)
+    s12 = cr * cr * (1 + omega) / omega
+    s22 = c * (1 + omega) * (1 + omega) * (1 - c / omega / omega)
+    return FluctuationStats(omega, c, limit.xi, limit.rho, np.array([[s11, s12], [s12, s22]]))
 
 
 def inverse_sqrt(t_cov) -> np.ndarray:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import rmt
-from rmt.cli import _write_csv, main
-from rmt.linalg import RngStream, complex_gaussian, save_matrix_csv
+from rmt.cli import _parse_grid, _write_csv, main
+from rmt.linalg import RngStream, complex_gaussian, load_matrix_csv, save_matrix_csv
 from rmt.schemas import validate
 from rmt.simulate import ScenarioSpec, generate_trial
 
@@ -133,6 +133,27 @@ def test_bad_grid_is_usage_error(tmp_path):
     assert run_cli("mp-density", "--c", "0.5", "--grid", "nonsense") == 2
     assert run_cli("mp-density", "--c", "0.5", "--grid", "0:inf:0.01") == 2
     assert run_cli("density", "--atoms", "1:1", "--c", "0.5", "--grid", "nan:1:0.01") == 2
+
+
+def test_grid_size_is_capped_before_allocating(tmp_path, capsys, monkeypatch):
+    arange = np.arange
+
+    def guarded(start, stop, step):  # so an uncapped grid fails here instead of allocating it
+        assert (stop - start) / step <= 10**6, (start, stop, step)
+        return arange(start, stop, step)
+
+    monkeypatch.setattr(np, "arange", guarded)
+    out = tmp_path / "x.csv"
+    capsys.readouterr()
+    for grid in ("0:1e9:1", "0:1000000:1", "-1e308:1e308:1"):  # 10^9 + 1, 10^6 + 1 and inf points
+        assert run_cli("mp-density", "--c", "0.5", f"--grid={grid}", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: bad grid spec {grid!r}: the grid would exceed the cap of 1000000 points\n"
+    assert _parse_grid("0:999999:1").size == 10**6
+    # the default grid steps by 0.01 up to 1.4 (1 + sqrt(c))^2 times the largest atom
+    assert run_cli("density", "--atoms", "1e5:1", "--c", "0.5", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: the grid would exceed the cap of 1000000 points\n"
+    assert not out.exists()
 
 
 def test_bad_parameter_is_runtime_error(tmp_path):
@@ -345,7 +366,7 @@ def test_localize_refuses_a_zero_column_of_h(tmp_path):
 
 @pytest.mark.parametrize("alpha, message", [
     (1e200, "alphas must be finite numbers in [-1, 1e+150]"),  # (1 + alpha)^2 overflows a double
-    (1e60, "need omega <= 1e+30"),  # the covariance's 1/m0^k terms divide by an underflowed 0
+    (1e100, "overflows a double"),  # omega ~ 1e200, so Sigma_22 ~ c omega^2 overflows
 ])
 def test_localize_refuses_a_huge_alpha(tmp_path, alpha, message):
     y_path, model_path = _localize_files(tmp_path, [alpha, 1.0, 1.0])
@@ -353,6 +374,33 @@ def test_localize_refuses_a_huge_alpha(tmp_path, alpha, message):
     assert out.returncode == 1
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
     assert message in out.stderr and out.stdout == ""
+
+
+def test_localize_scores_a_large_alpha(tmp_path):
+    # omega ~ 1e120: every entry of the fluctuation covariance is still a double
+    y_path, model_path = _localize_files(tmp_path, [1e60, 1.0, 1.0])
+    out = _run_as_process("localize", "--input", str(y_path), "--model", str(model_path))
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    doc = validate("localize", json.loads(out.stdout))
+    assert len(doc["scores"]) == 3 and all(math.isfinite(s) for s in doc["scores"])
+
+
+@pytest.mark.parametrize("entry, message", [
+    (1e200, "holds entries so large that its sample covariance overflows a double"),
+    (math.nan, "holds a non-finite entry (nan or inf)"),
+    (math.inf, "holds a non-finite entry (nan or inf)"),
+], ids=["huge", "nan", "inf"])
+def test_observation_matrix_is_refused_unless_finite(tmp_path, entry, message):
+    # they printed numpy's overflow warning and "Eigenvalues did not converge", which names no cause
+    y_path, model_path = _localize_files(tmp_path, [1.0, 1.0, 1.0])
+    y = load_matrix_csv(y_path)
+    y[2, 3] = entry
+    save_matrix_csv(y_path, y)
+    for argv in (("estimate", "--K", "1", "--mult", "6"), ("detect", "--far", "0.01"), ("doa", "--K", "1"),
+                 ("localize", "--model", str(model_path))):
+        out = _run_as_process(argv[0], "--input", str(y_path), *argv[1:])
+        assert (out.returncode, out.stdout) == (1, ""), argv
+        assert out.stderr == f"error: {y_path} {message}\n", (argv, out.stderr)
 
 
 @pytest.mark.parametrize("key", ["H", "T", "alphas"])
@@ -477,3 +525,15 @@ def test_simulate_malformed_spec_is_runtime_error(tmp_path, capsys, doc):
     capsys.readouterr()
     assert run_cli("simulate", "--spec", str(spec_path)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_refuses_a_failure_far_beyond_the_table(tmp_path, capsys):
+    # it ran with the table's last knot as threshold and reported detection_rate 0.0
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "failure", "N": 10, "n": 40, "trials": 5, "seed": 1,
+                                     "params": {"n_params": 10, "alpha": -1.0, "failed_index": 0, "far": 1e-12}}))
+    capsys.readouterr()
+    assert run_cli("simulate", "--spec", str(spec_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: false alarm rate 1e-12 is beyond the Tracy-Widom table")
+    assert "smallest usable rate is 3.82e-12" in err and err.count("\n") == 1

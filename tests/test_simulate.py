@@ -12,6 +12,7 @@ import pytest
 from rmt.errors import ParameterError
 import rmt.simulate as simulate
 from rmt.linalg import sample_covariance, split_gram
+from rmt.spikes import glrt_test
 from rmt.simulate import (
     BLOCK_BLAS_THREADS,
     FIGURE_IDS,
@@ -608,6 +609,16 @@ def test_failure_setup_refuses_unlocalizable_scenarios():
         with pytest.raises(ParameterError, match="smallest eigenvalue"):
             ScenarioSpec("failure", 10, n, 1, 0, {"n_params": 10, "alpha": -1.0})
     ScenarioSpec("failure", 10, 10, 1, 0, {"n_params": 10, "alpha": 1.0})
+
+
+def test_failure_binding_refuses_a_far_beyond_the_table():
+    # it clamped to the table's last knot (s = 6) and detected nothing; rmt detect refuses the same rate
+    with pytest.raises(ParameterError, match="smallest usable rate is 3.82e-12"):
+        FailureBinding(far=1e-12)
+    for far in (0.0, 1.0):
+        with pytest.raises(ParameterError, match=r"must lie in \(0, 1\)"):
+            FailureBinding(far=far)
+    assert FailureBinding(far=1e-2).threshold == glrt_test(np.ones(4), 4, 8, far=1e-2).threshold
 
 
 def test_failure_hypotheses_are_per_scenario_state():

@@ -1,6 +1,7 @@
 import math
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rmt.spikes import (
     condition_number_statistic,
     default_tw_table,
     failure_hypotheses,
+    false_alarm_threshold,
     fluctuation_stats,
     glrt_statistic,
     glrt_test,
@@ -141,6 +143,15 @@ def test_spike_limits_equal_the_two_old_formulas():
                 (omega, c, got, expected)
             checked += 1
     assert checked > 10_000
+
+
+@pytest.mark.parametrize("c", [0.5, 5.0])
+def test_spike_limits_at_a_huge_omega(c):
+    # omega**2 overflowed a double past 1.3e154; omega * omega rounds to inf and c / inf to 0
+    for omega in (1e155, 1e300):
+        lim = spike_limits(omega, c)
+        assert lim.detectable and lim.xi == 1.0
+        assert lim.rho == pytest.approx(omega, rel=1e-15)
 
 
 # --- root-condition cross-validation -----------------------------------------
@@ -350,6 +361,15 @@ def test_glrt_refuses_a_far_beyond_the_table():
         assert glrt_test(eigs, 4, 8, far=far).threshold <= TABLE.s[-1]
 
 
+def test_false_alarm_threshold_is_the_table_quantile():
+    for far in (1e-2, 0.5, 1e-6):
+        assert false_alarm_threshold(far) == tw_quantile(TABLE, 1 - far)
+        assert glrt_test(np.linspace(0.5, 1.5, 4), 4, 8, far=far).threshold == false_alarm_threshold(far)
+    for far in (0.0, 1.0, -0.1, math.nan):
+        with pytest.raises(ParameterError, match=r"must lie in \(0, 1\)"):
+            false_alarm_threshold(far)
+
+
 def test_condition_number_basics():
     assert condition_number_statistic(np.ones(5)) == 1.0
     assert condition_number_statistic([1.0, 4.0]) == 4.0
@@ -438,10 +458,54 @@ def test_fluctuation_stats_regimes():
     for omega in (-1.0, -1.5, math.inf, math.nan):
         with pytest.raises(ParameterError):
             fluctuation_stats(omega, 0.5)
-    for omega in (1e31, 1e60, 1e200):  # the closed form overflows or divides by an underflowed 0
-        with pytest.raises(ParameterError, match=r"omega <= 1e\+30") as info:
+    for omega in (1e31, 1e60, 1e150):  # Sigma_22 = c (1 + omega)^2 (1 - c/omega^2) is still a double
+        sigma = fluctuation_stats(omega, 0.5).sigma
+        assert np.all(np.isfinite(sigma)) and sigma[1, 1] == pytest.approx(0.5 * omega * omega, rel=1e-15)
+    for omega in (3e154, 1e200):  # ... and from omega = 1.9e154 on it overflows
+        with pytest.raises(ParameterError, match="overflows a double") as info:
             fluctuation_stats(omega, 0.5)
         assert not isinstance(info.value, RegimeError)  # so localization refuses them instead of skipping
+
+
+def test_fluctuation_stats_refuse_a_sigma_that_is_not_finite():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="overflows a double"):
+            FluctuationStats(2.0, 0.5, 0.5, 4.0, np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+def _exact_fluctuation_sigma(omega, c):
+    """Sigma in exact rational arithmetic, from the resolvent-derivative chain
+    that the closed form of :func:`fluctuation_stats` reduces.
+
+    With m0 = -1/(1+omega) and z(m) = -1/m + c/(1+m): a = 1/z', b = -z''/z'^3,
+    d = (3 z''^2 - z' z''')/z'^5 and k = 1/rho + b/a (Couillet & Hachem,
+    IEEE T-IT 59(1), 2013).
+    """
+    w, c = Fraction(omega), Fraction(c)
+    m0 = -1 / (1 + w)
+    z1 = 1 / m0**2 - c / (1 + m0) ** 2
+    z2 = -2 / m0**3 + 2 * c / (1 + m0) ** 3
+    z3 = 6 / m0**4 - 6 * c / (1 + m0) ** 4
+    a, b, d = 1 / z1, -z2 / z1**3, (3 * z2**2 - z1 * z3) / z1**5
+    rho = 1 + w + c * (1 + w) / w
+    xi = (1 - c / w**2) / (1 + c / w)
+    k = 1 / rho + b / a
+    cross = -c * (xi / a**2) * (k * a - b / 2)
+    return [[c * (xi / a) ** 2 * (k * k * a - k * b + d / 6), cross], [cross, c / a]]
+
+
+@pytest.mark.parametrize("c", [0.01, 0.5, 0.99, 5.0])
+def test_fluctuation_stats_match_the_exact_derivation(c):
+    sq = math.sqrt(c)
+    omegas = np.geomspace(sq * (1 + 1e-3), 1e30, 200).tolist()
+    if c < 1:  # downward spikes, from the threshold to near -1
+        omegas += (-np.geomspace(sq * (1 + 1e-3), 1 - 1e-9, 60)).tolist()
+    for omega in omegas:
+        got = fluctuation_stats(omega, c).sigma
+        exact = _exact_fluctuation_sigma(omega, c)
+        err = max(abs(Fraction(float(got[i, j])) - exact[i][j]) / abs(exact[i][j]) for i in (0, 1) for j in (0, 1))
+        # nearer the threshold than 2 sqrt(c), omega^2 - c cancels and its rounding error grows
+        assert err <= (1e-13 if abs(omega) >= 2 * sq else 1e-10), (omega, c, float(err))
 
 
 def test_calibrate_guards():
