@@ -23,7 +23,7 @@ from . import simulate as sim
 from . import spikes as sp
 from .doa import SteeringModel, estimate_doa
 from .errors import DimensionError, ParameterError, RmtError
-from .linalg import load_matrix_bin, load_matrix_csv, sample_covariance
+from .linalg import load_matrix_bin, load_matrix_csv, sample_covariance, sample_spectrum
 from .schemas import validate
 from .stieltjes import SpectralModel, density_from_stieltjes, mp_density, mp_support, support_clusters
 from .simulate import FIGURE_IDS, ScenarioSpec, reproduce_figure, run_monte_carlo
@@ -68,19 +68,25 @@ def _parse_atoms(text: str):
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    """The observation matrix in ``path``; refused unless its entries are finite
-    and the sum of their squared moduli, which bounds every Gram entry, is too."""
+    """The observation matrix in ``path``; refused unless its entries are finite,
+    the sum of their squared moduli, which bounds every Gram entry, is finite,
+    and that sum over n, the trace of the Gram, is a normal double: not 0 or
+    subnormal."""
     p = pathlib.Path(path)
     if not p.exists():
         raise UsageError(f"input file not found: {path}")
     y = load_matrix_csv(p) if p.suffix.lower() == ".csv" else load_matrix_bin(p)
     parts = y.view(float).ravel()  # the loaders return C-contiguous arrays
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         energy = float(np.vdot(parts, parts))  # one BLAS pass; nan or inf on a non-finite entry too
     if not math.isfinite(energy):
         if not np.all(np.isfinite(parts)):
             raise ParameterError(f"{path} holds a non-finite entry (nan or inf)")
         raise ParameterError(f"{path} holds entries so large that its sample covariance overflows a double")
+    if energy < np.finfo(float).tiny * y.shape[1]:  # an empty Y passes, for the kernel's shape error
+        if not parts.any():
+            raise ParameterError(f"{path} holds only zeros: its sample covariance is 0")
+        raise ParameterError(f"{path} holds entries so small that its sample covariance underflows a double")
     return y
 
 
@@ -152,7 +158,7 @@ def cmd_estimate(args) -> int:
         raise UsageError(f"bad --mult {args.mult!r}, expected comma-separated integers") from exc
     if len(mult) != args.K:
         raise UsageError("--mult must list K multiplicities")
-    eigs = np.clip(np.linalg.eigvalsh(sample_covariance(y)), 0.0, None)
+    eigs = np.clip(sample_spectrum(y), 0.0, None)
     clusters = ge.clusters_from_gaps(eigs, args.K, mult)
     if args.method == "classical":
         est = ge.classical_estimate(eigs, clusters)
@@ -195,7 +201,7 @@ def cmd_doa(args) -> int:
 
 def cmd_detect(args) -> int:
     y = _load_matrix(args.input)
-    eigs = np.clip(np.linalg.eigvalsh(sample_covariance(y)), 0.0, None)
+    eigs = np.clip(sample_spectrum(y), 0.0, None)
     decision = sp.glrt_test(eigs, y.shape[0], y.shape[1], args.far)
     doc = validate(
         "detect",

@@ -1,16 +1,31 @@
 """Dense complex-matrix substrate: Hermitian eigendecompositions, sample
-covariances, seeded complex Gaussian draws and matrix file round-trips.
+covariances and their spectra, seeded complex Gaussian draws and matrix file
+round-trips.
 
 Matrices are plain ``numpy.ndarray`` objects of dtype complex128; this module
 only adds the validation, conventions (ascending eigenvalues, unit-variance
 proper Gaussians) and reproducible stream handling the estimators rely on.
+
+Every sample covariance and sample spectrum comes from one Hermitian kernel on
+the OpenBLAS bundled with numpy, called through ``ctypes``, which releases the
+GIL: ``zherk`` reads Y where it lies and writes one triangle of (1/n) Y Y^H,
+and LAPACKE's ``zheevd``, the routine ``np.linalg.eigvalsh`` calls, solves that
+triangle in place.  Both come from numpy's own library, not from
+``scipy.linalg.blas``: importing scipy loads a second OpenBLAS with a thread
+pool of its own, and a zherk Gram through it slowed CLI sessions ~40% on a
+2-core host.  Where numpy ships no OpenBLAS, the Gram is one complex product
+and the eigensolve ``np.linalg.eigvalsh``, with the same conventions.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import mmap
 import os
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,7 +36,7 @@ __all__ = [
     "HermitianEigen",
     "hermitian_eig",
     "sample_covariance",
-    "split_gram",
+    "sample_spectrum",
     "complex_gaussian",
     "haar_unitary",
     "save_matrix_csv",
@@ -96,46 +111,148 @@ def hermitian_eig(a) -> HermitianEigen:
     return HermitianEigen(w, v)
 
 
-def sample_covariance(y) -> np.ndarray:
-    """Sample covariance (1/n) Y Y^H of n column observations, via :func:`split_gram`."""
-    y = np.asarray(y, dtype=complex)
+def _observations(y) -> np.ndarray:
+    y = np.ascontiguousarray(y, dtype=complex)
     if y.ndim != 2 or y.shape[0] == 0 or y.shape[1] == 0:
         raise DimensionError(f"expected a nonempty N x n matrix, got shape {y.shape}")
-    ab = np.empty((y.shape[0], 2, y.shape[1]))
-    ab[:, 0], ab[:, 1] = y.real, y.imag
-    return split_gram(ab)
+    return y
 
 
-def split_gram(ab: np.ndarray) -> np.ndarray:
-    """(1/n) Y Y^H from the contiguous (N, 2, n) real split of Y = A + iB
-    (``ab[:, 0] = A``, ``ab[:, 1] = B``).
+def sample_covariance(y) -> np.ndarray:
+    """Sample covariance (1/n) Y Y^H of n column observations.
 
-    With Z = [A B] (the split read as N x 2n), Y Y^H = Z Z^T + i(B A^T - A B^T):
-    one real rank-k product on numpy's syrk path plus one real product, half
-    the flops of the complex product.  The split is contiguous because numpy's
-    product of the strided ``.real``/``.imag`` views is slower.  The result is
-    exactly Hermitian with a real diagonal, which keeps eigh deterministic.
-    Stay on numpy's BLAS: ``scipy.linalg.blas`` starts a second OpenBLAS
-    thread pool, and a zherk Gram through it slowed CLI sessions ~40% on a
-    2-core host.
+    :func:`_gram_into` gives one triangle and the other is its mirror, so the
+    result is exactly Hermitian with a real diagonal, which keeps eigh
+    deterministic; ``np.linalg.eigvalsh`` of it is :func:`sample_spectrum`
+    bit for bit.
     """
-    n_dim = ab.shape[0]
-    return _split_gram(ab, np.empty((n_dim, n_dim), dtype=complex), np.empty((n_dim, n_dim)))
-
-
-def _split_gram(ab: np.ndarray, c: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """:func:`split_gram` into ``c`` (complex N x N, either order), through
-    ``work`` (real N x N), so a loop of equal-sized Grams can reuse both.  It
-    is a function object of its own, so helper threads can call it while an
-    instrumenter wraps the public name on the calling thread."""
-    n_dim, _, n = ab.shape
-    z = ab.reshape(n_dim, 2 * n)
-    np.matmul(z, z.T, out=work)
-    np.divide(work, n, out=c.real)
-    np.matmul(ab[:, 1], ab[:, 0].T, out=work)
-    np.subtract(work, work.T, out=c.imag)
-    np.divide(c.imag, n, out=c.imag)
+    y = _observations(y)
+    n_dim = y.shape[0]
+    c = _gram_into(y, np.empty((n_dim, n_dim), dtype=complex))
+    np.copyto(c, c.conj().T, where=np.tri(n_dim, k=-1, dtype=bool))
     return c
+
+
+def sample_spectrum(y) -> np.ndarray:
+    """Ascending eigenvalues of the sample covariance (1/n) Y Y^H: the bits of
+    ``np.linalg.eigvalsh(sample_covariance(y))``, from one triangle, with no
+    copy of a C-contiguous complex128 Y and no copy of the Gram."""
+    y = _observations(y)
+    n_dim = y.shape[0]
+    return _eigvalsh_into(_gram_into(y, np.empty((n_dim, n_dim), dtype=complex)), np.empty(n_dim))
+
+
+# --- the Hermitian kernel ----------------------------------------------------
+#
+# Helper threads call these private functions: nothing an instrumenter of the
+# calling thread wraps (the public names, ``np.linalg``) runs off that thread,
+# except in the fallbacks, which callers run on one thread.
+
+_ROW_MAJOR, _COL_MAJOR, _UPPER, _NO_TRANS = 101, 102, 121, 111  # CBLAS and LAPACKE codes
+BLOCK_BLAS_THREADS = 1  # a Monte-Carlo block's OpenBLAS threads, where numpy's bundled library allows pinning
+
+
+@functools.cache  # looked up on the first Gram, never at import
+def _numpy_openblas():
+    """The OpenBLAS bundled with numpy, as ``get_threads``, ``set_threads``,
+    ``zherk``, ``zheevd`` (None where the library has no LAPACKE) and its
+    build string ``config``, or None when this numpy build does not ship it.
+    scipy's copy is never used."""
+    import ctypes
+    import glob
+
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "libscipy_openblas64_-*.so")):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded by numpy: the same handle
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            zherk, config = lib.scipy_cblas_zherk64_, lib.scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        # ILP64: blasint and lapack_int are 64-bit, the CBLAS and LAPACKE codes C ints
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        get.restype, get.argtypes = ctypes.c_int, ()
+        put.restype, put.argtypes = None, (ctypes.c_int,)
+        config.restype, config.argtypes = ctypes.c_char_p, ()
+        zherk.restype = None
+        zherk.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.c_int, i64, i64, ctypes.c_double,
+                          ptr, i64, ctypes.c_double, ptr, i64)
+        zheevd = getattr(lib, "scipy_LAPACKE_zheevd64_", None)
+        if zheevd is not None:
+            zheevd.restype = i64
+            zheevd.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr)
+        return SimpleNamespace(get_threads=get, set_threads=put, zherk=zherk, zheevd=zheevd,
+                               config=config().decode("ascii", "replace"))
+    return None
+
+
+def _blas_build() -> dict:
+    """numpy's version and the build string of its bundled OpenBLAS (None
+    where it ships none), as run manifests record them."""
+    blas = _numpy_openblas()
+    return {"numpy": np.__version__, "openblas": blas.config if blas else None}
+
+
+@contextlib.contextmanager
+def _pinned_blas():
+    """Run the body with numpy's bundled OpenBLAS at ``BLOCK_BLAS_THREADS``
+    threads and restore the caller's count after, also when the body raises;
+    a build without that library runs the body unpinned."""
+    blas = _numpy_openblas()
+    if not blas:
+        yield
+        return
+    before = blas.get_threads()
+    blas.set_threads(BLOCK_BLAS_THREADS)
+    try:
+        yield
+    finally:
+        blas.set_threads(before)
+
+
+def _gram_into(y, c):
+    """The upper triangle of (1/n) Y Y^H into ``c``, C-ordered complex N x N,
+    from the C-contiguous complex128 N x n ``y``: one zherk with alpha = 1/n
+    that reads y where it lies, with a real diagonal, and leaves c's strict
+    lower triangle as it was.  Without numpy's OpenBLAS one complex product
+    fills all of c."""
+    n_dim, n = y.shape
+    if not (y.dtype == complex and y.flags.c_contiguous and c.shape == (n_dim, n_dim)
+            and c.dtype == complex and c.flags.c_contiguous):
+        raise ValueError("zherk needs a C-contiguous complex128 Y and a C-ordered complex128 N x N output")
+    blas = _numpy_openblas()
+    if not blas:
+        np.divide(y @ y.conj().T, n, out=c)
+        np.fill_diagonal(c.imag, 0.0)  # the product's diagonal carries rounding in its imaginary parts
+        return c
+    blas.zherk(_ROW_MAJOR, _UPPER, _NO_TRANS, n_dim, n, 1.0 / n, y.ctypes.data, n, 0.0, c.ctypes.data, n_dim)
+    return c
+
+
+def _eigvalsh_into(gram, w):
+    """Ascending eigenvalues of the Hermitian matrix whose upper triangle the
+    C-ordered ``gram`` holds, as :func:`_gram_into` leaves it, into ``w``.
+
+    Read column-major, that triangle is the lower triangle of the conjugate
+    matrix, which has the same eigenvalues: LAPACKE's zheevd (no vectors,
+    lower triangle) solves it in place, the routine and arguments of
+    ``np.linalg.eigvalsh``, so the bits of ``np.linalg.eigvalsh(gram.T)``, its
+    fallback where numpy's library lacks LAPACKE.  Negation is exact and
+    rounding symmetric, so solving the conjugate gives the same bits as
+    ``eigvalsh`` of the mirrored matrix, which the tests check.  Overwrites
+    gram's upper triangle."""
+    n = gram.shape[0]
+    if not (gram.shape == (n, n) and gram.dtype == complex and gram.flags.c_contiguous
+            and w.shape == (n,) and w.dtype == float and w.flags.c_contiguous):
+        raise ValueError("zheevd needs a square C-ordered complex128 matrix and a float64 vector of its size")
+    blas = _numpy_openblas()
+    if not (blas and blas.zheevd):
+        w[:] = np.linalg.eigvalsh(gram.T)
+        return w
+    info = blas.zheevd(_COL_MAJOR, b"N", b"L", n, gram.ctypes.data, n, w.ctypes.data)
+    if info:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (LAPACKE zheevd info {info})")
+    return w
 
 
 def complex_gaussian(n_rows: int, n_cols: int, rng) -> np.ndarray:
@@ -201,6 +318,14 @@ def save_matrix_bin(path, a) -> None:
 
 
 def load_matrix_bin(path) -> np.ndarray:
+    """The matrix in a binary file, as a read-only view of the file's
+    memory-mapped payload: nothing is copied, and nothing read until used.
+
+    The payload starts 20 bytes into the file, so the view is not 8-byte
+    aligned: numpy takes its unaligned loops on it, and zherk reads it with
+    unaligned loads, which the tests check against an aligned copy.  A file
+    truncated by another writer while the view is in use faults the process
+    (SIGBUS) instead of raising."""
     with open(path, "rb") as fh:
         if fh.read(len(_BIN_MAGIC)) != _BIN_MAGIC:
             raise ParameterError("not a matrix binary file (bad magic)")
@@ -210,8 +335,10 @@ def load_matrix_bin(path) -> np.ndarray:
         rows, cols = _BIN_HEADER.unpack(header)
         if rows < 0 or cols < 0:
             raise DimensionError(f"binary matrix file has negative dims {rows} x {cols}")
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        offset = fh.tell()
+        payload = os.fstat(fh.fileno()).st_size - offset
         if payload != 16 * rows * cols:
             raise DimensionError(f"binary payload of {payload} bytes does not match dims {rows} x {cols}")
-        data = np.fromfile(fh, dtype="<c16", count=rows * cols)
-    return data.astype(complex, copy=False).reshape(rows, cols)
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)  # the file checked above; it outlives fh
+    data = np.frombuffer(mapped, dtype="<c16", count=rows * cols, offset=offset).reshape(rows, cols)
+    return data.astype(complex, copy=False)

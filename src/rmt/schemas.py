@@ -9,6 +9,7 @@ from __future__ import annotations
 
 NUMBER = (int, float)
 COUNT_OR_NONE = (int, type(None))  # a count that may be missing, e.g. an unpinned BLAS thread count
+TEXT_OR_NONE = (str, type(None))  # a build string that may be missing, e.g. where numpy bundles no OpenBLAS
 
 SCHEMAS: dict = {
     "estimate": {
@@ -49,6 +50,8 @@ SCHEMAS: dict = {
         "streams": str,
         "blas_threads": COUNT_OR_NONE,
         "workers": int,
+        "numpy": str,  # numpy's version
+        "openblas": TEXT_OR_NONE,  # the build string of numpy's bundled OpenBLAS
     },
     # the manifest ``rmt reproduce`` writes beside the curve files
     "manifest": {
@@ -57,6 +60,8 @@ SCHEMAS: dict = {
         "scale": str,
         "workers": int,
         "blas_threads": COUNT_OR_NONE,
+        "numpy": str,
+        "openblas": TEXT_OR_NONE,
         "specs": (list, dict),  # one scenario JSON per Monte-Carlo run, in run order
         "bindings": (list, str),  # the class name of each run's binding, in the same order
         "build": str,

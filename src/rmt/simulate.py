@@ -13,16 +13,16 @@ pickled with it), the population parameters that bindings read;
 ``draw(spec, state, g)`` returns one trial's Y and ``binding(spec)`` is ``rmt
 simulate``'s default.
 ``spectra(spec, state, trials)`` returns the eigenvalues of (1/n) Y Y^H for a
-block of trials, one row per trial.  Its shared default draws Y and forms the
-Gram per trial; ``mp-null``, ``spike`` and ``masses`` never build the complex
-Y (``masses`` skips its Haar rotation) and run a block as two identical lanes:
-the calling thread and one helper each take the next trial, draw it, form its
-Gram and solve it in their own buffers.  The eigensolve is LAPACKE's zheevd
-from numpy's OpenBLAS, called through ``ctypes`` without the GIL, and gives
-the bits of ``np.linalg.eigvalsh``; where numpy's library lacks it, the block
-runs as one lane on ``np.linalg.eigvalsh``.  Bindings that read only the
-spectrum define ``per_spectrum`` and are served by this hook on the calling
-thread; the others define ``per_trial`` and get each trial's Y.
+block of trials, one row per trial, all through the Hermitian kernel of
+:mod:`rmt.linalg` (zherk, then zheevd).  Its shared default draws Y and calls
+:func:`~rmt.linalg.sample_spectrum` per trial; ``mp-null``, ``spike`` and
+``masses`` (which skips its Haar rotation) run a block as two identical lanes:
+the calling thread and one helper each take the next trial, draw its Y into a
+buffer of their own with the bits ``draw`` gives, and run the kernel on it.
+The kernel's ``ctypes`` calls release the GIL; where numpy's library lacks
+LAPACKE, the block runs as one lane on ``np.linalg.eigvalsh``.  Bindings that
+read only the spectrum define ``per_spectrum`` and are served by this hook on
+the calling thread; the others define ``per_trial`` and get each trial's Y.
 
 Every block, serial or in a pool worker, runs with numpy's bundled OpenBLAS
 pinned to one thread and restores the caller's count afterwards, so results
@@ -33,8 +33,6 @@ ran a trial.  A numpy build without that library runs unpinned, and
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import json
 import math
 import numbers
@@ -46,7 +44,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import RngStream, _split_gram, complex_gaussian, haar_unitary, sample_covariance
+from .linalg import (BLOCK_BLAS_THREADS, RngStream, _blas_build, _eigvalsh_into, _gram_into, _numpy_openblas,
+                     _pinned_blas, complex_gaussian, haar_unitary, sample_covariance, sample_spectrum)
 from . import gestimation as ge
 from . import spikes as sp
 from .doa import SteeringModel, estimate_doa, steering_matrix
@@ -103,28 +102,12 @@ class ObservationModel:
 
     def spectra(self, spec, s, trials):
         """A (len(trials), N) array whose row i holds the ascending eigenvalues
-        of (1/n) Y Y^H at trial ``trials[i]``; this default draws Y and forms
-        its Gram, which every model supports."""
+        of (1/n) Y Y^H at trial ``trials[i]``; this default draws Y and takes
+        its spectrum, which every model supports."""
         out = np.empty((len(trials), spec.n_dim))
         for i, t in enumerate(trials):
-            y = self.draw(spec, s, spec.stream(t).generator())
-            out[i] = np.linalg.eigvalsh(sample_covariance(y))
+            out[i] = sample_spectrum(self.draw(spec, s, spec.stream(t).generator()))
         return out
-
-
-def _eigvalsh_into(zheevd, gram, w):
-    """Ascending eigenvalues of the Hermitian, Fortran-ordered ``gram`` into
-    ``w``, through LAPACKE's zheevd (no vectors, lower triangle): the LAPACK
-    routine and arguments of ``np.linalg.eigvalsh``, so the same bits, but
-    ``ctypes`` drops the GIL for the call.  Overwrites gram's lower triangle."""
-    n = gram.shape[0]
-    if not (gram.shape == (n, n) and gram.dtype == complex and gram.flags.f_contiguous
-            and w.shape == (n,) and w.dtype == float and w.flags.c_contiguous):
-        raise ValueError("zheevd needs a square Fortran-ordered complex128 matrix and a float64 vector of its size")
-    info = zheevd(_LAPACK_COL_MAJOR, b"N", b"L", n, gram.ctypes.data, n, w.ctypes.data)
-    if info:
-        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (LAPACKE zheevd info {info})")
-    return w
 
 
 def _gaussian_spectra(spec, trials, scale=None, skip=0):
@@ -134,13 +117,13 @@ def _gaussian_spectra(spec, trials, scale=None, skip=0):
     Each trial draws what :func:`complex_gaussian` draws, in its order, after
     skipping ``skip`` x ``skip`` complex Gaussians, and scales the parts as
     ``scale * complex_gaussian(...)`` does (times sqrt(1/2), then ``scale``),
-    chunk by chunk straight into the real split the Gram kernel reads: Y
-    itself is never built.
+    chunk by chunk straight into an interleaved complex Y: the bits ``draw``
+    gives, with no temporary of Y's size.
 
     :data:`BLOCK_LANES` lanes, this thread and helpers, each take the next
-    trial index under a lock, then draw, form the Gram and solve in buffers of
-    their own, and write row i of the result; a lane's work depends only on
-    its trial's stream, so the rows do not depend on which lane ran them.  The
+    trial index under a lock, then draw and run the kernel in buffers of their
+    own, and write row i of the result; a lane's work depends only on its
+    trial's stream, so the rows do not depend on which lane ran them.  The
     lanes call private kernels only, nothing an instrumenter of the calling
     thread wraps (public rmt functions, ``np.linalg``).  Without LAPACKE the
     eigensolve is ``np.linalg.eigvalsh``, which holds the GIL, and the block
@@ -149,14 +132,13 @@ def _gaussian_spectra(spec, trials, scale=None, skip=0):
     """
     n_dim, n = spec.n_dim, spec.n_samples
     out = np.empty((len(trials), n_dim))
-    openblas = _numpy_openblas()
-    zheevd = openblas.zheevd if openblas else None
+    blas = _numpy_openblas()
     rows, half = max(1, DRAW_CHUNK // n), np.sqrt(0.5)
     lock, order, failed = threading.Lock(), iter(range(len(trials))), []
 
     def lane():
-        ab, chunk = np.empty((n_dim, 2, n)), np.empty((rows, n))
-        gram, work = np.empty((n_dim, n_dim), dtype=complex, order="F"), np.empty((n_dim, n_dim))
+        y, chunk = np.empty((n_dim, n), dtype=complex), np.empty((rows, n))
+        gram = np.empty((n_dim, n_dim), dtype=complex)
         flat = chunk.reshape(-1)
         while True:
             with lock:
@@ -167,24 +149,21 @@ def _gaussian_spectra(spec, trials, scale=None, skip=0):
                 g = spec.stream(trials[i]).generator()
                 for left in range(2 * skip * skip, 0, -flat.size):
                     g.standard_normal(out=flat[:left])
-                for part in range(2):  # every real part, then every imaginary part, in one stream
+                for part in (y.real, y.imag):  # every real part, then every imaginary part, in one stream
                     for r in range(0, n_dim, rows):
                         x = chunk[:n_dim - r]
                         g.standard_normal(out=x)
-                        y = ab[r:r + len(x), part]
-                        np.multiply(x, half, out=y)
+                        rows_y = part[r:r + len(x)]
+                        np.multiply(x, half, out=rows_y)
                         if scale is not None:
-                            np.multiply(y, scale[r:r + len(x)], out=y)
-                _split_gram(ab, gram, work)
-                if zheevd:
-                    _eigvalsh_into(zheevd, gram, out[i])
-                else:
-                    out[i] = np.linalg.eigvalsh(gram)
+                            np.multiply(rows_y, scale[r:r + len(x)], out=rows_y)
+                _eigvalsh_into(_gram_into(y, gram), out[i])
             except BaseException as exc:  # re-raised on the calling thread, once every lane has stopped
                 failed.append(exc)
                 return
 
-    helpers = [threading.Thread(target=lane) for _ in range(min(BLOCK_LANES if zheevd else 1, len(trials)) - 1)]
+    lanes = BLOCK_LANES if blas and blas.zheevd else 1
+    helpers = [threading.Thread(target=lane) for _ in range(min(lanes, len(trials)) - 1)]
     for h in helpers:
         h.start()
     try:
@@ -411,7 +390,8 @@ def generate_trial(spec: ScenarioSpec, trial: int):
 @dataclass(frozen=True)
 class McSummary:
     """One run's records and aggregates, with the BLAS thread count its blocks
-    ran at (None when this numpy build could not be pinned) and its worker count."""
+    ran at (None when this numpy build could not be pinned) and its worker
+    count; its ``seed_manifest`` adds the numpy and OpenBLAS builds."""
 
     spec: ScenarioSpec
     records: tuple
@@ -423,57 +403,11 @@ class McSummary:
     @property
     def seed_manifest(self) -> dict:
         return {"seed": self.spec.seed, "streams": f"(seed, trial) for trial < {self.spec.trials}",
-                "blas_threads": self.blas_threads, "workers": self.workers}
+                "blas_threads": self.blas_threads, "workers": self.workers, **_blas_build()}
 
 
-BLOCK_BLAS_THREADS = 1  # a block's OpenBLAS thread count, wherever numpy's bundled library allows pinning it
 BLOCK_LANES = 2  # threads, the caller's included, that run a spectrum-only block's trials
 DRAW_CHUNK = 16384  # normals per draw call (128 KB), so a lane's draw buffer stays in cache
-_LAPACK_COL_MAJOR = 102
-
-
-@functools.cache  # looked up on the first block, never at import
-def _numpy_openblas():
-    """The OpenBLAS bundled with numpy, as ``get_threads``, ``set_threads``
-    and ``zheevd`` (None where the library has no LAPACKE), or None when this
-    numpy build does not ship it.  scipy's copy is never used."""
-    import ctypes
-    import glob
-    import os
-
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                       "libscipy_openblas64_-*.so")):
-        try:
-            lib = ctypes.CDLL(path)  # already loaded by numpy: the same handle
-            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.restype, get.argtypes = ctypes.c_int, ()
-        put.restype, put.argtypes = None, (ctypes.c_int,)
-        zheevd = getattr(lib, "scipy_LAPACKE_zheevd64_", None)
-        if zheevd is not None:  # ILP64: lapack_int is 64-bit
-            zheevd.restype = ctypes.c_int64
-            zheevd.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                               ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
-        return SimpleNamespace(get_threads=get, set_threads=put, zheevd=zheevd)
-    return None
-
-
-@contextlib.contextmanager
-def _pinned_blas():
-    """Run the body with numpy's bundled OpenBLAS at :data:`BLOCK_BLAS_THREADS`
-    and restore the caller's count after, also when the body raises; a build
-    without that library runs the body unpinned."""
-    blas = _numpy_openblas()
-    if not blas:
-        yield
-        return
-    before = blas.get_threads()
-    blas.set_threads(BLOCK_BLAS_THREADS)
-    try:
-        yield
-    finally:
-        blas.set_threads(before)
 
 
 def _run_block(args):
@@ -627,8 +561,8 @@ class DetectionRocBinding:
         x = complex_gaussian(1, n_samples, g)
         w = complex_gaussian(n_dim, n_samples, g)
         y_alt = np.outer(h, np.ones(n_samples)) * x + sigma * w
-        e_null = np.linalg.eigvalsh(sample_covariance(sigma * y))
-        e_alt = np.linalg.eigvalsh(sample_covariance(y_alt))
+        e_null = sample_spectrum(sigma * y)
+        e_alt = sample_spectrum(y_alt)
         return {
             "glrt_null": sp.glrt_statistic(e_null),
             "glrt_alt": sp.glrt_statistic(e_alt),
@@ -846,8 +780,8 @@ def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: in
     ``manifest`` entry recording the specs of the Monte-Carlo runs in run
     order, the class name of each run's binding in the same order, the worker
     count and the BLAS thread count of those runs (None when the figure runs
-    none or the build could not be pinned).  The curve step runs at that
-    pinned count too.  The seed must lie in [0, 2**64 - 1] even when the
+    none or the build could not be pinned), and the numpy and OpenBLAS builds.
+    The curve step runs at that pinned count too.  The seed must lie in [0, 2**64 - 1] even when the
     figure runs no Monte Carlo.
     """
     if figure_id not in FIGURES:
@@ -863,6 +797,6 @@ def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: in
     with _pinned_blas():
         curves = figure.curves(specs, [run.aggregates for run in runs])
     return {"manifest": {"figure": figure_id, "seed": seed, "scale": scale, "workers": workers,
-                         "blas_threads": runs[-1].blas_threads if runs else None,
+                         "blas_threads": runs[-1].blas_threads if runs else None, **_blas_build(),
                          "specs": [json.loads(spec.to_json()) for spec in specs],
                          "bindings": [type(binding).__name__ for binding in bindings]}, **curves}

@@ -5,13 +5,14 @@ import pathlib
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rmt
 from rmt.cli import _parse_grid, _write_csv, main
-from rmt.linalg import RngStream, complex_gaussian, load_matrix_csv, save_matrix_csv
+from rmt.linalg import RngStream, _blas_build, complex_gaussian, load_matrix_csv, save_matrix_bin, save_matrix_csv
 from rmt.schemas import validate
 from rmt.simulate import ScenarioSpec, generate_trial
 
@@ -34,7 +35,7 @@ def test_import_path_loads_no_scipy_pool_or_subprocess():
         "or m in ('concurrent.futures.process', 'concurrent.futures.thread', 'multiprocessing.pool', "
         "'multiprocessing.dummy'))); "
         # neither the import nor a binding's construction looks the BLAS library up
-        "rmt.simulate.EigBinding('mp-null'); print(rmt.simulate._numpy_openblas.cache_info().currsize)"
+        "rmt.simulate.EigBinding('mp-null'); print(rmt.linalg._numpy_openblas.cache_info().currsize)"
     )
     src = str(pathlib.Path(rmt.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60)
@@ -403,6 +404,44 @@ def test_observation_matrix_is_refused_unless_finite(tmp_path, entry, message):
         assert out.stderr == f"error: {y_path} {message}\n", (argv, out.stderr)
 
 
+@pytest.mark.parametrize("scale, message", [
+    (1e-200, "holds entries so small that its sample covariance underflows a double"),
+    # sum |y|^2 is about 9e-308, a normal double, but the Gram's trace, that sum over n = 40, is subnormal
+    (2e-155, "holds entries so small that its sample covariance underflows a double"),
+    (0.0, "holds only zeros: its sample covariance is 0"),
+], ids=["tiny", "trace-subnormal", "zero"])
+def test_observation_matrix_is_refused_when_its_covariance_underflows(tmp_path, scale, message):
+    # entries of 1e-200 made localize report an extreme eigenvalue of 0.0 and estimate a P_hat of [0.0],
+    # both with exit 0, while detect and doa refused with messages that named no cause
+    y_path, model_path = _localize_files(tmp_path, [1.0, 1.0, 1.0])
+    save_matrix_csv(y_path, scale * load_matrix_csv(y_path))
+    for argv in (("estimate", "--K", "1", "--mult", "6"), ("detect", "--far", "0.01"), ("doa", "--K", "1"),
+                 ("localize", "--model", str(model_path))):
+        out = _run_as_process(argv[0], "--input", str(y_path), *argv[1:])
+        assert (out.returncode, out.stdout) == (1, ""), argv
+        assert out.stderr == f"error: {y_path} {message}\n", (argv, out.stderr)
+
+
+def test_estimate_maps_its_input_and_copies_no_matrix_of_its_size(tmp_path):
+    # the 14.4 MB input is read through a memory map, and the spectrum is taken
+    # from Y where it lies: the traced peak is the 1.4 MB Gram and small change
+    spec = ScenarioSpec("masses", 300, 3000, 1, 3, {"atoms": [(1.0, 100), (3.0, 100), (7.0, 100)]})
+    path, out = tmp_path / "y.bin", tmp_path / "estimate.json"
+    save_matrix_bin(path, generate_trial(spec, 0)[0])
+    argv = ["estimate", "--input", str(path), "--K", "3", "--mult", "100,100,100", "--check-separation",
+            "--out", str(out)]
+    assert run_cli(*argv) == 0  # warm-up: lazy imports and the BLAS library lookup
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    p_hat = json.loads(out.read_text())["P_hat"]
+    assert max(abs(p - t) / t for p, t in zip(p_hat, (1.0, 3.0, 7.0))) < 0.03
+
+
 @pytest.mark.parametrize("key", ["H", "T", "alphas"])
 def test_localize_model_missing_key_is_runtime_error(tmp_path, capsys, key):
     g = RngStream(8).generator()
@@ -460,6 +499,7 @@ def test_reproduce_fig2_bundle(tmp_path):
     validate("manifest", manifest)
     assert manifest["figure"] == "fig2"
     assert (manifest["workers"], manifest["blas_threads"]) == (1, None)  # fig2 runs no Monte Carlo
+    assert {key: manifest[key] for key in ("numpy", "openblas")} == _blas_build()
     assert manifest["specs"] == manifest["bindings"] == []
     assert manifest["files"]
     for name in manifest["files"]:
@@ -481,6 +521,7 @@ def test_simulate_command_reproducible(tmp_path):
     for doc, workers in ((a, 1), (b, 2)):
         manifest = validate("seed_manifest", doc["seed_manifest"])
         assert manifest["workers"] == workers and manifest["blas_threads"] in (None, 1)
+        assert {key: manifest[key] for key in ("numpy", "openblas")} == _blas_build()
     assert a["seed_manifest"]["blas_threads"] == b["seed_manifest"]["blas_threads"]
 
 

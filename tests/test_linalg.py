@@ -1,17 +1,21 @@
+import mmap
 import struct
 
 import numpy as np
 import pytest
 
+import rmt.linalg as linalg
 from rmt.errors import DimensionError, ParameterError
 from rmt.linalg import (
     RngStream,
+    _gram_into,
     complex_gaussian,
     haar_unitary,
     hermitian_eig,
     load_matrix_bin,
     load_matrix_csv,
     sample_covariance,
+    sample_spectrum,
     save_matrix_bin,
     save_matrix_csv,
 )
@@ -178,6 +182,60 @@ def test_sample_covariance_accepts_real_and_strided_input():
         assert np.max(np.abs(sample_covariance(x) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+# --- the Hermitian kernel, on numpy's OpenBLAS and on its fallback ---------------
+
+
+@pytest.fixture(params=["openblas", "fallback"])
+def library(request, monkeypatch):
+    """Run a test on numpy's bundled OpenBLAS, then on the route taken where numpy ships none."""
+    if request.param == "fallback":
+        monkeypatch.setattr(linalg, "_numpy_openblas", lambda: None)
+    elif linalg._numpy_openblas() is None:
+        pytest.skip("this numpy build does not bundle OpenBLAS")
+    return request.param
+
+
+def complex_product_spectrum(y):
+    """The oracle: eigvalsh of the complex product."""
+    return np.linalg.eigvalsh(y @ y.conj().T / y.shape[1])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (12, 5), (64, 200), (256, 768), (300, 3000)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_sample_spectrum_matches_the_complex_product(shape, library):
+    y = complex_gaussian(*shape, RngStream(32, shape[0] * 10_000 + shape[1]))
+    want = complex_product_spectrum(y)
+    got = sample_spectrum(y)
+    assert got.shape == want.shape and np.all(np.diff(got) >= 0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * want[-1]
+    # the eigenvector paths' covariance gives the same spectrum, bit for bit
+    assert got.tobytes() == np.linalg.eigvalsh(sample_covariance(y)).tobytes()
+
+
+def test_sample_spectrum_accepts_real_and_strided_input(library):
+    y = complex_gaussian(6, 20, RngStream(4))
+    for x in (y[:, ::2], y.T[::2].T, y.real, np.asfortranarray(y)):
+        want = complex_product_spectrum(x.astype(complex))
+        assert np.max(np.abs(sample_spectrum(x) - want)) <= 1e-13 * want[-1]
+    with pytest.raises(DimensionError):
+        sample_spectrum(np.empty((3, 0)))
+
+
+def test_sample_covariance_stays_exactly_hermitian(library):
+    y = complex_gaussian(30, 12, RngStream(6))
+    got = sample_covariance(y)
+    assert np.array_equal(got, got.conj().T) and np.all(np.diagonal(got).imag == 0)
+    want = y @ y.conj().T / 12
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_gram_kernel_refuses_a_layout_it_cannot_read():
+    y, c = complex_gaussian(4, 6, RngStream(7)), np.empty((4, 4), dtype=complex)
+    for bad_y, bad_c in ((y.real.copy(), c), (np.asfortranarray(y), c), (y, c[:3, :3]), (y, np.empty((4, 4)))):
+        with pytest.raises(ValueError, match="C-contiguous complex128"):
+            _gram_into(bad_y, bad_c)
+
+
 def test_complex_gaussian_bit_identical_to_two_draws():
     g = RngStream(77, 3).generator()
     re = g.standard_normal((256, 768))
@@ -201,6 +259,36 @@ def test_matrix_roundtrip_byte_exact_on_special_values(tmp_path, save, load, nam
     b = load(tmp_path / name)
     assert b.dtype == np.complex128 and b.shape == a.shape
     assert b.tobytes() == a.tobytes()
+
+
+def test_matrix_bin_loads_as_a_read_only_map(tmp_path):
+    a = complex_gaussian(17, 4, RngStream(2))
+    path = tmp_path / "m.bin"
+    save_matrix_bin(path, a)
+    b = load_matrix_bin(path)
+    assert b.dtype == np.complex128 and b.flags.c_contiguous and not b.flags.writeable
+    base = b
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base.obj, mmap.mmap)  # a view of the mapped file, not a copy
+    with pytest.raises(ValueError, match="read-only"):
+        b[0, 0] = 0
+    assert b.tobytes() == a.tobytes()
+    save_matrix_bin(path, np.empty((0, 3)))
+    assert load_matrix_bin(path).shape == (0, 3)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (9, 1), (12, 5), (64, 200), (300, 3000)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_kernel_reads_the_unaligned_map_as_an_aligned_copy(tmp_path, shape, library):
+    # the payload sits 20 bytes into the file, so the mapped view is not 8-byte aligned
+    a = complex_gaussian(*shape, RngStream(5, shape[0]))
+    path = tmp_path / "m.bin"
+    save_matrix_bin(path, a)
+    b = load_matrix_bin(path)
+    assert not b.flags.aligned and a.flags.aligned
+    assert sample_spectrum(b).tobytes() == sample_spectrum(a).tobytes()
+    assert sample_covariance(b).tobytes() == sample_covariance(a).tobytes()
 
 
 def test_matrix_bin_layout_is_interleaved_float64(tmp_path):

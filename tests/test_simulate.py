@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from rmt.errors import ParameterError
+import rmt.linalg as linalg
 import rmt.simulate as simulate
-from rmt.linalg import sample_covariance, split_gram
+from rmt.linalg import _eigvalsh_into, _numpy_openblas, sample_covariance
 from rmt.spikes import glrt_test
 from rmt.simulate import (
     BLOCK_BLAS_THREADS,
@@ -29,8 +30,6 @@ from rmt.simulate import (
     histogram,
     reproduce_figure,
     run_monte_carlo,
-    _eigvalsh_into,
-    _numpy_openblas,
 )
 
 MASSES = ScenarioSpec("masses", 30, 120, 4, seed=5, params={"atoms": [(1.0, 10), (3.0, 10), (7.0, 10)]})
@@ -320,16 +319,18 @@ def two_blas_threads():
 
 
 def _inline_spectra(spec, trials):
-    """The serial route: draw, scaled split copy, split_gram, eigvalsh, one trial at a time."""
+    """The serial route: draw, scale, sample_covariance, eigvalsh, one trial at a time."""
     s, out = spec.state, []
     skip = spec.n_dim if spec.kind == "masses" else 0
     for t in trials:
         g = spec.stream(t).generator()
         g.standard_normal((2, skip, skip))
-        ab = g.standard_normal((2, spec.n_dim, spec.n_samples)).transpose(1, 0, 2) * np.sqrt(0.5)
+        parts = g.standard_normal((2, spec.n_dim, spec.n_samples)) * np.sqrt(0.5)
         if spec.kind != "mp-null":
-            ab = ab * s.scale[:, :, None]
-        out.append(np.linalg.eigvalsh(split_gram(np.ascontiguousarray(ab))))
+            parts = parts * s.scale
+        y = np.empty((spec.n_dim, spec.n_samples), dtype=complex)
+        y.real, y.imag = parts
+        out.append(np.linalg.eigvalsh(sample_covariance(y)))
     return out
 
 
@@ -338,10 +339,10 @@ def _lane_threads(monkeypatch, late_helper=False):
     ``late_helper``, each lane's Grams wait (up to 10 s) until the other lane
     has started one, and the helper's Grams then start 5 ms late: both lanes
     take trials, and short trials finish out of order."""
-    seen, kernel, caller = [], simulate._split_gram, threading.get_ident()
+    seen, kernel, caller = [], simulate._gram_into, threading.get_ident()
     entered = {True: threading.Event(), False: threading.Event()}  # keyed by "on the calling thread"
 
-    def recorded(ab, c, work):
+    def recorded(y, c):
         seen.append(threading.get_ident())
         if late_helper:
             on_caller = seen[-1] == caller
@@ -349,9 +350,9 @@ def _lane_threads(monkeypatch, late_helper=False):
             entered[not on_caller].wait(10)
             if not on_caller:
                 time.sleep(0.005)
-        return kernel(ab, c, work)
+        return kernel(y, c)
 
-    monkeypatch.setattr(simulate, "_split_gram", recorded)
+    monkeypatch.setattr(simulate, "_gram_into", recorded)
     return seen
 
 
@@ -427,7 +428,12 @@ def test_lanes_call_nothing_instrumentable_off_the_calling_thread(spec, binding,
     if library != "lapacke":
         # without LAPACKE the block solves with np.linalg.eigvalsh, so in one lane
         fake = None if library == "no-openblas" else SimpleNamespace(**dict(vars(OPENBLAS), zheevd=None))
-        monkeypatch.setattr(simulate, "_numpy_openblas", lambda: fake)
+        _use_library(monkeypatch, fake)
+        if fake is None:
+            # a complex product replaces zherk, so the Gram's rounding differs from the records above;
+            # the serial route's mirrored covariance and np.linalg.eigvalsh give the reference
+            trials = range(spec.trials)
+            want = [binding.per_spectrum(spec, t, eigs) for t, eigs in zip(trials, _inline_spectra(spec, trials))]
     seen = _lane_threads(monkeypatch, late_helper=library == "lapacke")
     off = _guard_instrumentable(monkeypatch)
     got = run_monte_carlo(spec, binding)
@@ -452,9 +458,16 @@ def test_a_lane_error_propagates_and_leaves_no_thread(two_blas_threads, monkeypa
         assert threading.active_count() == threads and two_blas_threads() == 2
 
 
+def _use_library(monkeypatch, fake):
+    """Make the kernel and the lanes see ``fake`` as numpy's OpenBLAS."""
+    for module in (linalg, simulate):
+        monkeypatch.setattr(module, "_numpy_openblas", lambda: fake)
+
+
 def _gram(n_dim, n_samples, seed, scale=None):
-    ab = np.random.default_rng(seed).standard_normal((n_dim, 2, n_samples))
-    return split_gram(ab if scale is None else ab * scale[:, :, None])
+    parts = np.random.default_rng(seed).standard_normal((2, n_dim, n_samples))
+    y = parts[0] + 1j * parts[1]
+    return sample_covariance(y if scale is None else scale * y)
 
 
 @needs_lapacke
@@ -466,21 +479,24 @@ def _gram(n_dim, n_samples, seed, scale=None):
     _gram(48, 160, 3, np.sqrt(np.repeat([1.0, 3.0, 7.0], 16))[:, None]),  # masses-scaled
 ], ids=["1x1", "singular-c2.4", "2I", "256x768", "masses"])
 def test_lapacke_eigvalsh_equals_numpy_bit_for_bit(gram):
-    w = _eigvalsh_into(OPENBLAS.zheevd, np.asfortranarray(gram), np.empty(gram.shape[0]))
-    assert w.tobytes() == np.linalg.eigvalsh(gram).tobytes()
+    # zheevd reads the upper triangle column-major, as the lower triangle of
+    # the conjugate; eigvalsh reads the mirrored lower triangle: the same bits
+    w = _eigvalsh_into(gram.copy(), np.empty(gram.shape[0]))
+    assert w.tobytes() == np.linalg.eigvalsh(gram).tobytes() == np.linalg.eigvalsh(gram.T).tobytes()
 
 
 @needs_lapacke
-def test_lapacke_eigvalsh_raises_on_a_nonzero_info():
-    nan = np.full((3, 3), np.nan, dtype=complex, order="F")
-    for solve in (np.linalg.eigvalsh, lambda a: _eigvalsh_into(OPENBLAS.zheevd, a, np.empty(3))):
+def test_lapacke_eigvalsh_raises_on_a_nonzero_info(monkeypatch):
+    nan = np.full((3, 3), np.nan, dtype=complex)
+    for solve in (np.linalg.eigvalsh, lambda a: _eigvalsh_into(a, np.empty(3))):
         with pytest.raises(np.linalg.LinAlgError):
-            solve(nan.copy(order="F"))
+            solve(nan.copy())
+    for gram, w in ((np.eye(3, dtype=complex, order="F"), np.empty(3)), (np.eye(3, dtype=complex), np.empty(4))):
+        with pytest.raises(ValueError, match="C-ordered"):  # a Fortran-ordered Gram, a short output
+            _eigvalsh_into(gram, w)
+    _use_library(monkeypatch, SimpleNamespace(**dict(vars(OPENBLAS), zheevd=lambda *args: 2)))
     with pytest.raises(np.linalg.LinAlgError, match="info 2"):
-        _eigvalsh_into(lambda *args: 2, np.eye(3, dtype=complex, order="F"), np.empty(3))
-    for gram, w in ((np.eye(3, dtype=complex), np.empty(3)), (np.eye(3, dtype=complex, order="F"), np.empty(4))):
-        with pytest.raises(ValueError, match="Fortran-ordered"):  # a C-ordered Gram, a short output
-            _eigvalsh_into(OPENBLAS.zheevd, gram, w)
+        _eigvalsh_into(np.eye(3, dtype=complex), np.empty(3))
 
 
 class _RaiseOnTrial3(EigBinding):
@@ -529,6 +545,29 @@ def test_worker_count_invariance_where_openblas_threads(spec, two_blas_threads):
     assert (one.blas_threads, one.workers, two.blas_threads, two.workers) == (BLOCK_BLAS_THREADS, 1, BLOCK_BLAS_THREADS, 2)
     assert two.seed_manifest["workers"] == 2 and two.seed_manifest["blas_threads"] == BLOCK_BLAS_THREADS
     assert one.aggregates["all_eigs"].tobytes() == two.aggregates["all_eigs"].tobytes()
+
+
+@pytest.mark.parametrize("spec, binding", [
+    (ScenarioSpec("mp-null", 4, 8, 37, 9, {"snr_db": 0.0}), DetectionRocBinding()),
+    (ScenarioSpec("iid-channel", 12, 40, 37, 10, {"powers": [0.5, 2.0], "multiplicities": [2, 2], "snr_db": 6.0}),
+     PowerNmseBinding()),
+], ids=["detection-roc", "iid-channel"])
+def test_kernel_bindings_worker_count_invariance(spec, binding):
+    # per-trial spectra and the default spectra hook run the same kernel in pool blocks
+    one = run_monte_carlo(spec, binding, workers=1)
+    two = run_monte_carlo(spec, binding, workers=2)
+    assert _same_records(one.records, two.records)
+    for key, value in one.aggregates.items():
+        assert np.asarray(value).tobytes() == np.asarray(two.aggregates[key]).tobytes()
+
+
+def test_manifests_record_the_numpy_and_openblas_builds():
+    want = {"numpy": np.__version__, "openblas": None if OPENBLAS is None else OPENBLAS.config}
+    assert OPENBLAS is None or OPENBLAS.config.startswith("OpenBLAS ")
+    manifest = run_monte_carlo(ScenarioSpec("mp-null", 4, 8, 2, 1), EigBinding("mp-null")).seed_manifest
+    assert {key: manifest[key] for key in want} == want
+    manifest = reproduce_figure("fig2", seed=1)["manifest"]
+    assert {key: manifest[key] for key in want} == want
 
 
 def test_gestimator_binding_aggregates():
