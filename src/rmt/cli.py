@@ -158,6 +158,8 @@ def cmd_estimate(args) -> int:
         raise UsageError(f"bad --mult {args.mult!r}, expected comma-separated integers") from exc
     if len(mult) != args.K:
         raise UsageError("--mult must list K multiplicities")
+    if min(mult) < 1:
+        raise UsageError(f"bad --mult {args.mult!r}, every multiplicity must be at least 1")
     eigs = np.clip(sample_spectrum(y), 0.0, None)
     clusters = ge.clusters_from_gaps(eigs, args.K, mult)
     if args.method == "classical":

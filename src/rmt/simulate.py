@@ -3,9 +3,11 @@ suite.
 
 A :class:`ScenarioSpec` freezes one experiment (observation model, dimensions,
 trial count, seed); :func:`generate_trial` draws the trial-indexed observation
-matrix Y, and :func:`run_monte_carlo` maps a binding over all trials, reducing
-per-trial records into aggregates.  Trials use independent counter-based
-streams keyed (seed, trial), so results are bit-identical for any worker count.
+matrix Y, and :func:`run_monte_carlo` maps a binding over all trials, stacks
+each value the binding records per trial into one column (a numpy array with
+the trial axis first) and reduces the columns into aggregates.  Trials use
+independent counter-based streams keyed (seed, trial), so results are
+bit-identical for any worker count.
 
 Each observation model is one class in :data:`MODELS`: ``setup(spec, params)``
 validates the parameters once and builds ``spec.state`` (made with the spec and
@@ -98,7 +100,8 @@ def _snr_sigma(p: dict) -> float:
 
 
 class ObservationModel:
-    """Shared base of the observation models."""
+    """Shared base of the observation models; ``params`` names every key of
+    ``spec.params`` the model and its default binding read."""
 
     def spectra(self, spec, s, trials):
         """A (len(trials), N) array whose row i holds the ascending eigenvalues
@@ -180,6 +183,8 @@ class MpNullModel(ObservationModel):
     """Y with i.i.d. unit-variance proper Gaussian entries; an optional
     ``snr_db`` sets the noise level of :class:`DetectionRocBinding`."""
 
+    params = ("snr_db",)
+
     def setup(self, spec, p):
         return SimpleNamespace(sigma=_snr_sigma(p) if "snr_db" in p else 1.0)
 
@@ -196,6 +201,8 @@ class MpNullModel(ObservationModel):
 class MassesModel(ObservationModel):
     """y_t = U x_t, U Haar per trial, x_t Gaussian with the diagonal covariance
     of ``atoms=[(value, multiplicity), ...]``."""
+
+    params = ("atoms",)
 
     def setup(self, spec, p):
         atoms = _items(p.get("atoms"), "masses atoms")
@@ -224,6 +231,8 @@ class MassesModel(ObservationModel):
 class SpikeModel(ObservationModel):
     """Y = T^(1/2) X for T = I plus the positive ``omegas`` on its leading diagonal."""
 
+    params = ("omegas",)
+
     def setup(self, spec, p):
         omegas = tuple(_real(w, "omega") for w in _items(p.get("omegas"), "spike omegas"))
         if any(w <= 0 for w in omegas) or len(omegas) >= spec.n_dim:
@@ -244,6 +253,8 @@ class SpikeModel(ObservationModel):
 class IidChannelModel(ObservationModel):
     """y(t) = sum_k sqrt(P_k) H_k x_k(t) + sigma w(t) for ``powers`` P_k with
     source ``multiplicities``; channel entries of variance 1/N, redrawn per trial."""
+
+    params = ("powers", "multiplicities", "snr_db")
 
     def setup(self, spec, p):
         powers = tuple(_real(v, "power", 0.0) for v in _items(p.get("powers"), "powers"))
@@ -270,6 +281,8 @@ class DoaModel(ObservationModel):
     """y(t) = sum_k s(theta_k) x_k(t) + sigma w(t) on a ULA of N sensors
     ``spacing`` half-wavelengths apart (default 1)."""
 
+    params = ("angles_deg", "snr_db", "spacing")
+
     def setup(self, spec, p):
         angles = tuple(_real(a, "angle") for a in _items(p.get("angles_deg"), "doa angles_deg"))
         model = SteeringModel(spec.n_dim, _real(p.get("spacing", 1.0), "spacing"))
@@ -288,7 +301,10 @@ class FailureModel(ObservationModel):
     """Whitened network observations T^(-1/2) x(t) with an optional variance change
     ``alpha`` on parameter ``failed_index``; the network H in T = HH^H + noise_var I
     is drawn once per scenario (reserved stream), and with it the localizable
-    failure hypotheses and their fluctuation stats, so they stay fixed across trials."""
+    failure hypotheses and their fluctuation stats, so they stay fixed across trials;
+    ``far`` is the false-alarm rate of the default binding."""
+
+    params = ("n_params", "failed_index", "alpha", "noise_var", "far")
 
     def setup(self, spec, p):
         m = _integer(p.get("n_params"), "failure n_params", 1)
@@ -328,7 +344,8 @@ KINDS = tuple(MODELS)
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One frozen Monte-Carlo experiment; ``params`` stay as given and
-    ``state`` holds their validated scenario-level form."""
+    ``state`` holds their validated scenario-level form.  A params key the
+    kind's model does not read is refused."""
 
     kind: str
     n_dim: int
@@ -346,7 +363,11 @@ class ScenarioSpec:
             _integer(value, what, lo, hi)
         if not isinstance(self.params, dict):
             raise ParameterError("params must be a dict")
-        state = MODELS[self.kind].setup(self, self.params)
+        model = MODELS[self.kind]
+        for key in self.params:
+            if key not in model.params:
+                raise ParameterError(f"unknown {self.kind} param {key!r}; its params are {', '.join(model.params)}")
+        state = model.setup(self, self.params)
         for value in vars(state).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False  # shared by every trial, lane and pool block
@@ -377,6 +398,9 @@ class ScenarioSpec:
         raw, keys = json.loads(text), ("kind", "N", "n", "trials", "seed")
         if not isinstance(raw, dict) or not raw.keys() >= set(keys):
             raise ParameterError(f"a scenario is a JSON object with keys {', '.join(keys)} and optional params")
+        for key in raw:
+            if key not in (*keys, "params"):
+                raise ParameterError(f"unknown scenario key {key!r}; a scenario has keys {', '.join(keys)} and params")
         return cls(raw["kind"], raw["N"], raw["n"], raw["trials"], raw["seed"], raw.get("params", {}))
 
 
@@ -389,12 +413,13 @@ def generate_trial(spec: ScenarioSpec, trial: int):
 
 @dataclass(frozen=True)
 class McSummary:
-    """One run's records and aggregates, with the BLAS thread count its blocks
-    ran at (None when this numpy build could not be pinned) and its worker
-    count; its ``seed_manifest`` adds the numpy and OpenBLAS builds."""
+    """One run's record columns (see :func:`run_monte_carlo`) and aggregates,
+    with the BLAS thread count its blocks ran at (None when this numpy build
+    could not be pinned) and its worker count; its ``seed_manifest`` adds the
+    numpy and OpenBLAS builds."""
 
     spec: ScenarioSpec
-    records: tuple
+    records: dict
     aggregates: dict
     runtime_s: float
     blas_threads: int | None
@@ -411,15 +436,18 @@ DRAW_CHUNK = 16384  # normals per draw call (128 KB), so a lane's draw buffer st
 
 
 def _run_block(args):
-    """Records of one block of trials, run pinned: spectrum-only bindings read
-    the model's ``spectra``, the others get each trial's Y."""
+    """Record columns of one block of trials, run pinned: spectrum-only
+    bindings read the model's ``spectra``, the others get each trial's Y."""
     spec, binding, trials = args
+    model = MODELS[spec.kind]
     with _pinned_blas():
         if hasattr(binding, "per_spectrum"):
-            spectra = MODELS[spec.kind].spectra(spec, spec.state, trials)
-            return [binding.per_spectrum(spec, t, eigs) for t, eigs in zip(trials, spectra, strict=True)]
-        model = MODELS[spec.kind]
-        return [binding.per_trial(spec, t, model.draw(spec, spec.state, spec.stream(t).generator())) for t in trials]
+            spectra = model.spectra(spec, spec.state, trials)
+            rows = [binding.per_spectrum(spec, t, eigs) for t, eigs in zip(trials, spectra, strict=True)]
+        else:
+            rows = [binding.per_trial(spec, t, model.draw(spec, spec.state, spec.stream(t).generator()))
+                    for t in trials]
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
 
 def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
@@ -428,12 +456,15 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
     The binding provides ``reduce(spec, records) -> dict`` and either
     ``per_spectrum(spec, trial, eigs) -> dict``, if it reads only the ascending
     eigenvalues of (1/n) Y Y^H, or ``per_trial(spec, trial, y) -> dict``.
-    Trials run in blocks of consecutive indices, all of them in one block when
-    serial and one block per pool task otherwise; records reach ``reduce`` in
-    trial order, so aggregates do not depend on worker scheduling.  Every block
-    runs at the same pinned BLAS thread count, recorded in the summary with
-    the worker count; ``workers`` must be an integer >= 1, and the pool starts
-    no more processes than there are blocks.
+    The records are columns: each name a trial's dict holds becomes one array
+    with the trial axis first, row t holding trial t's value, so each value
+    must have the same shape and dtype in every trial.  Trials run in blocks
+    of consecutive indices, all of them in one block when serial and one block
+    per pool task otherwise; the blocks' columns are joined in trial order, so
+    aggregates do not depend on worker scheduling.  Every block runs at the
+    same pinned BLAS thread count, recorded in the summary with the worker
+    count; ``workers`` must be an integer >= 1, and the pool starts no more
+    processes than there are blocks.
     """
     workers = _integer(workers, "workers", 1)
     if not (hasattr(binding, "per_spectrum") or hasattr(binding, "per_trial")) or not hasattr(binding, "reduce"):
@@ -448,9 +479,10 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
         size = max(1, spec.trials // (8 * workers))
         blocks = [(spec, binding, trials[t:t + size]) for t in trials[::size]]
         with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            records = tuple(rec for block in pool.map(_run_block, blocks) for rec in block)
+            parts = list(pool.map(_run_block, blocks))
+        records = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     else:
-        records = tuple(_run_block((spec, binding, trials)))
+        records = _run_block((spec, binding, trials))
     aggregates = binding.reduce(spec, records)
     # pool children run this process's numpy build, so they pin as it would
     blas_threads = BLOCK_BLAS_THREADS if _numpy_openblas() else None
@@ -481,9 +513,8 @@ class EigBinding:
         return {"eigs": eigs}
 
     def reduce(self, spec, records):
-        eigs = np.concatenate([r["eigs"] for r in records])
-        return {"all_eigs": eigs, "per_trial_max": np.array([r["eigs"][-1] for r in records]),
-                "per_trial_min": np.array([r["eigs"][0] for r in records])}
+        eigs = records["eigs"]
+        return {"all_eigs": eigs.ravel(), "per_trial_max": eigs[:, -1], "per_trial_min": eigs[:, 0]}
 
 
 class PowerNmseBinding:
@@ -506,8 +537,7 @@ class PowerNmseBinding:
 
     def reduce(self, spec, records):
         powers = np.asarray(spec.state.powers)
-        g = np.array([r["g"] for r in records])
-        c = np.array([r["classical"] for r in records])
+        g, c = records["g"], records["classical"]
         nmse_g = np.mean((g - powers) ** 2, axis=0) / powers**2
         nmse_c = np.mean((c - powers) ** 2, axis=0) / powers**2
         return {
@@ -534,14 +564,13 @@ class GEstimatorBinding:
 
     def reduce(self, spec, records):
         values = np.asarray(spec.state.values)
-        g = np.array([r["g"] for r in records])
-        c = np.array([r["classical"] for r in records])
+        g, c = records["g"], records["classical"]
         return {
             "mse_g": np.mean((g - values) ** 2, axis=0),
             "mse_classical": np.mean((c - values) ** 2, axis=0),
             "mean_g": g.mean(axis=0),
             "mean_classical": c.mean(axis=0),
-            "gap_aligned_rate": float(np.mean([r["gap_aligned"] for r in records])),
+            "gap_aligned_rate": float(np.mean(records["gap_aligned"])),
         }
 
 
@@ -571,13 +600,7 @@ class DetectionRocBinding:
         }
 
     def reduce(self, spec, records):
-        out = {}
-        for name in ("glrt", "cond"):
-            null = np.array([r[f"{name}_null"] for r in records])
-            alt = np.array([r[f"{name}_alt"] for r in records])
-            out[f"{name}_null"] = null
-            out[f"{name}_alt"] = alt
-        return out
+        return dict(records)
 
     @staticmethod
     def detection_at_far(aggregates: dict, name: str, far: float) -> float:
@@ -599,21 +622,15 @@ class DoaResolutionBinding:
 
     def per_trial(self, spec, trial, y):
         s = spec.state
-        # only the angles are kept: a 3-point search range samples no cost curve
-        return {m: estimate_doa(y, len(s.angles), s.model, (-90.0, 0.0, 90.0), m).angles
-                for m in ("music", "gmusic")}
+        true, resolved = np.sort(np.asarray(s.angles)), {}
+        for method in ("music", "gmusic"):
+            # only the angles are read: a 3-point search range samples no cost curve
+            got = np.sort(np.asarray(estimate_doa(y, len(s.angles), s.model, (-90.0, 0.0, 90.0), method).angles))
+            resolved[method] = got.size == true.size and np.all(np.abs(got - true) <= self.window)
+        return resolved
 
     def reduce(self, spec, records):
-        true = np.sort(np.asarray(spec.state.angles))
-        out = {}
-        for method in ("music", "gmusic"):
-            hits = []
-            for r in records:
-                got = np.sort(np.asarray(r[method], dtype=float))
-                ok = got.size == true.size and np.all(np.abs(got - true) <= self.window)
-                hits.append(ok)
-            out[f"{method}_resolution_rate"] = float(np.mean(hits))
-        return out
+        return {f"{method}_resolution_rate": float(np.mean(records[method])) for method in ("music", "gmusic")}
 
 
 class FailureBinding:
@@ -637,19 +654,16 @@ class FailureBinding:
         lam = float(eig.eigenvalues[side])
         standardize = sp.tw_standardize if side else sp.tw_standardize_smallest
         detected = standardize(lam, spec.n_dim, spec.ratio) > self.threshold
-        k_hat = None
+        localized = False
         if detected and s.hypotheses:
             best, _ = sp.localize_failure(lam, eig.eigenvectors[:, side], s.hypotheses, s.stats)
-            k_hat = s.hypotheses[best].index
-        return {"detected": detected, "k_hat": k_hat}
+            localized = s.hypotheses[best].index == s.failed
+        return {"detected": detected, "localized": localized}
 
     def reduce(self, spec, records):
-        truth_k = spec.state.failed
-        det = np.array([r["detected"] for r in records])
-        out = {"detection_rate": float(np.mean(det))}
-        if truth_k is not None:
-            loc = np.array([r["detected"] and r["k_hat"] == truth_k for r in records])
-            out["localization_rate"] = float(np.mean(loc))
+        out = {"detection_rate": float(np.mean(records["detected"]))}
+        if spec.state.failed is not None:
+            out["localization_rate"] = float(np.mean(records["localized"]))
         return out
 
 

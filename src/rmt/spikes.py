@@ -77,7 +77,9 @@ class FluctuationStats:
     """Covariance ``sigma`` of sqrt(N)(|u^H u_hat|^2 - xi, lam - rho) for one spike,
     with the inverse and log-determinant that :func:`localize_failure` scores with.
 
-    A ``sigma`` that is not finite or not positive definite is refused here, once.
+    A ``sigma`` that is not finite, has a nonzero entry below the smallest
+    normal double (where it has lost precision), or is not positive definite
+    is refused here, once.
     """
 
     omega: float
@@ -91,6 +93,8 @@ class FluctuationStats:
     def __post_init__(self):
         if not np.all(np.isfinite(self.sigma)):
             raise ParameterError(f"the fluctuation covariance of omega = {self.omega:g} overflows a double")
+        if np.any((self.sigma != 0) & (np.abs(self.sigma) < np.finfo(float).tiny)):
+            raise ParameterError(f"the fluctuation covariance of omega = {self.omega:g} underflows a double")
         sign, logdet = np.linalg.slogdet(self.sigma)
         if not (sign > 0 and self.sigma[0, 0] > 0):  # both leading minors positive: 2x2 positive definite
             raise ParameterError("fluctuation covariance is not positive definite")
@@ -364,8 +368,10 @@ def fluctuation_stats(omega: float, c: float) -> FluctuationStats:
     unless :func:`spike_limits` finds it detectable (|omega| > sqrt(c), and
     c < 1 for omega < 0), so omega = 0 is refused there too.
     :class:`ParameterError` for omega <= -1, where the spike direction carries
-    no variance, and where an entry overflows a double (from omega near
-    1e154 / sqrt(c) on, where Sigma_22 does).
+    no variance, and where an entry overflows a double or goes subnormal: from
+    omega near 1.3e154 / sqrt(c) on, where Sigma_22 overflows, or from near
+    6.7e153 c sqrt(1+c) on, where Sigma_11 goes subnormal, whichever comes
+    first.
     """
     if not (omega > -1):
         raise ParameterError("need omega > -1: at -1 the spike direction carries no variance")

@@ -64,7 +64,7 @@ def test_criterion_01_mp_law_histogram_and_support():
     t0 = time.perf_counter()
     spec = ScenarioSpec("mp-null", 500, 2000, 100, seed=3)
     summary = run_monte_carlo(spec, EigBinding("mp-null"))
-    eigs0 = summary.records[0]["eigs"]
+    eigs0 = summary.records["eigs"][0]
     edges, dens = histogram(eigs0, 50, (0.0, 3.0))
     centers = (edges[:-1] + edges[1:]) / 2
     sup_dev = float(np.max(np.abs(dens - mp_density(spec.ratio, centers))))
@@ -123,8 +123,7 @@ def test_criterion_04_spike_limits_monte_carlo():
     rho = spike_limits(2.0, c).rho
     exactly_two = 0
     top1, top2 = [], []
-    for rec in run_monte_carlo(spec, EigBinding("spike")).records:
-        eigs = rec["eigs"]
+    for eigs in run_monte_carlo(spec, EigBinding("spike")).records["eigs"]:
         exactly_two += int(np.sum(eigs > threshold)) == 2
         top1.append(eigs[-1])
         top2.append(eigs[-2])
@@ -164,8 +163,8 @@ def test_criterion_06_tracy_widom_and_glrt_far():
     ks = float(max(np.max(cdf - np.arange(n) / n), np.max(np.arange(1, n + 1) / n - cdf)))
     thr = tw_quantile(TABLE, 0.95)
     far_hits = 0
-    for rec in summary.records:
-        stat = glrt_statistic(rec["eigs"])
+    for eigs in summary.records["eigs"]:
+        stat = glrt_statistic(eigs)
         far_hits += tw_standardize(stat, spec.n_dim, c) > thr
     far = far_hits / spec.trials
     ok = {

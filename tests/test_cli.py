@@ -192,11 +192,17 @@ def test_estimate_command(masses_csv, tmp_path, capsys):
         assert abs(got - want) / want < 0.25
 
 
-def test_estimate_bad_arguments_are_usage_errors(masses_csv):
+def test_estimate_bad_arguments_are_usage_errors(masses_csv, capsys):
     base = ("estimate", "--input", str(masses_csv), "--K", "3")
     # --n 0 is refused, not replaced by the column count
     assert run_cli(*base, "--mult", "20,20,20", "--n", "0") == 2
     assert run_cli(*base, "--mult", "a,b,c") == 2
+    # a multiplicity below 1 ended in ClusterAssignment's "range sizes must match multiplicities", exit 1
+    for mult in ("0,30,30", "-1,31,30"):
+        capsys.readouterr()
+        assert run_cli(*base, f"--mult={mult}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad --mult") and err.count("\n") == 1, err
 
 
 def test_detect_command_noise_and_signal(tmp_path):
@@ -566,6 +572,26 @@ def test_simulate_malformed_spec_is_runtime_error(tmp_path, capsys, doc):
     capsys.readouterr()
     assert run_cli("simulate", "--spec", str(spec_path)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("mp-null", {"snr": 0.0}, "snr"),
+    ("masses", {"atoms": [[1.0, 8]], "atom": [[1.0, 8]]}, "atom"),
+    ("spike", {"omega": [2.0]}, "omega"),
+    ("iid-channel", {"powers": [1.0], "multiplicites": [2], "snr_db": 0.0}, "multiplicites"),
+    ("doa", {"angles_deg": [10.0], "snr_db": 0.0, "spaceing": 0.5}, "spaceing"),
+    ("failure", {"n_params": 4, "alpah": 1.0}, "alpah"),  # it ran with alpha = -1 and reported rates
+    ("mp-null", None, "trails"),  # a misspelled top-level key
+])
+def test_simulate_refuses_a_misspelled_key(tmp_path, capsys, kind, params, key):
+    doc = {"kind": kind, "N": 8, "n": 40, "trials": 2, "seed": 1}
+    doc.update({"params": params} if params is not None else {key: 5})
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("simulate", "--spec", str(spec_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ") and f"{key!r}" in err and err.count("\n") == 1, err
 
 
 def test_simulate_refuses_a_failure_far_beyond_the_table(tmp_path, capsys):

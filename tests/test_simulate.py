@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 from rmt.errors import ParameterError
 import rmt.linalg as linalg
 import rmt.simulate as simulate
-from rmt.linalg import _eigvalsh_into, _numpy_openblas, sample_covariance
+from rmt.linalg import (_eigvalsh_into, _numpy_openblas, _pinned_blas, complex_gaussian, haar_unitary,
+                        sample_covariance, sample_spectrum)
 from rmt.spikes import glrt_test
 from rmt.simulate import (
     BLOCK_BLAS_THREADS,
@@ -21,6 +23,7 @@ from rmt.simulate import (
     MODELS,
     SETUP_STREAM,
     DetectionRocBinding,
+    DoaResolutionBinding,
     EigBinding,
     FailureBinding,
     GEstimatorBinding,
@@ -80,6 +83,22 @@ def test_spec_refuses_malformed_params():
         ScenarioSpec("mp-null", 4, 8.5, 1, 0)
     with pytest.raises(ParameterError):
         ScenarioSpec("mp-null", 4, 8, 1, 0, params=[("snr_db", 0.0)])
+
+
+def test_spec_refuses_keys_it_would_not_read():
+    # each was dropped without a word, so the run used the default in its place
+    for kind, params in [("mp-null", {"snr": 0.0}), ("masses", {"atoms": [(1.0, 10)], "mults": [10]}),
+                         ("spike", {"omegas": [2.0], "omega": [3.0]}),
+                         ("iid-channel", {"powers": [1.0], "multiplicities": [2], "snr_db": 0.0, "snrdb": 3.0}),
+                         ("doa", {"angles_deg": [10.0], "snr_db": 0.0, "spacing_": 0.5}),
+                         ("failure", {"n_params": 4, "alpah": 1.0})]:
+        bad = next(key for key in params if key not in MODELS[kind].params)
+        with pytest.raises(ParameterError, match=f"unknown {kind} param {bad!r}"):
+            ScenarioSpec(kind, 10, 40, 1, 0, params)
+    doc = json.loads(ScenarioSpec("mp-null", 4, 8, 1, 0).to_json())
+    for key in ("trails", "param"):
+        with pytest.raises(ParameterError, match=f"unknown scenario key {key!r}"):
+            ScenarioSpec.from_json(json.dumps(dict(doc, **{key: 1})))
 
 
 def test_failure_index_must_be_an_integer():
@@ -165,8 +184,8 @@ def test_iid_channel_power_bookkeeping():
 def test_run_monte_carlo_single_trial_equals_record():
     spec = ScenarioSpec("mp-null", 8, 16, 1, seed=2)
     summary = run_monte_carlo(spec, EigBinding("mp-null"))
-    assert len(summary.records) == 1
-    assert np.array_equal(summary.aggregates["all_eigs"], summary.records[0]["eigs"])
+    assert summary.records["eigs"].shape == (1, spec.n_dim)
+    assert np.array_equal(summary.aggregates["all_eigs"], summary.records["eigs"][0])
 
 
 def test_run_monte_carlo_worker_count_invariance():
@@ -178,9 +197,14 @@ def test_run_monte_carlo_worker_count_invariance():
 
 
 def _same_records(a, b):
-    return len(a) == len(b) and all(
-        ra.keys() == rb.keys() and all(np.asarray(ra[k]).tobytes() == np.asarray(rb[k]).tobytes() for k in ra)
-        for ra, rb in zip(a, b))
+    """Record columns equal bit for bit, in shape and dtype too."""
+    return a.keys() == b.keys() and all(
+        (a[k].shape, a[k].dtype) == (b[k].shape, b[k].dtype) and a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+def _columns(rows):
+    """Per-trial dicts stacked into columns, trial axis first."""
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
 
 @pytest.mark.parametrize("spec, binding", [
@@ -202,7 +226,7 @@ def test_failure_worker_count_invariance():
     spec = ScenarioSpec("failure", 6, 60, 8, 4, {"n_params": 6, "alpha": -1.0, "failed_index": 1})
     one = run_monte_carlo(spec, FailureBinding(far=1e-2), workers=1)
     two = run_monte_carlo(spec, FailureBinding(far=1e-2), workers=2)
-    assert one.records == two.records
+    assert _same_records(one.records, two.records)
     assert one.aggregates == two.aggregates
 
 
@@ -249,6 +273,66 @@ def test_run_monte_carlo_binding_compatibility():
         run_monte_carlo(spec, PowerNmseBinding())
     with pytest.raises(ParameterError, match="per_spectrum or per_trial"):
         run_monte_carlo(spec, type("ReduceOnly", (), {"reduce": lambda self, spec, records: {}})())
+
+
+def _trial_by_trial(spec, binding):
+    """The binding's dict of every trial, made one trial at a time outside the
+    engine: ``per_trial`` on generate_trial's Y, ``per_spectrum`` on its
+    sample_spectrum.  masses' spectra hook skips the Haar rotation, which moves
+    the spectrum at rounding level, so there the spectrum is the unrotated Y's."""
+    rows = []
+    with _pinned_blas():
+        for t in range(spec.trials):
+            if hasattr(binding, "per_trial"):
+                rows.append(binding.per_trial(spec, t, generate_trial(spec, t)[0]))
+                continue
+            if spec.kind == "masses":
+                g = spec.stream(t).generator()
+                haar_unitary(spec.n_dim, g)
+                y = spec.state.scale * complex_gaussian(spec.n_dim, spec.n_samples, g)
+            else:
+                y = generate_trial(spec, t)[0]
+            rows.append(binding.per_spectrum(spec, t, sample_spectrum(y)))
+    return rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec, binding", [
+    (ScenarioSpec("mp-null", 5, 9, 37, 61), EigBinding("mp-null")),
+    (ScenarioSpec("masses", 12, 40, 37, 62, {"atoms": [(1.0, 6), (4.0, 6)]}), GEstimatorBinding()),
+    (ScenarioSpec("masses", 12, 40, 37, 62, {"atoms": [(1.0, 6), (4.0, 6)]}), EigBinding("masses")),
+    (ScenarioSpec("spike", 9, 20, 37, 63, {"omegas": [3.0, 1.0]}), EigBinding("spike")),
+    (ScenarioSpec("iid-channel", 12, 40, 37, 64, {"powers": [0.5, 2.0], "multiplicities": [2, 2], "snr_db": 6.0}),
+     PowerNmseBinding()),
+    (ScenarioSpec("doa", 10, 40, 37, 65, {"angles_deg": [20.0, 35.0], "snr_db": 5.0}), DoaResolutionBinding()),
+    (ScenarioSpec("failure", 6, 20, 37, 66, {"n_params": 6, "alpha": -1.0, "failed_index": 1}), FailureBinding(0.1)),
+    (ScenarioSpec("mp-null", 4, 8, 37, 67, {"snr_db": 0.0}), DetectionRocBinding()),
+], ids=["mp-null", "masses", "masses-eig", "spike", "iid-channel", "doa", "failure", "detection-roc"])
+def test_record_columns_stack_the_trials_dicts(spec, binding, workers):
+    # 37 trials reach two workers as blocks of two and a last block of one
+    rows = _trial_by_trial(spec, binding)
+    got = run_monte_carlo(spec, binding, workers).records
+    assert got.keys() == rows[0].keys()
+    for name, column in got.items():
+        assert column.shape == (spec.trials, *np.shape(rows[0][name]))
+        for t, row in enumerate(rows):
+            want = np.asarray(row[name])
+            assert want.dtype == column.dtype and column[t].tobytes() == want.tobytes(), (name, t)
+
+
+def test_a_kept_summary_holds_its_records_as_columns():
+    # a dict per trial held about 384 B a trial here; the eigenvalue column takes 32
+    spec = ScenarioSpec("mp-null", 4, 8, 20_000, 7)
+    run_monte_carlo(ScenarioSpec("mp-null", 4, 8, 2, 7), EigBinding("mp-null"))  # first-call set-up outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summary = run_monte_carlo(spec, EigBinding("mp-null"))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert summary.records["eigs"].nbytes == 32 * spec.trials
+    assert held < 48 * spec.trials, held / spec.trials
 
 
 # --- spectrum-only trials ------------------------------------------------------------
@@ -385,8 +469,8 @@ def test_pipelined_spectra_equal_the_inline_route(spec, timing, two_blas_threads
     OPENBLAS.set_threads(BLOCK_BLAS_THREADS)
     want = _inline_spectra(spec, range(spec.trials))
     OPENBLAS.set_threads(2)
-    for rec, w in zip(got.records, want, strict=True):
-        assert rec["eigs"].tobytes() == w.tobytes()
+    for eigs, w in zip(got.records["eigs"], want, strict=True):
+        assert eigs.tobytes() == w.tobytes()
 
 
 def _guard_instrumentable(monkeypatch):
@@ -433,7 +517,8 @@ def test_lanes_call_nothing_instrumentable_off_the_calling_thread(spec, binding,
             # a complex product replaces zherk, so the Gram's rounding differs from the records above;
             # the serial route's mirrored covariance and np.linalg.eigvalsh give the reference
             trials = range(spec.trials)
-            want = [binding.per_spectrum(spec, t, eigs) for t, eigs in zip(trials, _inline_spectra(spec, trials))]
+            want = _columns([binding.per_spectrum(spec, t, eigs)
+                             for t, eigs in zip(trials, _inline_spectra(spec, trials))])
     seen = _lane_threads(monkeypatch, late_helper=library == "lapacke")
     off = _guard_instrumentable(monkeypatch)
     got = run_monte_carlo(spec, binding)
@@ -525,10 +610,10 @@ def test_blocks_pin_one_thread_and_restore_the_callers_count(two_blas_threads):
         run_monte_carlo(spec, _RaiseOnTrial3("mp-null"))
     assert threading.active_count() == threads and get() == 2
     ok = run_monte_carlo(ScenarioSpec("mp-null", 40, 30, 3, 3), _RaiseOnTrial3("mp-null"))
-    assert [r["threads"] for r in ok.records] == [BLOCK_BLAS_THREADS] * 3 and get() == 2
+    assert ok.records["threads"].tolist() == [BLOCK_BLAS_THREADS] * 3 and get() == 2
     iid = ScenarioSpec("iid-channel", 6, 9, 3, 4, {"powers": [1.0], "multiplicities": [2], "snr_db": 3.0})
     per_trial = run_monte_carlo(iid, _PerTrialThreads())
-    assert [r["threads"] for r in per_trial.records] == [BLOCK_BLAS_THREADS] * 3 and get() == 2
+    assert per_trial.records["threads"].tolist() == [BLOCK_BLAS_THREADS] * 3 and get() == 2
     assert threading.active_count() == threads
 
 

@@ -473,6 +473,19 @@ def test_fluctuation_stats_refuse_a_sigma_that_is_not_finite():
             FluctuationStats(2.0, 0.5, 0.5, 4.0, np.array([[1.0, 0.0], [0.0, bad]]))
 
 
+def test_fluctuation_stats_refuse_a_subnormal_entry():
+    # at c = 0.01, Sigma_11 ~ c^2 (1+c) / omega^2 goes subnormal from omega ~ 6.7e151 on, and lost up to
+    # 2e-10 of its value there, long before Sigma_22 ~ c omega^2 overflows (from 1.3e155 on)
+    for omega in (1e152, 1e153, 1.3e154, 1e155):
+        with pytest.raises(ParameterError, match="underflows a double") as info:
+            fluctuation_stats(omega, 0.01)
+        assert not isinstance(info.value, RegimeError)  # so localization refuses them instead of skipping
+    got, exact = fluctuation_stats(1e150, 0.01).sigma, _exact_fluctuation_sigma(1e150, 0.01)
+    assert max(abs(Fraction(float(got[i, j])) - exact[i][j]) / abs(exact[i][j]) for i in (0, 1) for j in (0, 1)) < 1e-13
+    with pytest.raises(ParameterError, match="underflows a double"):
+        FluctuationStats(2.0, 0.5, 0.5, 4.0, np.array([[1e-310, 0.0], [0.0, 1.0]]))
+
+
 def _exact_fluctuation_sigma(omega, c):
     """Sigma in exact rational arithmetic, from the resolvent-derivative chain
     that the closed form of :func:`fluctuation_stats` reduces.
