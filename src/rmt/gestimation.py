@@ -50,8 +50,10 @@ class ClusterAssignment:
 
     ``ranges`` holds 0-based half-open (start, stop) pairs into the ascending
     eigenvalue vector; sizes must equal ``multiplicities``.  ``gap_aligned``
-    records whether the ranges came from consistent spectral gaps (True) or a
-    fixed-size fallback.
+    is only a flag: :func:`clusters_from_gaps` always returns
+    :meth:`top_ranges` and sets it True when the largest spectral gaps in
+    that window split it into the multiplicities; the ranges never depend on
+    it.
     """
 
     multiplicities: tuple

@@ -187,10 +187,18 @@ def _numpy_openblas():
 
 
 def _blas_build() -> dict:
-    """numpy's version and the build string of its bundled OpenBLAS (None
-    where it ships none), as run manifests record them."""
+    """numpy's version, the build string of its bundled OpenBLAS (None where
+    it ships none) and scipy's installed version (None where it is absent),
+    as run manifests record them.  scipy's is read from package metadata:
+    importing scipy would load its own OpenBLAS."""
+    from importlib import metadata  # deferred: only manifests need it
+
+    try:
+        scipy = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy = None
     blas = _numpy_openblas()
-    return {"numpy": np.__version__, "openblas": blas.config if blas else None}
+    return {"numpy": np.__version__, "openblas": blas.config if blas else None, "scipy": scipy}
 
 
 @contextlib.contextmanager
@@ -255,19 +263,44 @@ def _eigvalsh_into(gram, w):
     return w
 
 
+DRAW_CHUNK = 16384  # normals per draw call (128 KB), so the draw buffer stays in cache
+
+
+def _gaussian_into(y, g, scale=None, chunk=None):
+    """Fill the complex128 N x n ``y`` with the bits of ``complex_gaussian(N,
+    n, g)``, or of ``scale * complex_gaussian(N, n, g)`` for an (N, 1) float
+    ``scale``, and return it.
+
+    The stream fills every real part, then every imaginary part, as
+    :func:`complex_gaussian` orders them, about ``DRAW_CHUNK`` normals per call
+    into the float64 buffer ``chunk`` (rows x n, made here when None); each
+    chunk is written into its rows of y times sqrt(1/2), then times ``scale``,
+    so nothing of Y's size is drawn or scaled apart from y itself.
+    """
+    n_dim, n = y.shape
+    if chunk is None:
+        chunk = np.empty((min(n_dim, max(1, DRAW_CHUNK // n)), n))
+    rows, half = len(chunk), np.sqrt(0.5)
+    for part in (y.real, y.imag):
+        for r in range(0, n_dim, rows):
+            x = chunk[:n_dim - r]
+            g.standard_normal(out=x)
+            rows_y = part[r:r + len(x)]
+            np.multiply(x, half, out=rows_y)
+            if scale is not None:
+                np.multiply(rows_y, scale[r:r + len(x)], out=rows_y)
+    return y
+
+
 def complex_gaussian(n_rows: int, n_cols: int, rng) -> np.ndarray:
     """Proper complex Gaussian matrix: zero mean, E|x|^2 = 1 per entry.
 
     Real and imaginary parts are independent N(0, 1/2); the stream fills all
-    real parts first, then all imaginary parts.
+    real parts first, then all imaginary parts (see :func:`_gaussian_into`).
     """
     if n_rows < 1 or n_cols < 1:
         raise ParameterError("matrix dimensions must be >= 1")
-    re, im = _as_generator(rng).standard_normal((2, n_rows, n_cols))
-    out = np.empty((n_rows, n_cols), dtype=complex)
-    np.multiply(re, np.sqrt(0.5), out=out.real)
-    np.multiply(im, np.sqrt(0.5), out=out.imag)
-    return out
+    return _gaussian_into(np.empty((n_rows, n_cols), dtype=complex), _as_generator(rng))
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:

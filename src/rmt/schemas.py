@@ -52,6 +52,7 @@ SCHEMAS: dict = {
         "workers": int,
         "numpy": str,  # numpy's version
         "openblas": TEXT_OR_NONE,  # the build string of numpy's bundled OpenBLAS
+        "scipy": TEXT_OR_NONE,  # scipy's installed version, from package metadata
     },
     # the manifest ``rmt reproduce`` writes beside the curve files
     "manifest": {
@@ -62,6 +63,7 @@ SCHEMAS: dict = {
         "blas_threads": COUNT_OR_NONE,
         "numpy": str,
         "openblas": TEXT_OR_NONE,
+        "scipy": TEXT_OR_NONE,
         "specs": (list, dict),  # one scenario JSON per Monte-Carlo run, in run order
         "bindings": (list, str),  # the class name of each run's binding, in the same order
         "build": str,

@@ -13,14 +13,18 @@ Each observation model is one class in :data:`MODELS`: ``setup(spec, params)``
 validates the parameters once and builds ``spec.state`` (made with the spec and
 pickled with it), the population parameters that bindings read;
 ``draw(spec, state, g)`` returns one trial's Y and ``binding(spec)`` is ``rmt
-simulate``'s default.
+simulate``'s default.  A draw writes its N x n Gaussian term once, with
+:func:`rmt.linalg._gaussian_into` (the fill behind ``complex_gaussian``), into
+the buffer that becomes Y (or that ``masses`` multiplies by its unitary), and
+scales it and adds the signal there.
 ``spectra(spec, state, trials)`` returns the eigenvalues of (1/n) Y Y^H for a
 block of trials, one row per trial, all through the Hermitian kernel of
 :mod:`rmt.linalg` (zherk, then zheevd).  Its shared default draws Y and calls
 :func:`~rmt.linalg.sample_spectrum` per trial; ``mp-null``, ``spike`` and
 ``masses`` (which skips its Haar rotation) run a block as two identical lanes:
-the calling thread and one helper each take the next trial, draw its Y into a
-buffer of their own with the bits ``draw`` gives, and run the kernel on it.
+the calling thread and one helper each take the next trial, fill a Y buffer
+of their own with the same fill, so with the bits ``draw`` gives, and run the
+kernel on it.
 The kernel's ``ctypes`` calls release the GIL; where numpy's library lacks
 LAPACKE, the block runs as one lane on ``np.linalg.eigvalsh``.  Bindings that
 read only the spectrum define ``per_spectrum`` and are served by this hook on
@@ -46,8 +50,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import (BLOCK_BLAS_THREADS, RngStream, _blas_build, _eigvalsh_into, _gram_into, _numpy_openblas,
-                     _pinned_blas, complex_gaussian, haar_unitary, sample_covariance, sample_spectrum)
+from .linalg import (BLOCK_BLAS_THREADS, DRAW_CHUNK, RngStream, _blas_build, _eigvalsh_into, _gaussian_into,
+                     _gram_into, _numpy_openblas, _pinned_blas, complex_gaussian, haar_unitary, sample_covariance,
+                     sample_spectrum)
 from . import gestimation as ge
 from . import spikes as sp
 from .doa import SteeringModel, estimate_doa, steering_matrix
@@ -117,10 +122,8 @@ def _gaussian_spectra(spec, trials, scale=None, skip=0):
     """Spectra of Y = scale * X, X proper complex Gaussian, as
     :meth:`ObservationModel.spectra` returns them.
 
-    Each trial draws what :func:`complex_gaussian` draws, in its order, after
-    skipping ``skip`` x ``skip`` complex Gaussians, and scales the parts as
-    ``scale * complex_gaussian(...)`` does (times sqrt(1/2), then ``scale``),
-    chunk by chunk straight into an interleaved complex Y: the bits ``draw``
+    Each trial skips ``skip`` x ``skip`` complex Gaussians, then fills a Y
+    of its lane with :func:`~rmt.linalg._gaussian_into`: the bits ``draw``
     gives, with no temporary of Y's size.
 
     :data:`BLOCK_LANES` lanes, this thread and helpers, each take the next
@@ -136,11 +139,10 @@ def _gaussian_spectra(spec, trials, scale=None, skip=0):
     n_dim, n = spec.n_dim, spec.n_samples
     out = np.empty((len(trials), n_dim))
     blas = _numpy_openblas()
-    rows, half = max(1, DRAW_CHUNK // n), np.sqrt(0.5)
     lock, order, failed = threading.Lock(), iter(range(len(trials))), []
 
     def lane():
-        y, chunk = np.empty((n_dim, n), dtype=complex), np.empty((rows, n))
+        y, chunk = np.empty((n_dim, n), dtype=complex), np.empty((max(1, DRAW_CHUNK // n), n))
         gram = np.empty((n_dim, n_dim), dtype=complex)
         flat = chunk.reshape(-1)
         while True:
@@ -152,15 +154,7 @@ def _gaussian_spectra(spec, trials, scale=None, skip=0):
                 g = spec.stream(trials[i]).generator()
                 for left in range(2 * skip * skip, 0, -flat.size):
                     g.standard_normal(out=flat[:left])
-                for part in (y.real, y.imag):  # every real part, then every imaginary part, in one stream
-                    for r in range(0, n_dim, rows):
-                        x = chunk[:n_dim - r]
-                        g.standard_normal(out=x)
-                        rows_y = part[r:r + len(x)]
-                        np.multiply(x, half, out=rows_y)
-                        if scale is not None:
-                            np.multiply(rows_y, scale[r:r + len(x)], out=rows_y)
-                _eigvalsh_into(_gram_into(y, gram), out[i])
+                _eigvalsh_into(_gram_into(_gaussian_into(y, g, scale, chunk), gram), out[i])
             except BaseException as exc:  # re-raised on the calling thread, once every lane has stopped
                 failed.append(exc)
                 return
@@ -177,6 +171,16 @@ def _gaussian_spectra(spec, trials, scale=None, skip=0):
     if failed:
         raise failed[0]
     return out
+
+
+def _noise_plus(spec, sigma, signal, g):
+    """``signal + sigma * w`` for the next N x n proper Gaussian w of ``g``,
+    built in w's buffer: sigma * w in place, then the signal added to it, which
+    gives the same bits because IEEE addition commutes."""
+    y = _gaussian_into(np.empty((spec.n_dim, spec.n_samples), dtype=complex), g)
+    y *= sigma
+    y += signal
+    return y
 
 
 class MpNullModel(ObservationModel):
@@ -216,8 +220,7 @@ class MassesModel(ObservationModel):
 
     def draw(self, spec, s, g):
         u = haar_unitary(spec.n_dim, g)
-        x = complex_gaussian(spec.n_dim, spec.n_samples, g)
-        return u @ (s.scale * x)
+        return u @ _gaussian_into(np.empty((spec.n_dim, spec.n_samples), dtype=complex), g, s.scale)
 
     def spectra(self, spec, s, trials):
         # the spectrum is unitarily invariant: U's Gaussians are drawn, to keep
@@ -241,7 +244,7 @@ class SpikeModel(ObservationModel):
         return SimpleNamespace(omegas=omegas, scale=np.sqrt(diag)[:, None])
 
     def draw(self, spec, s, g):
-        return s.scale * complex_gaussian(spec.n_dim, spec.n_samples, g)
+        return _gaussian_into(np.empty((spec.n_dim, spec.n_samples), dtype=complex), g, s.scale)
 
     def spectra(self, spec, s, trials):
         return _gaussian_spectra(spec, trials, s.scale)
@@ -270,8 +273,7 @@ class IidChannelModel(ObservationModel):
         # channel entries have variance 1/N so receive power stays bounded in N
         h = complex_gaussian(spec.n_dim, s.pdiag.size, g) / math.sqrt(spec.n_dim)
         x = complex_gaussian(s.pdiag.size, spec.n_samples, g)
-        w = complex_gaussian(spec.n_dim, spec.n_samples, g)
-        return h @ (s.scale * x) + s.sigma * w
+        return _noise_plus(spec, s.sigma, h @ (s.scale * x), g)
 
     def binding(self, spec):
         return PowerNmseBinding()
@@ -290,8 +292,7 @@ class DoaModel(ObservationModel):
 
     def draw(self, spec, s, g):
         x = complex_gaussian(len(s.angles), spec.n_samples, g)
-        w = complex_gaussian(spec.n_dim, spec.n_samples, g)
-        return s.steering @ x + s.sigma * w
+        return _noise_plus(spec, s.sigma, s.steering @ x, g)
 
     def binding(self, spec):
         return DoaResolutionBinding()
@@ -328,9 +329,7 @@ class FailureModel(ObservationModel):
 
     def draw(self, spec, s, g):
         theta = complex_gaussian(s.n_params, spec.n_samples, g)
-        w = complex_gaussian(spec.n_dim, spec.n_samples, g)
-        x = s.network @ (s.gain * theta) + math.sqrt(s.noise_var) * w
-        return s.inv_sqrt @ x
+        return s.inv_sqrt @ _noise_plus(spec, math.sqrt(s.noise_var), s.network @ (s.gain * theta), g)
 
     def binding(self, spec):
         return FailureBinding(_real(spec.params.get("far", 1e-2), "far"))
@@ -416,7 +415,7 @@ class McSummary:
     """One run's record columns (see :func:`run_monte_carlo`) and aggregates,
     with the BLAS thread count its blocks ran at (None when this numpy build
     could not be pinned) and its worker count; its ``seed_manifest`` adds the
-    numpy and OpenBLAS builds."""
+    numpy and OpenBLAS builds and scipy's version."""
 
     spec: ScenarioSpec
     records: dict
@@ -432,7 +431,6 @@ class McSummary:
 
 
 BLOCK_LANES = 2  # threads, the caller's included, that run a spectrum-only block's trials
-DRAW_CHUNK = 16384  # normals per draw call (128 KB), so a lane's draw buffer stays in cache
 
 
 def _run_block(args):
@@ -443,11 +441,35 @@ def _run_block(args):
     with _pinned_blas():
         if hasattr(binding, "per_spectrum"):
             spectra = model.spectra(spec, spec.state, trials)
-            rows = [binding.per_spectrum(spec, t, eigs) for t, eigs in zip(trials, spectra, strict=True)]
+            rows = (binding.per_spectrum(spec, t, eigs) for t, eigs in zip(trials, spectra, strict=True))
         else:
-            rows = [binding.per_trial(spec, t, model.draw(spec, spec.state, spec.stream(t).generator()))
-                    for t in trials]
-    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+            rows = (binding.per_trial(spec, t, model.draw(spec, spec.state, spec.stream(t).generator()))
+                    for t in trials)
+        for i, row in enumerate(rows):
+            values = {name: np.asarray(value) for name, value in row.items()}
+            if not i:  # the first trial sizes the columns; every row is written into them
+                columns = {name: np.empty((len(trials), *v.shape), v.dtype) for name, v in values.items()}
+                want = _layout(columns)
+            _check_layout({name: (v.dtype, v.shape) for name, v in values.items()}, want, trials[i], trials[0])
+            for name, value in values.items():
+                columns[name][i] = value
+    return columns
+
+
+def _layout(columns) -> dict:
+    """Each column's dtype and the shape of one trial's value."""
+    return {name: (column.dtype, column.shape[1:]) for name, column in columns.items()}
+
+
+def _check_layout(got, want, trial, first):
+    """Raise :class:`ParameterError` unless trial ``trial``'s record names,
+    dtypes and shapes ``got`` equal trial ``first``'s, ``want``."""
+    if got.keys() != want.keys():
+        raise ParameterError(f"trial {trial} records {sorted(got)}, trial {first} {sorted(want)}")
+    for name, (dtype, shape) in got.items():
+        if (dtype, shape) != want[name]:
+            raise ParameterError(f"record {name!r} of trial {trial} is {dtype}{list(shape)}, "
+                                 f"of trial {first} {want[name][0]}{list(want[name][1])}")
 
 
 def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
@@ -457,8 +479,10 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
     ``per_spectrum(spec, trial, eigs) -> dict``, if it reads only the ascending
     eigenvalues of (1/n) Y Y^H, or ``per_trial(spec, trial, y) -> dict``.
     The records are columns: each name a trial's dict holds becomes one array
-    with the trial axis first, row t holding trial t's value, so each value
-    must have the same shape and dtype in every trial.  Trials run in blocks
+    with the trial axis first, row t holding trial t's value: the first trial
+    of a block sizes its columns and every trial's values are written into
+    them, so a value whose shape or dtype differs from the first trial's
+    raises :class:`ParameterError` naming it.  Trials run in blocks
     of consecutive indices, all of them in one block when serial and one block
     per pool task otherwise; the blocks' columns are joined in trial order, so
     aggregates do not depend on worker scheduling.  Every block runs at the
@@ -480,6 +504,9 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
         blocks = [(spec, binding, trials[t:t + size]) for t in trials[::size]]
         with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             parts = list(pool.map(_run_block, blocks))
+        want = _layout(parts[0])
+        for (_, _, block), part in zip(blocks, parts):
+            _check_layout(_layout(part), want, block[0], 0)
         records = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     else:
         records = _run_block((spec, binding, trials))
@@ -794,7 +821,8 @@ def reproduce_figure(figure_id: str, seed: int, scale: str = "desk", workers: in
     ``manifest`` entry recording the specs of the Monte-Carlo runs in run
     order, the class name of each run's binding in the same order, the worker
     count and the BLAS thread count of those runs (None when the figure runs
-    none or the build could not be pinned), and the numpy and OpenBLAS builds.
+    none or the build could not be pinned), the numpy and OpenBLAS builds and
+    scipy's version.
     The curve step runs at that pinned count too.  The seed must lie in [0, 2**64 - 1] even when the
     figure runs no Monte Carlo.
     """

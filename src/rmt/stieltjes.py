@@ -291,6 +291,29 @@ def density_from_stieltjes(model: SpectralModel, grid, eps: float = 0.0) -> Dens
     return Density(grid, np.maximum(values, 0.0), mass0)
 
 
+def _polish_critical(u, t, w, c):
+    """Newton steps on the real critical points u of x(1/u), the roots of
+    s(u) = c sum_k w_k t_k^2 / (t_k + u)^2 = 1, taken as s^(-1/2) = 1: near a
+    pole -t_k that form is linear in |t_k + u|, so one atom's roots are exact
+    after one step.  ``np.roots`` places the near-double roots either side of
+    a pole only to about sqrt(eps) |u|; three steps converge quadratically
+    from there.  A step that crosses a pole or does not shrink
+    |s^(-1/2) - 1| (near a double root, where s' vanishes) is not taken."""
+    def terms(u):
+        v = t + u[:, None]
+        return v, c * np.sum(w * t**2 / v**2, axis=1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            v, s = terms(u)
+            new = u + s * (np.sqrt(s) - 1) / (c * np.sum(w * t**2 / v**3, axis=1))
+            v_new, s_new = terms(new)
+            take = ((np.abs(1 / np.sqrt(s_new) - 1) < np.abs(1 / np.sqrt(s) - 1))
+                    & np.all((v_new > 0) == (v > 0), axis=1))
+            u = np.where(take, new, u)
+    return u
+
+
 def support_clusters(model: SpectralModel) -> SupportClusters:
     """Exact support intervals of the limiting density, with their masses.
 
@@ -298,6 +321,8 @@ def support_clusters(model: SpectralModel) -> SupportClusters:
     real roots of a'b - ab' (Silverstein & Choi, J. Multivariate Anal. 54,
     1995), solved in u = 1/m so that the root running off to m = infinity as
     c -> 1 stays well conditioned; at c = 1 it gives the lowest edge x = 0.
+    Each real root is polished by Newton steps (:func:`_polish_critical`), so
+    the edges around an atom of small c w_k hold to rounding, not sqrt(eps).
     A cluster holds the weights of the poles u = -t_k between its edges, less
     the (1 - 1/c)^+ mass at zero if it spans u = 0 (m = +-infinity).  Every
     pole lies inside exactly one cluster, since x'(m) -> -infinity there.
@@ -313,6 +338,7 @@ def support_clusters(model: SpectralModel) -> SupportClusters:
     # a root on a pole is two edges merged in rounding, and leaves that pole outside every cluster
     u = u[(np.abs(u.imag) <= 1e-9 * np.abs(u)) & (u != 0)].real
     u = u[np.all(t + u[:, None] != 0, axis=1)]
+    u = _polish_critical(u, t, w, c)
     x = u * (c * np.sum(w * t / (t + u[:, None]), axis=1) - 1)  # x(m) at m = 1/u
     order = np.argsort(x)
     order = order[x[order] > 0]

@@ -1,3 +1,4 @@
+import importlib.metadata
 import json
 import math
 import os
@@ -505,12 +506,25 @@ def test_reproduce_fig2_bundle(tmp_path):
     validate("manifest", manifest)
     assert manifest["figure"] == "fig2"
     assert (manifest["workers"], manifest["blas_threads"]) == (1, None)  # fig2 runs no Monte Carlo
-    assert {key: manifest[key] for key in ("numpy", "openblas")} == _blas_build()
+    assert {key: manifest[key] for key in ("numpy", "openblas", "scipy")} == _blas_build()
     assert manifest["specs"] == manifest["bindings"] == []
     assert manifest["files"]
     for name in manifest["files"]:
         header, _ = read_csv(out_dir / name)
         assert header  # every CSV carries a header row
+
+
+def test_manifest_reads_scipy_version_without_importing_scipy(tmp_path):
+    code = (
+        "import json, pathlib, sys; sys.path.insert(0, sys.argv[1]); from rmt.cli import main; "
+        "assert main(['reproduce', 'fig2', '--seed', '1', '--out-dir', sys.argv[2]]) == 0; "
+        "print(json.loads((pathlib.Path(sys.argv[2]) / 'fig2_manifest.json').read_text())['scipy']); "
+        "print('scipy' in sys.modules)"
+    )
+    src = str(pathlib.Path(rmt.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src, str(tmp_path / "bundle")], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.splitlines()[-2:] == [importlib.metadata.version("scipy"), "False"]
 
 
 def test_simulate_command_reproducible(tmp_path):
@@ -527,7 +541,7 @@ def test_simulate_command_reproducible(tmp_path):
     for doc, workers in ((a, 1), (b, 2)):
         manifest = validate("seed_manifest", doc["seed_manifest"])
         assert manifest["workers"] == workers and manifest["blas_threads"] in (None, 1)
-        assert {key: manifest[key] for key in ("numpy", "openblas")} == _blas_build()
+        assert {key: manifest[key] for key in ("numpy", "openblas", "scipy")} == _blas_build()
     assert a["seed_manifest"]["blas_threads"] == b["seed_manifest"]["blas_threads"]
 
 

@@ -244,6 +244,36 @@ def test_complex_gaussian_bit_identical_to_two_draws():
     assert complex_gaussian(256, 768, RngStream(77, 3)).tobytes() == want.tobytes()
 
 
+def complex_gaussian_oracle(n_rows, n_cols, g):
+    """complex_gaussian as it was before the chunked fill: one (2, N, n) draw."""
+    re, im = g.standard_normal((2, n_rows, n_cols))
+    out = np.empty((n_rows, n_cols), dtype=complex)
+    np.multiply(re, np.sqrt(0.5), out=out.real)
+    np.multiply(im, np.sqrt(0.5), out=out.imag)
+    return out
+
+
+# 1 x 20000 and 3 x 16385: rows wider than one chunk; 7 x 5000: three rows a
+# chunk, which 7 does not divide; 7 x 1 and 5 x 3: the whole draw in one chunk
+@pytest.mark.parametrize("shape", [(1, 20000), (3, 16385), (7, 1), (5, 3), (7, 5000)])
+def test_chunked_fill_equals_one_draw_bit_for_bit(shape):
+    got = complex_gaussian(*shape, RngStream(41, 2))
+    want = complex_gaussian_oracle(*shape, RngStream(41, 2).generator())
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # scaled rows, into a reused buffer, as the spectrum lanes and the models' draws fill them
+    scale = np.linspace(0.5, 3.0, shape[0])[:, None]
+    chunk = np.empty((max(1, linalg.DRAW_CHUNK // shape[1]), shape[1]))
+    y = np.empty(shape, dtype=complex)
+    for _ in range(2):
+        linalg._gaussian_into(y, RngStream(41, 2).generator(), scale, chunk)
+        assert y.tobytes() == (scale * want).tobytes()
+    # the fill leaves the generator where one (2, N, n) draw leaves it
+    g, h = RngStream(41, 2).generator(), RngStream(41, 2).generator()
+    complex_gaussian(*shape, g)
+    h.standard_normal((2, *shape))
+    assert g.standard_normal() == h.standard_normal()
+
+
 def special_values_matrix():
     a = np.empty((2, 4), dtype=complex)
     a.real = [[1.0, -0.0, 5e-324, np.nan], [-np.inf, 0.0, 2.5e-310, -3.0]]

@@ -165,6 +165,65 @@ def test_generate_trial_matches_reference_draws(spec, want):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _draw_oracle(spec, g):
+    """Each kind's Y as its draw computed it before the draws wrote Y in place:
+    the same streams, in the same order, as one expression per kind."""
+    s, n_dim, n = spec.state, spec.n_dim, spec.n_samples
+    if spec.kind == "mp-null":
+        return complex_gaussian(n_dim, n, g)
+    if spec.kind == "masses":
+        u = haar_unitary(n_dim, g)
+        return u @ (s.scale * complex_gaussian(n_dim, n, g))
+    if spec.kind == "spike":
+        return s.scale * complex_gaussian(n_dim, n, g)
+    if spec.kind == "iid-channel":
+        h = complex_gaussian(n_dim, s.pdiag.size, g) / np.sqrt(n_dim)
+        x = complex_gaussian(s.pdiag.size, n, g)
+        return h @ (s.scale * x) + s.sigma * complex_gaussian(n_dim, n, g)
+    if spec.kind == "doa":
+        x = complex_gaussian(len(s.angles), n, g)
+        return s.steering @ x + s.sigma * complex_gaussian(n_dim, n, g)
+    theta = complex_gaussian(s.n_params, n, g)
+    x = s.network @ (s.gain * theta) + np.sqrt(s.noise_var) * complex_gaussian(n_dim, n, g)
+    return s.inv_sqrt @ x
+
+
+DRAW_SPECS = [
+    ScenarioSpec("mp-null", 7, 5000, 2, 31),  # 7 rows, 3 to a draw chunk
+    ScenarioSpec("masses", 12, 40, 2, 32, {"atoms": [(1.0, 6), (4.0, 6)]}),
+    ScenarioSpec("masses", 5, 3, 2, 32, {"atoms": [(0.5, 2), (2.0, 3)]}),  # c > 1
+    ScenarioSpec("spike", 9, 3000, 2, 33, {"omegas": [3.0, 1.0]}),
+    ScenarioSpec("iid-channel", 24, 128, 2, 34, {"powers": [0.5, 2.0], "multiplicities": [2, 2], "snr_db": 6.0}),
+    ScenarioSpec("doa", 20, 150, 2, 35, {"angles_deg": [35.0, 37.0], "snr_db": 10.0, "spacing": 0.8}),
+    ScenarioSpec("failure", 10, 24, 2, 36, {"n_params": 10, "alpha": -1.0, "failed_index": 0}),
+    ScenarioSpec("failure", 6, 9, 2, 37, {"n_params": 4, "alpha": 0.5, "failed_index": 3, "noise_var": 2.0}),
+]
+
+
+@pytest.mark.parametrize("spec", DRAW_SPECS, ids=lambda spec: f"{spec.kind}-{spec.n_dim}x{spec.n_samples}")
+def test_draws_equal_the_one_expression_per_kind_bit_for_bit(spec):
+    for t in range(spec.trials):
+        y, _ = generate_trial(spec, t)
+        want = _draw_oracle(spec, spec.stream(t).generator())
+        assert y.dtype == want.dtype and y.shape == want.shape and y.tobytes() == want.tobytes(), t
+
+
+def test_a_paper_scale_masses_draw_holds_under_two_and_a_half_ys():
+    # fig3's and `rmt estimate`'s 300 x 3000 masses Y: the (2, N, n) normals, the
+    # complex Y, its scaled copy and U times it peaked at about 3.1 Y; filling
+    # the scaled X in place leaves X and the product, about 2.1 Y
+    spec = ScenarioSpec("masses", 300, 3000, 1, 3, {"atoms": [(1.0, 100), (3.0, 100), (7.0, 100)]})
+    generate_trial(ScenarioSpec("masses", 6, 30, 1, 3, {"atoms": [(1.0, 3), (3.0, 3)]}), 0)  # first-call set-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y, _ = generate_trial(spec, 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * y.nbytes, peak / y.nbytes
+
+
 def test_iid_channel_power_bookkeeping():
     spec = ScenarioSpec(
         "iid-channel", 24, 2000, 6, 11,
@@ -320,19 +379,69 @@ def test_record_columns_stack_the_trials_dicts(spec, binding, workers):
             assert want.dtype == column.dtype and column[t].tobytes() == want.tobytes(), (name, t)
 
 
-def test_a_kept_summary_holds_its_records_as_columns():
-    # a dict per trial held about 384 B a trial here; the eigenvalue column takes 32
-    spec = ScenarioSpec("mp-null", 4, 8, 20_000, 7)
-    run_monte_carlo(ScenarioSpec("mp-null", 4, 8, 2, 7), EigBinding("mp-null"))  # first-call set-up outside the count
+def _run_traced(spec, binding):
+    """The summary of a run and the bytes it kept and peaked at above its
+    start, by tracemalloc, after a two-trial run outside the count."""
+    run_monte_carlo(dataclasses.replace(spec, trials=2), binding)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        summary = run_monte_carlo(spec, EigBinding("mp-null"))
-        held = tracemalloc.get_traced_memory()[0] - before
+        summary = run_monte_carlo(spec, binding)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return summary, held - before, peak - before
+
+
+def test_a_kept_summary_holds_its_records_as_columns():
+    # a dict per trial held about 384 B a trial here; the eigenvalue column takes
+    # 32.  Writing each trial into the column, rather than stacking the block's
+    # dicts at its end, also keeps the peak near the spectra and the column, 64 B
+    # a trial, where the dicts peaked at about 409
+    spec = ScenarioSpec("mp-null", 4, 8, 20_000, 7)
+    summary, held, peak = _run_traced(spec, EigBinding("mp-null"))
     assert summary.records["eigs"].nbytes == 32 * spec.trials
     assert held < 48 * spec.trials, held / spec.trials
+    assert peak < 120 * spec.trials, peak / spec.trials
+
+
+def test_per_trial_records_peak_near_their_columns():
+    # fig8's binding keeps two flags a trial; its dicts peaked at about 204 B a trial
+    spec = ScenarioSpec("failure", 10, 24, 5000, 8, {"n_params": 10, "alpha": -1.0, "failed_index": 0})
+    summary, _, peak = _run_traced(spec, FailureBinding(1e-2))
+    assert {name: column.nbytes for name, column in summary.records.items()} == {
+        "detected": spec.trials, "localized": spec.trials}
+    assert peak < 40 * spec.trials, peak / spec.trials
+
+
+class _Drifting:
+    """Records one value whose shape or dtype, or one name, changes at trial 3."""
+
+    kind = "mp-null"
+
+    def __init__(self, change):
+        self.change = change
+
+    def per_spectrum(self, spec, trial, eigs):
+        if trial < 3:
+            return {"top": eigs[-2:], "n": 1}
+        return {"shape": {"top": eigs[-1:], "n": 1}, "dtype": {"top": eigs[-2:], "n": 1.0},
+                "name": {"top": eigs[-2:], "m": 1}}[self.change]
+
+    def reduce(self, spec, records):
+        return {}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("change, match", [
+    ("shape", r"record 'top' of trial 3 is float64\[1\], of trial 0 float64\[2\]"),
+    ("dtype", r"record 'n' of trial 3 is float64\[\], of trial 0 int64\[\]"),
+    ("name", r"trial 3 records \['m', 'top'\], trial 0 \['n', 'top'\]"),
+], ids=["shape", "dtype", "name"])
+def test_a_record_that_changes_shape_dtype_or_name_is_refused(change, match, workers):
+    # a column sized from the first trial would broadcast or cast a later value silently
+    with pytest.raises(ParameterError, match=match):
+        run_monte_carlo(ScenarioSpec("mp-null", 4, 8, 6, 1), _Drifting(change), workers)
 
 
 # --- spectrum-only trials ------------------------------------------------------------

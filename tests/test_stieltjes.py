@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -394,6 +395,18 @@ def test_support_clusters_refuse_edges_double_precision_merges():
     a, b, _ = mp_support(1e-12)
     clusters = support_clusters(SpectralModel(SINGLE_ATOM, 1e-12))
     assert clusters.masses == (1.0,) and np.allclose(clusters.intervals, ((a, b),), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("c", [10.0**-e for e in range(4, 17)])
+def test_support_clusters_edges_at_tiny_c(c):
+    # np.roots places the edges, a near-double pair around the pole u = -1, only
+    # to about sqrt(eps); they were off by 2e-10 sqrt(c) at c = 1e-12 and by
+    # 0.16 sqrt(c) at 1e-16 before Newton steps polished them
+    a, b, _ = mp_support(c)
+    clusters = support_clusters(SpectralModel(SINGLE_ATOM, c))
+    assert clusters.masses == (1.0,)
+    (lo, hi), = clusters.intervals
+    assert max(abs(lo - a), abs(hi - b)) < 1e-6 * math.sqrt(c)
 
 
 def continuous_density(model, grid, eps=1e-9):
