@@ -15,13 +15,14 @@ distinct population values, three estimators are provided:
   pinned by the noiseless rank-one limit, where P_hat must reduce to +P.
 
 Cluster separability is assumed, not verified, by the estimators; an advisory
-check through the limiting-density support is available separately and its
-outcome is attached to estimates as warnings.
+check through the limiting-density support is available separately, as
+:func:`separation_warnings`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -75,14 +76,6 @@ class ClusterAssignment:
                 raise ParameterError("ranges must be disjoint and ascending")
             prev = b
 
-    @property
-    def k(self) -> int:
-        return len(self.ranges)
-
-    def indices(self, cluster: int) -> np.ndarray:
-        a, b = self.ranges[cluster]
-        return np.arange(a, b)
-
     @classmethod
     def top_ranges(cls, n_dim: int, multiplicities, gap_aligned: bool = True) -> "ClusterAssignment":
         """Pack the clusters against the top of the spectrum, ascending order."""
@@ -90,12 +83,8 @@ class ClusterAssignment:
         total = sum(mult)
         if total > n_dim:
             raise ParameterError("multiplicities exceed the number of eigenvalues")
-        start = n_dim - total
-        ranges = []
-        for m in mult:
-            ranges.append((start, start + m))
-            start += m
-        return cls(mult, tuple(ranges), gap_aligned)
+        edges = tuple(accumulate(mult, initial=n_dim - total))
+        return cls(mult, tuple(zip(edges, edges[1:])), gap_aligned)
 
 
 @dataclass(frozen=True)
@@ -104,19 +93,16 @@ class PowerEstimate:
     method: str
     n_dim: int
     n_samples: int | None = None
-    warnings: tuple = field(default=())
-
-    @property
-    def ratio(self) -> float | None:
-        return None if self.n_samples is None else self.n_dim / self.n_samples
 
 
-def _check_eigs(eigs) -> np.ndarray:
+def _check_eigs(eigs, clamped: bool = False) -> np.ndarray:
     eigs = np.asarray(eigs, dtype=float)
     if eigs.ndim != 1 or eigs.size == 0:
         raise ParameterError("eigenvalues must form a nonempty 1-d vector")
     if np.any(np.diff(eigs) < 0):
         raise ParameterError("eigenvalues must be ascending")
+    if clamped and np.any(eigs < EIG_CLAMP):
+        raise ParameterError("negative eigenvalue below the -1e-12 clamp window")
     return eigs
 
 
@@ -125,12 +111,54 @@ def _check_clusters(eigs: np.ndarray, clusters: ClusterAssignment) -> None:
         raise ParameterError("cluster indices out of range for the eigenvalue vector")
 
 
+_MU_STACK = 1 << 14  # matrix entries per batched eigvalsh call (128 KB)
+
+
+def _mu_rows(eigs: np.ndarray, denom: int) -> np.ndarray:
+    """:func:`mu_eigenvalues` of each row of ``eigs``, clipped to zero from below."""
+    eye, out = np.eye(eigs.shape[1]), np.empty_like(eigs)
+    step = max(1, _MU_STACK // eye.size)
+    for a in range(0, len(eigs), step):
+        lam = np.clip(eigs[a:a + step, :, None], 0.0, None)
+        s = np.sqrt(lam)
+        out[a:a + step] = np.linalg.eigvalsh(lam * eye - s * s.transpose(0, 2, 1) / denom)
+    return out
+
+
+def _cluster_sums(x: np.ndarray, clusters: ClusterAssignment) -> np.ndarray:
+    """(B, K): each row of ``x`` summed over each cluster's index range."""
+    return np.stack([x[:, a:b].sum(axis=1) for a, b in clusters.ranges], axis=1)
+
+
+def _classical_rows(eigs: np.ndarray, clusters: ClusterAssignment) -> np.ndarray:
+    return _cluster_sums(eigs, clusters) / np.array(clusters.multiplicities)
+
+
+def _g_rows(eigs: np.ndarray, n_samples: int, clusters: ClusterAssignment) -> np.ndarray:
+    diff = _mu_rows(eigs, n_samples)
+    return n_samples / np.array(clusters.multiplicities) * _cluster_sums(np.subtract(eigs, diff, out=diff), clusters)
+
+
+def _iid_channel_rows(eigs: np.ndarray, n_dim: int, n_samples: int, clusters: ClusterAssignment) -> np.ndarray:
+    front = n_dim * n_samples / (n_samples - n_dim) / np.array(clusters.multiplicities)
+    diff = _mu_rows(eigs, n_samples)
+    return front * _cluster_sums(np.subtract(diff, _mu_rows(eigs, n_dim), out=diff), clusters)
+
+
+def _gap_aligned_rows(eigs: np.ndarray, multiplicities: tuple) -> np.ndarray:
+    """Per row: do the K-1 largest gaps of the top window (ties to the lowest) split it into ``multiplicities``?"""
+    window = eigs[:, eigs.shape[1] - sum(multiplicities):]
+    order = np.argsort(window[:, :-1] - window[:, 1:], axis=1, kind="stable")  # minus each gap, exactly
+    splits = np.sort(order[:, : len(multiplicities) - 1], axis=1) + 1
+    sizes = np.diff(splits, axis=1, prepend=0, append=window.shape[1])
+    return np.all(sizes == np.array(multiplicities), axis=1)
+
+
 def classical_estimate(eigs, clusters: ClusterAssignment) -> PowerEstimate:
     """Cluster means: the n-consistent estimator, biased when N ~ n."""
     eigs = _check_eigs(eigs)
     _check_clusters(eigs, clusters)
-    vals = tuple(float(np.mean(eigs[clusters.indices(k)])) for k in range(clusters.k))
-    return PowerEstimate(vals, "classical", eigs.size)
+    return PowerEstimate(tuple(_classical_rows(eigs[None], clusters)[0].tolist()), "classical", eigs.size)
 
 
 def mu_eigenvalues(eigs, denom: int) -> np.ndarray:
@@ -146,24 +174,16 @@ def mu_eigenvalues(eigs, denom: int) -> np.ndarray:
         raise ParameterError("denominator count must be >= 1")
     if np.any(eigs < EIG_CLAMP):
         raise ParameterError("negative eigenvalue below the -1e-12 clamp window")
-    lam = np.clip(eigs, 0.0, None)
-    s = np.sqrt(lam)
-    m = np.diag(lam) - np.outer(s, s) / denom
-    return np.linalg.eigvalsh(m)
+    return _mu_rows(eigs[None], denom)[0]
 
 
 def g_estimate(eigs, n_samples: int, clusters: ClusterAssignment) -> PowerEstimate:
     """(N, n)-consistent estimator P_hat_k = (n/N_k) sum_cluster (lambda - mu)."""
-    eigs = _check_eigs(eigs)
+    eigs = _check_eigs(eigs, clamped=True)
     _check_clusters(eigs, clusters)
     if n_samples < 1:
         raise ParameterError("n must be >= 1")
-    mu = mu_eigenvalues(eigs, n_samples)
-    diff = eigs - mu
-    vals = tuple(
-        float(n_samples / clusters.multiplicities[k] * np.sum(diff[clusters.indices(k)]))
-        for k in range(clusters.k)
-    )
+    vals = tuple(_g_rows(eigs[None], n_samples, clusters)[0].tolist())
     return PowerEstimate(vals, "g-estimator", eigs.size, n_samples)
 
 
@@ -173,20 +193,13 @@ def power_estimate_iid_channel(eigs, n_dim: int, n_samples: int, clusters: Clust
     Uses both rank-one downdates (denominators N and n); refuses n <= N where
     the prefactor changes sign and the regime is not covered.
     """
-    eigs = _check_eigs(eigs)
+    eigs = _check_eigs(eigs, clamped=True)
     _check_clusters(eigs, clusters)
     if eigs.size != n_dim:
         raise ParameterError("eigenvalue count must equal N")
     if n_samples <= n_dim:
         raise ParameterError("i.i.d.-channel estimator requires n > N")
-    eta = mu_eigenvalues(eigs, n_dim)
-    mu = mu_eigenvalues(eigs, n_samples)
-    diff = mu - eta
-    front = n_dim * n_samples / (n_samples - n_dim)
-    vals = tuple(
-        float(front / clusters.multiplicities[k] * np.sum(diff[clusters.indices(k)]))
-        for k in range(clusters.k)
-    )
+    vals = tuple(_iid_channel_rows(eigs[None], n_dim, n_samples, clusters)[0].tolist())
     return PowerEstimate(vals, "iid-channel", n_dim, n_samples)
 
 
@@ -201,24 +214,10 @@ def clusters_from_gaps(eigs, k: int, multiplicities) -> ClusterAssignment:
     """
     eigs = _check_eigs(eigs)
     mult = tuple(int(m) for m in multiplicities)
-    if k < 1 or k > eigs.size:
-        raise ParameterError("need 1 <= K <= N")
     if len(mult) != k:
         raise ParameterError("need one multiplicity per cluster")
-    total = sum(mult)
-    if total > eigs.size:
-        raise ParameterError("multiplicities exceed the number of eigenvalues")
-    offset = eigs.size - total
-    window = eigs[offset:]
-    if k == 1:
-        return ClusterAssignment.top_ranges(eigs.size, mult, gap_aligned=True)
-    gaps = np.diff(window)
-    # lowest index wins ties: stable sort on (-gap, position)
-    order = np.lexsort((np.arange(gaps.size), -gaps))
-    splits = np.sort(order[: k - 1]) + 1  # positions within the window
-    sizes = np.diff(np.concatenate(([0], splits, [window.size])))
-    aligned = tuple(int(s) for s in sizes) == mult
-    return ClusterAssignment.top_ranges(eigs.size, mult, gap_aligned=aligned)
+    clusters = ClusterAssignment.top_ranges(eigs.size, mult)  # refuses K < 1 and multiplicities that do not fit
+    return replace(clusters, gap_aligned=bool(_gap_aligned_rows(eigs[None], mult)[0]))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@ suite.
 
 A :class:`ScenarioSpec` freezes one experiment (observation model, dimensions,
 trial count, seed); :func:`generate_trial` draws the trial-indexed observation
-matrix Y, and :func:`run_monte_carlo` maps a binding over all trials, stacks
-each value the binding records per trial into one column (a numpy array with
-the trial axis first) and reduces the columns into aggregates.  Trials use
+matrix Y, and :func:`run_monte_carlo` runs a binding over all trials in blocks,
+keeps each value the binding records as one column (a numpy array with the
+trial axis first) and reduces the columns into aggregates.  Trials use
 independent counter-based streams keyed (seed, trial), so results are
 bit-identical for any worker count.
 
@@ -26,9 +26,9 @@ the calling thread and one helper each take the next trial, fill a Y buffer
 of their own with the same fill, so with the bits ``draw`` gives, and run the
 kernel on it.
 The kernel's ``ctypes`` calls release the GIL; where numpy's library lacks
-LAPACKE, the block runs as one lane on ``np.linalg.eigvalsh``.  Bindings that
-read only the spectrum define ``per_spectrum`` and are served by this hook on
-the calling thread; the others define ``per_trial`` and get each trial's Y.
+LAPACKE, the block runs as one lane on ``np.linalg.eigvalsh``.  A binding's
+``per_spectra`` maps this hook's block to its columns on the calling thread;
+``per_trial`` gets each trial's Y.
 
 Every block, serial or in a pool worker, runs with numpy's bundled OpenBLAS
 pinned to one thread and restores the caller's count afterwards, so results
@@ -109,9 +109,9 @@ class ObservationModel:
     ``spec.params`` the model and its default binding read."""
 
     def spectra(self, spec, s, trials):
-        """A (len(trials), N) array whose row i holds the ascending eigenvalues
-        of (1/n) Y Y^H at trial ``trials[i]``; this default draws Y and takes
-        its spectrum, which every model supports."""
+        """A (len(trials), N) array, the block ``per_spectra`` reads, whose row i
+        holds the ascending eigenvalues of (1/n) Y Y^H at trial ``trials[i]``;
+        this default draws Y and takes its spectrum, as every model can."""
         out = np.empty((len(trials), spec.n_dim))
         for i, t in enumerate(trials):
             out[i] = sample_spectrum(self.draw(spec, s, spec.stream(t).generator()))
@@ -260,7 +260,9 @@ class IidChannelModel(ObservationModel):
     params = ("powers", "multiplicities", "snr_db")
 
     def setup(self, spec, p):
-        powers = tuple(_real(v, "power", 0.0) for v in _items(p.get("powers"), "powers"))
+        powers = tuple(_real(v, "power") for v in _items(p.get("powers"), "powers"))
+        if min(powers) <= 0:
+            raise ParameterError(f"iid-channel powers must be positive (NMSE divides by each), got {min(powers)!r}")
         mults = tuple(_integer(m, "multiplicity", 1) for m in _items(p.get("multiplicities"), "multiplicities"))
         if len(powers) != len(mults):
             raise ParameterError("iid-channel needs matching powers and multiplicities")
@@ -434,17 +436,19 @@ BLOCK_LANES = 2  # threads, the caller's included, that run a spectrum-only bloc
 
 
 def _run_block(args):
-    """Record columns of one block of trials, run pinned: spectrum-only
-    bindings read the model's ``spectra``, the others get each trial's Y."""
+    """Record columns of one block of trials, run pinned: ``per_spectra`` maps
+    the model's ``spectra`` to them, ``per_trial``'s rows are written into them."""
     spec, binding, trials = args
     model = MODELS[spec.kind]
     with _pinned_blas():
-        if hasattr(binding, "per_spectrum"):
-            spectra = model.spectra(spec, spec.state, trials)
-            rows = (binding.per_spectrum(spec, t, eigs) for t, eigs in zip(trials, spectra, strict=True))
-        else:
-            rows = (binding.per_trial(spec, t, model.draw(spec, spec.state, spec.stream(t).generator()))
-                    for t in trials)
+        if hasattr(binding, "per_spectra"):
+            columns = binding.per_spectra(spec, trials, model.spectra(spec, spec.state, trials))
+            for name, column in columns.items():
+                if not isinstance(column, np.ndarray) or column.shape[:1] != (len(trials),):
+                    raise ParameterError(f"record {name!r} of trials {trials[0]}-{trials[-1]} must be an array with "
+                                         f"{len(trials)} rows, got {getattr(column, 'shape', type(column).__name__)}")
+            return columns
+        rows = (binding.per_trial(spec, t, model.draw(spec, spec.state, spec.stream(t).generator())) for t in trials)
         for i, row in enumerate(rows):
             values = {name: np.asarray(value) for name, value in row.items()}
             if not i:  # the first trial sizes the columns; every row is written into them
@@ -476,13 +480,14 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
     """Execute all trials of a scenario under a binding and reduce.
 
     The binding provides ``reduce(spec, records) -> dict`` and either
-    ``per_spectrum(spec, trial, eigs) -> dict``, if it reads only the ascending
-    eigenvalues of (1/n) Y Y^H, or ``per_trial(spec, trial, y) -> dict``.
-    The records are columns: each name a trial's dict holds becomes one array
-    with the trial axis first, row t holding trial t's value: the first trial
-    of a block sizes its columns and every trial's values are written into
-    them, so a value whose shape or dtype differs from the first trial's
-    raises :class:`ParameterError` naming it.  Trials run in blocks
+    ``per_spectra(spec, trials, spectra) -> dict``, which maps a block's
+    ascending eigenvalues of (1/n) Y Y^H, one row per trial, to its record
+    columns (each an ndarray with a row per trial, or :class:`ParameterError`
+    names it), or ``per_trial(spec, trial, y) -> dict``, whose values are
+    written into columns sized from a block's first trial (a later shape or
+    dtype that differs raises :class:`ParameterError` naming it).  Records
+    are arrays with the trial axis first, row t holding trial t's value.
+    Trials run in blocks
     of consecutive indices, all of them in one block when serial and one block
     per pool task otherwise; the blocks' columns are joined in trial order, so
     aggregates do not depend on worker scheduling.  Every block runs at the
@@ -491,8 +496,8 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
     processes than there are blocks.
     """
     workers = _integer(workers, "workers", 1)
-    if not (hasattr(binding, "per_spectrum") or hasattr(binding, "per_trial")) or not hasattr(binding, "reduce"):
-        raise ParameterError("binding must expose per_spectrum or per_trial, and reduce")
+    if not (hasattr(binding, "per_spectra") or hasattr(binding, "per_trial")) or not hasattr(binding, "reduce"):
+        raise ParameterError("binding must expose per_spectra or per_trial, and reduce")
     if getattr(binding, "kind", spec.kind) != spec.kind:
         raise ParameterError(f"binding for kind {binding.kind!r} is incompatible with {spec.kind!r}")
     t0 = time.perf_counter()
@@ -531,13 +536,13 @@ def histogram(values, bins: int, value_range=None):
 
 
 class EigBinding:
-    """Record the full sample-covariance spectrum per trial (any kind)."""
+    """Record each trial's sample-covariance spectrum (any kind): the block's spectra, uncopied."""
 
     def __init__(self, kind: str):
         self.kind = kind
 
-    def per_spectrum(self, spec, trial, eigs):
-        return {"eigs": eigs}
+    def per_spectra(self, spec, trials, spectra):
+        return {"eigs": spectra}
 
     def reduce(self, spec, records):
         eigs = records["eigs"]
@@ -548,19 +553,19 @@ class PowerNmseBinding:
     """Backs the fig4 experiment: i.i.d.-channel estimates vs classical cluster means.
 
     The classical route assumes n >> N and N >> M_k: cluster mean minus the
-    noise level estimated from the N - M smallest eigenvalues.
+    noise level estimated from the N - M smallest eigenvalues.  Both run per block.
     """
 
     kind = "iid-channel"
 
-    def per_spectrum(self, spec, trial, eigs):
-        mults = spec.state.mults
-        clusters = ge.ClusterAssignment.top_ranges(spec.n_dim, mults)
-        gvals = ge.power_estimate_iid_channel(eigs, spec.n_dim, spec.n_samples, clusters).values
-        m_total = sum(mults)
-        noise_hat = float(np.mean(eigs[: spec.n_dim - m_total])) if m_total < spec.n_dim else 0.0
-        cvals = tuple(v - noise_hat for v in ge.classical_estimate(eigs, clusters).values)
-        return {"g": gvals, "classical": cvals}
+    def per_spectra(self, spec, trials, spectra):
+        if spec.n_samples <= spec.n_dim:
+            raise ParameterError("i.i.d.-channel estimator requires n > N")
+        clusters = ge.ClusterAssignment.top_ranges(spec.n_dim, spec.state.mults)
+        noise = spec.n_dim - sum(spec.state.mults)
+        noise_hat = spectra[:, :noise].mean(axis=1, keepdims=True) if noise else 0.0
+        return {"g": ge._iid_channel_rows(spectra, spec.n_dim, spec.n_samples, clusters),
+                "classical": ge._classical_rows(spectra, clusters) - noise_hat}
 
     def reduce(self, spec, records):
         powers = np.asarray(spec.state.powers)
@@ -576,18 +581,17 @@ class PowerNmseBinding:
 
 
 class GEstimatorBinding:
-    """Masses-kind: Eq-for-Eq comparison of the cluster-mean and G estimators."""
+    """Masses-kind: Eq-for-Eq comparison of the cluster-mean and G estimators, per block."""
 
     kind = "masses"
 
-    def per_spectrum(self, spec, trial, eigs):
+    def per_spectra(self, spec, trials, spectra):
         mults = spec.state.mults
-        clusters = ge.clusters_from_gaps(eigs, len(mults), mults)
-        return {
-            "g": ge.g_estimate(eigs, spec.n_samples, clusters).values,
-            "classical": ge.classical_estimate(eigs, clusters).values,
-            "gap_aligned": clusters.gap_aligned,
-        }
+        clusters = ge.ClusterAssignment.top_ranges(spec.n_dim, mults)
+        # as `rmt estimate` does: a rank-deficient Gram (c > 1) has zeros that carry rounding below zero
+        lam = np.clip(spectra, 0.0, None)
+        return {"g": ge._g_rows(lam, spec.n_samples, clusters), "classical": ge._classical_rows(lam, clusters),
+                "gap_aligned": ge._gap_aligned_rows(lam, mults)}
 
     def reduce(self, spec, records):
         values = np.asarray(spec.state.values)

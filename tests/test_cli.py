@@ -578,14 +578,18 @@ def test_refused_reproduce_leaves_no_directory(tmp_path, capsys, argv, err):
     {"kind": "failure", "N": 8, "n": 16, "trials": 2, "seed": 1, "params": {"n_params": 2, "failed_index": 1.5}},
     {"kind": "mp-null", "N": 8, "n": 16, "trials": 2, "seed": 1, "params": [1, 2]},
     [1, 2, 3],
+    # it printed two divide-by-zero warnings and wrote Infinity, which is not JSON
+    {"kind": "iid-channel", "N": 8, "n": 16, "trials": 2, "seed": 1,
+     "params": {"powers": [0.0], "multiplicities": [2], "snr_db": 0.0}},
 ], ids=["missing-key", "string-mult", "negative-mult", "string-omega", "negative-seed", "fractional-index",
-        "list-params", "not-an-object"])
+        "list-params", "not-an-object", "zero-power"])
 def test_simulate_malformed_spec_is_runtime_error(tmp_path, capsys, doc):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run_cli("simulate", "--spec", str(spec_path)) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("kind, params, key", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rmt.errors import ParameterError
+import rmt.gestimation as ge
 from rmt.gestimation import (
     ClusterAssignment,
     classical_estimate,
@@ -222,6 +223,56 @@ def test_clusters_from_gaps_guards():
         clusters_from_gaps([1.0, 2.0], 3, (1, 1, 1))
     with pytest.raises(ParameterError):
         clusters_from_gaps([1.0, 2.0], 1, (3,))
+
+
+# --- one spectrum and a block of them, against the one-spectrum formulas ------------------
+
+
+def _one_spectrum_oracle(eigs, n_dim, n_samples, mults):
+    """classical, g, iid-channel and gap flag of one ascending spectrum, one
+    cluster at a time: the estimators' formulas as written before they ran over
+    a trial axis."""
+    def mu(denom):
+        lam = np.clip(eigs, 0.0, None)
+        s = np.sqrt(lam)
+        return np.linalg.eigvalsh(np.diag(lam) - np.outer(s, s) / denom)
+
+    start = n_dim - sum(mults)
+    idx = [np.arange(a, a + m) for a, m in zip(np.cumsum((start,) + mults[:-1]), mults)]
+    classical = tuple(float(np.mean(eigs[i])) for i in idx)
+    g = tuple(float(n_samples / m * np.sum((eigs - mu(n_samples))[i])) for m, i in zip(mults, idx))
+    front = n_dim * n_samples / (n_samples - n_dim)
+    iid = tuple(float(front / m * np.sum((mu(n_samples) - mu(n_dim))[i])) for m, i in zip(mults, idx))
+    gaps = np.diff(eigs[start:])
+    splits = np.sort(np.lexsort((np.arange(gaps.size), -gaps))[: len(mults) - 1]) + 1
+    aligned = tuple(int(s) for s in np.diff(np.concatenate(([0], splits, [gaps.size + 1])))) == mults
+    return classical, g, iid, aligned
+
+
+@pytest.mark.parametrize("values, mults, n_samples", [
+    ((1.0, 4.0), (6, 6), 40),
+    ((1.0, 4.0), (6, 6), 13),
+    ((2.0,), (12,), 40),  # K = 1
+    ((0.5, 1.0, 3.0, 7.0), (3, 9, 12, 6), 90),
+    ((1.0, 3.0), (150, 150), 900),  # clusters longer than numpy's 128-element summation block
+], ids=["12x40", "12x13", "k1", "uneven", "300x900"])
+def test_estimators_equal_the_one_spectrum_formulas_bit_for_bit(values, mults, n_samples):
+    # the public estimators and a block's rows run one arithmetic, which must
+    # equal the per-spectrum formulas exactly
+    n_dim = sum(mults)
+    block = np.array([masses_eigs(values, mults, n_samples, seed=91, trial=t) for t in range(6)])
+    clusters = ClusterAssignment.top_ranges(n_dim, mults)
+    stacked = (ge._classical_rows(block, clusters), ge._g_rows(block, n_samples, clusters),
+               ge._iid_channel_rows(block, n_dim, n_samples, clusters) if n_samples > n_dim else None,
+               ge._gap_aligned_rows(block, mults))
+    for t, eigs in enumerate(block):
+        classical, g, iid, aligned = _one_spectrum_oracle(eigs, n_dim, n_samples, mults)
+        assert classical_estimate(eigs, clusters).values == classical == tuple(stacked[0][t].tolist())
+        assert g_estimate(eigs, n_samples, clusters).values == g == tuple(stacked[1][t].tolist())
+        assert clusters_from_gaps(eigs, len(mults), mults).gap_aligned == aligned == stacked[3][t]
+        if n_samples > n_dim:
+            got = power_estimate_iid_channel(eigs, n_dim, n_samples, clusters).values
+            assert got == iid == tuple(stacked[2][t].tolist())
 
 
 # --- CLT check -------------------------------------------------------------------------

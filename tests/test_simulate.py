@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from rmt.errors import ParameterError
+from rmt.gestimation import (ClusterAssignment, classical_estimate, clusters_from_gaps, g_estimate,
+                             power_estimate_iid_channel)
 import rmt.linalg as linalg
 import rmt.simulate as simulate
 from rmt.linalg import (_eigvalsh_into, _numpy_openblas, _pinned_blas, complex_gaussian, haar_unitary,
@@ -69,6 +71,7 @@ def test_spec_refuses_malformed_params():
         ("spike", {"omegas": ["2"]}),
         ("spike", {"omegas": [float("nan")]}),
         ("iid-channel", {"powers": [1.0], "multiplicities": [True], "snr_db": 0.0}),
+        ("iid-channel", {"powers": [0.0, 1.0], "multiplicities": [2, 2], "snr_db": 0.0}),  # NMSE divides by each power
         ("doa", {"angles_deg": [10.0], "snr_db": "high"}),
         ("mp-null", {"snr_db": float("inf")}),
     ]
@@ -261,11 +264,6 @@ def _same_records(a, b):
         (a[k].shape, a[k].dtype) == (b[k].shape, b[k].dtype) and a[k].tobytes() == b[k].tobytes() for k in a)
 
 
-def _columns(rows):
-    """Per-trial dicts stacked into columns, trial axis first."""
-    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
-
-
 @pytest.mark.parametrize("spec, binding", [
     (ScenarioSpec("masses", 12, 40, 37, 8, {"atoms": [(1.0, 6), (4.0, 6)]}), GEstimatorBinding()),
     (ScenarioSpec("spike", 9, 20, 37, 12, {"omegas": [3.0, 1.0]}), EigBinding("spike")),
@@ -330,15 +328,35 @@ def test_run_monte_carlo_binding_compatibility():
     spec = ScenarioSpec("mp-null", 4, 8, 1, 0)
     with pytest.raises(ParameterError):
         run_monte_carlo(spec, PowerNmseBinding())
-    with pytest.raises(ParameterError, match="per_spectrum or per_trial"):
+    with pytest.raises(ParameterError, match="per_spectra or per_trial"):
         run_monte_carlo(spec, type("ReduceOnly", (), {"reduce": lambda self, spec, records: {}})())
+
+
+def _spectrum_row(spec, binding, eigs):
+    """One trial's values of a spectrum binding, from the public 1-d estimators
+    as `rmt estimate` calls them."""
+    if isinstance(binding, GEstimatorBinding):
+        mults, eigs = spec.state.mults, np.clip(eigs, 0.0, None)
+        clusters = clusters_from_gaps(eigs, len(mults), mults)
+        return {"g": g_estimate(eigs, spec.n_samples, clusters).values,
+                "classical": classical_estimate(eigs, clusters).values, "gap_aligned": clusters.gap_aligned}
+    if isinstance(binding, PowerNmseBinding):
+        mults = spec.state.mults
+        clusters = ClusterAssignment.top_ranges(spec.n_dim, mults)
+        noise = spec.n_dim - sum(mults)
+        noise_hat = float(np.mean(eigs[:noise])) if noise else 0.0
+        return {"g": power_estimate_iid_channel(eigs, spec.n_dim, spec.n_samples, clusters).values,
+                "classical": tuple(v - noise_hat for v in classical_estimate(eigs, clusters).values)}
+    assert type(binding) is EigBinding
+    return {"eigs": eigs}
 
 
 def _trial_by_trial(spec, binding):
     """The binding's dict of every trial, made one trial at a time outside the
-    engine: ``per_trial`` on generate_trial's Y, ``per_spectrum`` on its
-    sample_spectrum.  masses' spectra hook skips the Haar rotation, which moves
-    the spectrum at rounding level, so there the spectrum is the unrotated Y's."""
+    engine: ``per_trial`` on generate_trial's Y, a spectrum binding's values
+    from the public estimators on its sample_spectrum.  masses' spectra hook
+    skips the Haar rotation, which moves the spectrum at rounding level, so
+    there the spectrum is the unrotated Y's."""
     rows = []
     with _pinned_blas():
         for t in range(spec.trials):
@@ -351,8 +369,11 @@ def _trial_by_trial(spec, binding):
                 y = spec.state.scale * complex_gaussian(spec.n_dim, spec.n_samples, g)
             else:
                 y = generate_trial(spec, t)[0]
-            rows.append(binding.per_spectrum(spec, t, sample_spectrum(y)))
+            rows.append(_spectrum_row(spec, binding, sample_spectrum(y)))
     return rows
+
+
+MIXED_GAPS = ScenarioSpec("masses", 12, 40, 37, 77, {"atoms": [(1.0, 6), (4.0, 6)]})
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -366,9 +387,16 @@ def _trial_by_trial(spec, binding):
     (ScenarioSpec("doa", 10, 40, 37, 65, {"angles_deg": [20.0, 35.0], "snr_db": 5.0}), DoaResolutionBinding()),
     (ScenarioSpec("failure", 6, 20, 37, 66, {"n_params": 6, "alpha": -1.0, "failed_index": 1}), FailureBinding(0.1)),
     (ScenarioSpec("mp-null", 4, 8, 37, 67, {"snr_db": 0.0}), DetectionRocBinding()),
-], ids=["mp-null", "masses", "masses-eig", "spike", "iid-channel", "doa", "failure", "detection-roc"])
+    (MIXED_GAPS, GEstimatorBinding()),
+    (ScenarioSpec("masses", 12, 40, 37, 68, {"atoms": [(2.0, 12)]}), GEstimatorBinding()),
+    (ScenarioSpec("masses", 40, 10, 37, 69, {"atoms": [(1e6, 20), (3e6, 20)]}), GEstimatorBinding()),
+    (ScenarioSpec("iid-channel", 12, 40, 37, 70, {"powers": [0.5, 2.0], "multiplicities": [6, 6], "snr_db": 6.0}),
+     PowerNmseBinding()),
+], ids=["mp-null", "masses", "masses-eig", "spike", "iid-channel", "doa", "failure", "detection-roc",
+        "masses-mixed-gaps", "masses-k1", "masses-c4", "iid-channel-no-noise-block"])
 def test_record_columns_stack_the_trials_dicts(spec, binding, workers):
-    # 37 trials reach two workers as blocks of two and a last block of one
+    # 37 trials reach two workers as blocks of two and a last block of one; a
+    # spectrum binding's block arithmetic equals the public estimators' bit for bit
     rows = _trial_by_trial(spec, binding)
     got = run_monte_carlo(spec, binding, workers).records
     assert got.keys() == rows[0].keys()
@@ -377,6 +405,37 @@ def test_record_columns_stack_the_trials_dicts(spec, binding, workers):
         for t, row in enumerate(rows):
             want = np.asarray(row[name])
             assert want.dtype == column.dtype and column[t].tobytes() == want.tobytes(), (name, t)
+    if spec is MIXED_GAPS:
+        assert set(got["gap_aligned"].tolist()) == {True, False}
+
+
+class _BadColumn(EigBinding):
+    """Returns the block's spectra and one malformed column."""
+
+    def __init__(self, bad):
+        super().__init__("mp-null")
+        self.bad = bad
+
+    def per_spectra(self, spec, trials, spectra):
+        return {"eigs": spectra, "top": {"short": spectra[1:, -1], "list": list(spectra[:, -1]),
+                                         "scalar": np.float64(1.0)}[self.bad]}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bad, got", [("short", r"got \(\d+,\)"), ("list", "got list"), ("scalar", r"got \(\)")],
+                         ids=["short", "list", "scalar"])
+def test_a_spectra_column_without_one_row_per_trial_is_refused(bad, got, workers):
+    # a short column would misalign the pool's join; a list or scalar has no rows to join
+    with pytest.raises(ParameterError, match=rf"record 'top' of trials \d+-\d+ must be an array with \d+ rows, {got}"):
+        run_monte_carlo(ScenarioSpec("mp-null", 4, 8, 6, 1), _BadColumn(bad), workers)
+
+
+def test_a_rank_deficient_masses_run_gives_finite_aggregates():
+    # at c = 4 the Gram's 30 zero eigenvalues carry rounding down to about -1e-8,
+    # beyond the estimators' clamp window; the block is clipped as `rmt estimate` clips
+    spec = ScenarioSpec("masses", 40, 10, 20, 1, {"atoms": [(1e6, 20), (3e6, 20)]})
+    agg = run_monte_carlo(spec, GEstimatorBinding()).aggregates
+    assert all(np.all(np.isfinite(value)) for value in agg.values()), agg
 
 
 def _run_traced(spec, binding):
@@ -395,14 +454,15 @@ def _run_traced(spec, binding):
 
 def test_a_kept_summary_holds_its_records_as_columns():
     # a dict per trial held about 384 B a trial here; the eigenvalue column takes
-    # 32.  Writing each trial into the column, rather than stacking the block's
-    # dicts at its end, also keeps the peak near the spectra and the column, 64 B
-    # a trial, where the dicts peaked at about 409
+    # 32, and it is the block's spectra array itself, so the run peaks near one
+    # copy of the spectra (about 46 B a trial), where a row-by-row copy into a
+    # column peaked at 64.5 and stacked dicts at about 409
     spec = ScenarioSpec("mp-null", 4, 8, 20_000, 7)
     summary, held, peak = _run_traced(spec, EigBinding("mp-null"))
     assert summary.records["eigs"].nbytes == 32 * spec.trials
     assert held < 48 * spec.trials, held / spec.trials
     assert peak < 120 * spec.trials, peak / spec.trials
+    assert peak < 56 * spec.trials, peak / spec.trials
 
 
 def test_per_trial_records_peak_near_their_columns():
@@ -422,11 +482,12 @@ class _Drifting:
     def __init__(self, change):
         self.change = change
 
-    def per_spectrum(self, spec, trial, eigs):
+    def per_trial(self, spec, trial, y):
+        row = y.real[0]
         if trial < 3:
-            return {"top": eigs[-2:], "n": 1}
-        return {"shape": {"top": eigs[-1:], "n": 1}, "dtype": {"top": eigs[-2:], "n": 1.0},
-                "name": {"top": eigs[-2:], "m": 1}}[self.change]
+            return {"top": row[-2:], "n": 1}
+        return {"shape": {"top": row[-1:], "n": 1}, "dtype": {"top": row[-2:], "n": 1.0},
+                "name": {"top": row[-2:], "m": 1}}[self.change]
 
     def reduce(self, spec, records):
         return {}
@@ -626,8 +687,7 @@ def test_lanes_call_nothing_instrumentable_off_the_calling_thread(spec, binding,
             # a complex product replaces zherk, so the Gram's rounding differs from the records above;
             # the serial route's mirrored covariance and np.linalg.eigvalsh give the reference
             trials = range(spec.trials)
-            want = _columns([binding.per_spectrum(spec, t, eigs)
-                             for t, eigs in zip(trials, _inline_spectra(spec, trials))])
+            want = binding.per_spectra(spec, trials, np.array(_inline_spectra(spec, trials)))
     seen = _lane_threads(monkeypatch, late_helper=library == "lapacke")
     off = _guard_instrumentable(monkeypatch)
     got = run_monte_carlo(spec, binding)
@@ -694,10 +754,10 @@ def test_lapacke_eigvalsh_raises_on_a_nonzero_info(monkeypatch):
 
 
 class _RaiseOnTrial3(EigBinding):
-    def per_spectrum(self, spec, trial, eigs):
-        if trial == 3:
+    def per_spectra(self, spec, trials, spectra):
+        if 3 in trials:
             raise ArithmeticError("binding failed on trial 3")
-        return {"eigs": eigs, "threads": OPENBLAS.get_threads()}
+        return {"eigs": spectra, "threads": np.full(len(trials), OPENBLAS.get_threads())}
 
 
 class _PerTrialThreads:
