@@ -12,19 +12,18 @@ bit-identical for any worker count.
 Each observation model is one class in :data:`MODELS`: ``setup(spec, params)``
 validates the parameters once and builds ``spec.state`` (made with the spec and
 pickled with it), the population parameters that bindings read;
-``draw(spec, state, g)`` returns one trial's Y and ``binding(spec)`` is ``rmt
-simulate``'s default.  A draw writes its N x n Gaussian term once, with
-:func:`rmt.linalg._gaussian_into` (the fill behind ``complex_gaussian``), into
-the buffer that becomes Y (or that ``masses`` multiplies by its unitary), and
-scales it and adds the signal there.
-``spectra(spec, state, trials)`` returns the eigenvalues of (1/n) Y Y^H for a
-block of trials, one row per trial, all through the Hermitian kernel of
-:mod:`rmt.linalg` (zherk, then zheevd).  Its shared default draws Y and calls
-:func:`~rmt.linalg.sample_spectrum` per trial; ``mp-null``, ``spike`` and
-``masses`` (which skips its Haar rotation) run a block as two identical lanes:
-the calling thread and one helper each take the next trial, fill a Y buffer
-of their own with the same fill, so with the bits ``draw`` gives, and run the
-kernel on it.
+``draw_into(spec, state, g, y, chunk)`` writes one trial's Y into a caller's
+N x n buffer and ``binding(spec)`` is ``rmt simulate``'s default.  A draw
+writes its N x n Gaussian term once, with :func:`rmt.linalg._gaussian_into`
+(the fill behind ``complex_gaussian``), into that buffer, and scales it and
+adds the signal there; ``masses`` and ``failure`` return a left product of it.
+The shared ``draw(spec, state, g)`` runs ``draw_into`` on a new buffer, and
+the shared ``spectra(spec, state, trials)`` returns the eigenvalues of (1/n)
+Y Y^H for a block of trials, one row per trial, as two identical lanes: the
+calling thread and one helper each take the next trial, run ``draw_into`` on a
+Y buffer of their own, so with the bits ``draw`` gives (``masses`` skips its
+Haar rotation, which cannot change the spectrum), and run the Hermitian kernel
+of :mod:`rmt.linalg` (zherk, then zheevd) on it.
 The kernel's ``ctypes`` calls release the GIL; where numpy's library lacks
 LAPACKE, the block runs as one lane on ``np.linalg.eigvalsh``.  A binding's
 ``per_spectra`` maps this hook's block to its columns on the calling thread;
@@ -106,78 +105,77 @@ def _snr_sigma(p: dict) -> float:
 
 class ObservationModel:
     """Shared base of the observation models; ``params`` names every key of
-    ``spec.params`` the model and its default binding read."""
+    ``spec.params`` the model and its default binding read.
+
+    A model defines ``draw_into(spec, s, g, y, chunk=None)``: it writes the
+    trial Y of generator ``g`` into the caller's C-contiguous complex N x n
+    buffer ``y``, with ``chunk`` as :func:`~rmt.linalg._gaussian_into`'s
+    normals buffer, and returns Y: ``y`` itself, or a new array where Y is a
+    left product of it.  ``draw`` and ``spectra`` derive from it."""
+
+    def draw(self, spec, s, g):
+        """One trial's Y, in a buffer of its own."""
+        return self.draw_into(spec, s, g, np.empty((spec.n_dim, spec.n_samples), dtype=complex))
+
+    def spectral_into(self, spec, s, g, y, chunk):
+        """A matrix with the sample spectrum of ``draw_into``'s Y, as a lane
+        forms it: by default that Y."""
+        return self.draw_into(spec, s, g, y, chunk)
 
     def spectra(self, spec, s, trials):
         """A (len(trials), N) array, the block ``per_spectra`` reads, whose row i
-        holds the ascending eigenvalues of (1/n) Y Y^H at trial ``trials[i]``;
-        this default draws Y and takes its spectrum, as every model can."""
-        out = np.empty((len(trials), spec.n_dim))
-        for i, t in enumerate(trials):
-            out[i] = sample_spectrum(self.draw(spec, s, spec.stream(t).generator()))
+        holds the ascending eigenvalues of (1/n) Y Y^H at trial ``trials[i]``.
+
+        :data:`BLOCK_LANES` lanes, this thread and helpers, each take the next
+        trial index under a lock, then run ``spectral_into`` and the kernel in
+        buffers of their own, and write row i of the result; a lane's work
+        depends only on its trial's stream, so the rows do not depend on which
+        lane ran them.  The lanes call private kernels only, nothing an
+        instrumenter of the calling thread wraps (public rmt functions,
+        ``np.linalg``).  Without LAPACKE the eigensolve is
+        ``np.linalg.eigvalsh``, which holds the GIL, and the block runs as one
+        lane on this thread.  A lane's error stops the others after their
+        current trial and is raised here.
+        """
+        n_dim, n = spec.n_dim, spec.n_samples
+        out = np.empty((len(trials), n_dim))
+        blas = _numpy_openblas()
+        lock, order, failed = threading.Lock(), iter(range(len(trials))), []
+
+        def lane():
+            y, chunk = np.empty((n_dim, n), dtype=complex), np.empty((max(1, DRAW_CHUNK // n), n))
+            gram = np.empty((n_dim, n_dim), dtype=complex)
+            while True:
+                with lock:
+                    i = None if failed else next(order, None)
+                if i is None:
+                    return
+                try:
+                    y_t = self.spectral_into(spec, s, spec.stream(trials[i]).generator(), y, chunk)
+                    _eigvalsh_into(_gram_into(y_t, gram), out[i])
+                except BaseException as exc:  # re-raised on the calling thread, once every lane has stopped
+                    failed.append(exc)
+                    return
+
+        lanes = BLOCK_LANES if blas and blas.zheevd else 1
+        helpers = [threading.Thread(target=lane) for _ in range(min(lanes, len(trials)) - 1)]
+        for h in helpers:
+            h.start()
+        try:
+            lane()
+        finally:
+            for h in helpers:
+                h.join()
+        if failed:
+            raise failed[0]
         return out
 
 
-def _gaussian_spectra(spec, trials, scale=None, skip=0):
-    """Spectra of Y = scale * X, X proper complex Gaussian, as
-    :meth:`ObservationModel.spectra` returns them.
-
-    Each trial skips ``skip`` x ``skip`` complex Gaussians, then fills a Y
-    of its lane with :func:`~rmt.linalg._gaussian_into`: the bits ``draw``
-    gives, with no temporary of Y's size.
-
-    :data:`BLOCK_LANES` lanes, this thread and helpers, each take the next
-    trial index under a lock, then draw and run the kernel in buffers of their
-    own, and write row i of the result; a lane's work depends only on its
-    trial's stream, so the rows do not depend on which lane ran them.  The
-    lanes call private kernels only, nothing an instrumenter of the calling
-    thread wraps (public rmt functions, ``np.linalg``).  Without LAPACKE the
-    eigensolve is ``np.linalg.eigvalsh``, which holds the GIL, and the block
-    runs as one lane on this thread.  A lane's error stops the others after
-    their current trial and is raised here.
-    """
-    n_dim, n = spec.n_dim, spec.n_samples
-    out = np.empty((len(trials), n_dim))
-    blas = _numpy_openblas()
-    lock, order, failed = threading.Lock(), iter(range(len(trials))), []
-
-    def lane():
-        y, chunk = np.empty((n_dim, n), dtype=complex), np.empty((max(1, DRAW_CHUNK // n), n))
-        gram = np.empty((n_dim, n_dim), dtype=complex)
-        flat = chunk.reshape(-1)
-        while True:
-            with lock:
-                i = None if failed else next(order, None)
-            if i is None:
-                return
-            try:
-                g = spec.stream(trials[i]).generator()
-                for left in range(2 * skip * skip, 0, -flat.size):
-                    g.standard_normal(out=flat[:left])
-                _eigvalsh_into(_gram_into(_gaussian_into(y, g, scale, chunk), gram), out[i])
-            except BaseException as exc:  # re-raised on the calling thread, once every lane has stopped
-                failed.append(exc)
-                return
-
-    lanes = BLOCK_LANES if blas and blas.zheevd else 1
-    helpers = [threading.Thread(target=lane) for _ in range(min(lanes, len(trials)) - 1)]
-    for h in helpers:
-        h.start()
-    try:
-        lane()
-    finally:
-        for h in helpers:
-            h.join()
-    if failed:
-        raise failed[0]
-    return out
-
-
-def _noise_plus(spec, sigma, signal, g):
-    """``signal + sigma * w`` for the next N x n proper Gaussian w of ``g``,
-    built in w's buffer: sigma * w in place, then the signal added to it, which
-    gives the same bits because IEEE addition commutes."""
-    y = _gaussian_into(np.empty((spec.n_dim, spec.n_samples), dtype=complex), g)
+def _noise_into(y, g, chunk, sigma, signal):
+    """``signal + sigma * w`` into ``y`` for the next N x n proper Gaussian w
+    of ``g``: sigma * w in place, then the signal added to it, which gives the
+    same bits because IEEE addition commutes."""
+    _gaussian_into(y, g, chunk=chunk)
     y *= sigma
     y += signal
     return y
@@ -192,11 +190,8 @@ class MpNullModel(ObservationModel):
     def setup(self, spec, p):
         return SimpleNamespace(sigma=_snr_sigma(p) if "snr_db" in p else 1.0)
 
-    def draw(self, spec, s, g):
-        return complex_gaussian(spec.n_dim, spec.n_samples, g)
-
-    def spectra(self, spec, s, trials):
-        return _gaussian_spectra(spec, trials)
+    def draw_into(self, spec, s, g, y, chunk=None):
+        return _gaussian_into(y, g, chunk=chunk)
 
     def binding(self, spec):
         return EigBinding(spec.kind)
@@ -218,14 +213,17 @@ class MassesModel(ObservationModel):
             raise ParameterError("mass multiplicities must sum to N")
         return SimpleNamespace(values=values, mults=mults, scale=np.sqrt(np.repeat(values, mults))[:, None])
 
-    def draw(self, spec, s, g):
+    def draw_into(self, spec, s, g, y, chunk=None):
         u = haar_unitary(spec.n_dim, g)
-        return u @ _gaussian_into(np.empty((spec.n_dim, spec.n_samples), dtype=complex), g, s.scale)
+        return u @ _gaussian_into(y, g, s.scale, chunk)
 
-    def spectra(self, spec, s, trials):
-        # the spectrum is unitarily invariant: U's Gaussians are drawn, to keep
-        # X's stream position, but U is neither built nor applied
-        return _gaussian_spectra(spec, trials, s.scale, skip=spec.n_dim)
+    def spectral_into(self, spec, s, g, y, chunk):
+        # the spectrum is unitarily invariant: U's 2 N^2 normals are drawn, to
+        # keep X's stream position, but U is neither built nor applied
+        flat = chunk.reshape(-1)
+        for left in range(2 * spec.n_dim**2, 0, -flat.size):
+            g.standard_normal(out=flat[:left])
+        return _gaussian_into(y, g, s.scale, chunk)
 
     def binding(self, spec):
         return GEstimatorBinding()
@@ -243,11 +241,8 @@ class SpikeModel(ObservationModel):
         diag = np.concatenate([1.0 + np.asarray(omegas), np.ones(spec.n_dim - len(omegas))])
         return SimpleNamespace(omegas=omegas, scale=np.sqrt(diag)[:, None])
 
-    def draw(self, spec, s, g):
-        return _gaussian_into(np.empty((spec.n_dim, spec.n_samples), dtype=complex), g, s.scale)
-
-    def spectra(self, spec, s, trials):
-        return _gaussian_spectra(spec, trials, s.scale)
+    def draw_into(self, spec, s, g, y, chunk=None):
+        return _gaussian_into(y, g, s.scale, chunk)
 
     def binding(self, spec):
         return EigBinding(spec.kind)
@@ -271,11 +266,11 @@ class IidChannelModel(ObservationModel):
         pdiag = np.repeat(powers, mults)
         return SimpleNamespace(powers=powers, mults=mults, pdiag=pdiag, scale=np.sqrt(pdiag)[:, None], sigma=_snr_sigma(p))
 
-    def draw(self, spec, s, g):
+    def draw_into(self, spec, s, g, y, chunk=None):
         # channel entries have variance 1/N so receive power stays bounded in N
-        h = complex_gaussian(spec.n_dim, s.pdiag.size, g) / math.sqrt(spec.n_dim)
-        x = complex_gaussian(s.pdiag.size, spec.n_samples, g)
-        return _noise_plus(spec, s.sigma, h @ (s.scale * x), g)
+        h = _gaussian_into(np.empty((spec.n_dim, s.pdiag.size), dtype=complex), g) / math.sqrt(spec.n_dim)
+        x = _gaussian_into(np.empty((s.pdiag.size, spec.n_samples), dtype=complex), g, chunk=chunk)
+        return _noise_into(y, g, chunk, s.sigma, h @ (s.scale * x))
 
     def binding(self, spec):
         return PowerNmseBinding()
@@ -292,9 +287,9 @@ class DoaModel(ObservationModel):
         model = SteeringModel(spec.n_dim, _real(p.get("spacing", 1.0), "spacing"))
         return SimpleNamespace(angles=angles, model=model, steering=steering_matrix(model, angles), sigma=_snr_sigma(p))
 
-    def draw(self, spec, s, g):
-        x = complex_gaussian(len(s.angles), spec.n_samples, g)
-        return _noise_plus(spec, s.sigma, s.steering @ x, g)
+    def draw_into(self, spec, s, g, y, chunk=None):
+        x = _gaussian_into(np.empty((len(s.angles), spec.n_samples), dtype=complex), g, chunk=chunk)
+        return _noise_into(y, g, chunk, s.sigma, s.steering @ x)
 
     def binding(self, spec):
         return DoaResolutionBinding()
@@ -329,9 +324,9 @@ class FailureModel(ObservationModel):
         return SimpleNamespace(n_params=m, failed=failed, alpha=alpha, noise_var=sigma2, network=h,
                                gain=gain, inv_sqrt=inv_sqrt, hypotheses=hypotheses, stats=stats)
 
-    def draw(self, spec, s, g):
-        theta = complex_gaussian(s.n_params, spec.n_samples, g)
-        return s.inv_sqrt @ _noise_plus(spec, math.sqrt(s.noise_var), s.network @ (s.gain * theta), g)
+    def draw_into(self, spec, s, g, y, chunk=None):
+        theta = _gaussian_into(np.empty((s.n_params, spec.n_samples), dtype=complex), g, chunk=chunk)
+        return s.inv_sqrt @ _noise_into(y, g, chunk, math.sqrt(s.noise_var), s.network @ (s.gain * theta))
 
     def binding(self, spec):
         return FailureBinding(_real(spec.params.get("far", 1e-2), "far"))

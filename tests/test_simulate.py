@@ -392,8 +392,10 @@ MIXED_GAPS = ScenarioSpec("masses", 12, 40, 37, 77, {"atoms": [(1.0, 6), (4.0, 6
     (ScenarioSpec("masses", 40, 10, 37, 69, {"atoms": [(1e6, 20), (3e6, 20)]}), GEstimatorBinding()),
     (ScenarioSpec("iid-channel", 12, 40, 37, 70, {"powers": [0.5, 2.0], "multiplicities": [6, 6], "snr_db": 6.0}),
      PowerNmseBinding()),
+    (ScenarioSpec("doa", 10, 40, 37, 71, {"angles_deg": [20.0, 35.0], "snr_db": 5.0}), EigBinding("doa")),
+    (ScenarioSpec("failure", 6, 20, 37, 72, {"n_params": 6, "alpha": -1.0, "failed_index": 1}), EigBinding("failure")),
 ], ids=["mp-null", "masses", "masses-eig", "spike", "iid-channel", "doa", "failure", "detection-roc",
-        "masses-mixed-gaps", "masses-k1", "masses-c4", "iid-channel-no-noise-block"])
+        "masses-mixed-gaps", "masses-k1", "masses-c4", "iid-channel-no-noise-block", "doa-eig", "failure-eig"])
 def test_record_columns_stack_the_trials_dicts(spec, binding, workers):
     # 37 trials reach two workers as blocks of two and a last block of one; a
     # spectrum binding's block arithmetic equals the public estimators' bit for bit
@@ -525,7 +527,7 @@ def _hook_spectra(spec):
     ("mp-null", 1, 9, {}),
     ("spike", 8, 20, {"omegas": [2.0, 0.5]}),
     ("spike", 9, 4, {"omegas": [3.0]}),  # c > 1
-    ("iid-channel", 6, 9, {"powers": [0.5, 2.0], "multiplicities": [1, 2], "snr_db": 6.0}),  # the shared route
+    ("iid-channel", 6, 9, {"powers": [0.5, 2.0], "multiplicities": [1, 2], "snr_db": 6.0}),  # a signal product plus noise
 ])
 def test_spectra_equal_the_draw_route_bit_for_bit(kind, n_dim, n_samples, params, seed):
     # the reused buffers hold each trial's draws in the draw route's order and scaling
@@ -675,19 +677,27 @@ def _guard_instrumentable(monkeypatch):
     (ScenarioSpec("mp-null", 48, 96, 6, 41), EigBinding("mp-null")),
     (ScenarioSpec("spike", 40, 90, 6, 42, {"omegas": [3.0]}), EigBinding("spike")),
     (ScenarioSpec("masses", 30, 120, 6, 43, {"atoms": [(1.0, 10), (3.0, 10), (7.0, 10)]}), GEstimatorBinding()),
-], ids=["mp-null", "spike", "masses"])
+    (ScenarioSpec("iid-channel", 24, 128, 6, 44, {"powers": [1 / 16, 1 / 4, 1.0], "multiplicities": [4, 4, 4],
+                                                  "snr_db": 5.0}), PowerNmseBinding()),
+    (ScenarioSpec("doa", 20, 150, 6, 45, {"angles_deg": [35.0, 37.0], "snr_db": 10.0}), EigBinding("doa")),
+    (ScenarioSpec("failure", 10, 24, 6, 46, {"n_params": 10, "alpha": -1.0, "failed_index": 0}), EigBinding("failure")),
+], ids=["mp-null", "spike", "masses", "iid-channel", "doa", "failure"])
 def test_lanes_call_nothing_instrumentable_off_the_calling_thread(spec, binding, library, monkeypatch):
     # a span recorder keeps one stack per process, so only the calling thread may enter a wrapped function
-    want = run_monte_carlo(spec, binding).records
+    want, trials = run_monte_carlo(spec, binding).records, range(spec.trials)
     if library != "lapacke":
         # without LAPACKE the block solves with np.linalg.eigvalsh, so in one lane
         fake = None if library == "no-openblas" else SimpleNamespace(**dict(vars(OPENBLAS), zheevd=None))
         _use_library(monkeypatch, fake)
-        if fake is None:
-            # a complex product replaces zherk, so the Gram's rounding differs from the records above;
-            # the serial route's mirrored covariance and np.linalg.eigvalsh give the reference
-            trials = range(spec.trials)
-            want = binding.per_spectra(spec, trials, np.array(_inline_spectra(spec, trials)))
+    if spec.kind in ("iid-channel", "doa", "failure"):
+        # a signal product plus noise: the reference is the draw route, generate_trial's Y, its
+        # mirrored covariance and np.linalg.eigvalsh, at the pin a block runs at with this library
+        with _pinned_blas():
+            want = binding.per_spectra(spec, trials, np.array(_draw_route_spectra(spec)))
+    elif library == "no-openblas":
+        # a complex product replaces zherk, so the Gram's rounding differs from the records above;
+        # the serial route's mirrored covariance and np.linalg.eigvalsh give the reference
+        want = binding.per_spectra(spec, trials, np.array(_inline_spectra(spec, trials)))
     seen = _lane_threads(monkeypatch, late_helper=library == "lapacke")
     off = _guard_instrumentable(monkeypatch)
     got = run_monte_carlo(spec, binding)

@@ -11,6 +11,10 @@ with ``os.wait4``; ``RUSAGE_CHILDREN`` would report the largest peak over all
 children so far.  It also gets the figure's manifest when the run wrote one.
 The curve files go to a temporary directory and are dropped.
 
+Each child leads a session of its own.  A runner stopped by SIGTERM or SIGINT
+kills that session's process group, reaps the child and exits with status
+128 + the signal number, writing no JSON file.
+
 Paper-scale runs take minutes each (fig7 and fig8 about ten), so this is not
 part of the test suite.
 """
@@ -19,11 +23,17 @@ import argparse
 import json
 import os
 import pathlib
+import signal
 import sys
 import tempfile
 import time
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+STOPS = (signal.SIGTERM, signal.SIGINT)
+
+
+def _stop(signum, frame):
+    raise SystemExit(128 + signum)  # unwinds through run_figure, which kills and reaps its child
 
 
 def run_figure(figure: str, out_dir: pathlib.Path) -> dict:
@@ -31,8 +41,15 @@ def run_figure(figure: str, out_dir: pathlib.Path) -> dict:
             "--out-dir", str(out_dir)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
-    pid = os.posix_spawn(sys.executable, argv, env)
-    _, status, usage = os.wait4(pid, 0)
+    signal.pthread_sigmask(signal.SIG_BLOCK, STOPS)  # a stop waits until the child can be killed
+    pid = os.posix_spawn(sys.executable, argv, env, setsid=True, setsigmask=())
+    try:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, STOPS)
+        _, status, usage = os.wait4(pid, 0)
+    except BaseException:
+        os.killpg(pid, signal.SIGKILL)  # its session's group: pid, as setsid made it the leader
+        os.waitpid(pid, 0)
+        raise
     wall = time.perf_counter() - start
     manifest = out_dir / f"{figure}_manifest.json"
     return {"figure": figure, "exit_code": os.waitstatus_to_exitcode(status), "wall_s": round(wall, 3),
@@ -46,6 +63,8 @@ def main(argv=None) -> int:
     parser.add_argument("figures", nargs="+", metavar="FIG", help="figure ids, run in the order given")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
+    for stop in STOPS:
+        signal.signal(stop, _stop)
     runs = []
     for figure in args.figures:
         with tempfile.TemporaryDirectory() as tmp:
