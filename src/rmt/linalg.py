@@ -272,15 +272,17 @@ def _gaussian_into(y, g, scale=None, chunk=None):
     ``scale``, and return it.
 
     The stream fills every real part, then every imaginary part, as
-    :func:`complex_gaussian` orders them, about ``DRAW_CHUNK`` normals per call
-    into the float64 buffer ``chunk`` (rows x n, made here when None); each
-    chunk is written into its rows of y times sqrt(1/2), then times ``scale``,
-    so nothing of Y's size is drawn or scaled apart from y itself.
+    :func:`complex_gaussian` orders them, as many rows of n normals per call
+    as the C-contiguous float64 buffer ``chunk`` holds (about ``DRAW_CHUNK``
+    when made here, where it is None or shorter than a row); each chunk is
+    written into its rows of y times sqrt(1/2), then times ``scale``, so
+    nothing of Y's size is drawn or scaled apart from y itself.
     """
     n_dim, n = y.shape
-    if chunk is None:
-        chunk = np.empty((min(n_dim, max(1, DRAW_CHUNK // n)), n))
-    rows, half = len(chunk), np.sqrt(0.5)
+    if chunk is None or chunk.size < n:
+        chunk = np.empty(min(n_dim, max(1, DRAW_CHUNK // n)) * n)
+    rows, half = min(n_dim, chunk.size // n), np.sqrt(0.5)
+    chunk = chunk.reshape(-1)[:rows * n].reshape(rows, n)
     for part in (y.real, y.imag):
         for r in range(0, n_dim, rows):
             x = chunk[:n_dim - r]

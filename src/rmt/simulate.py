@@ -13,21 +13,13 @@ Each observation model is one class in :data:`MODELS`: ``setup(spec, params)``
 validates the parameters once and builds ``spec.state`` (made with the spec and
 pickled with it), the population parameters that bindings read;
 ``draw_into(spec, state, g, y, chunk)`` writes one trial's Y into a caller's
-N x n buffer and ``binding(spec)`` is ``rmt simulate``'s default.  A draw
-writes its N x n Gaussian term once, with :func:`rmt.linalg._gaussian_into`
-(the fill behind ``complex_gaussian``), into that buffer, and scales it and
-adds the signal there; ``masses`` and ``failure`` return a left product of it.
-The shared ``draw(spec, state, g)`` runs ``draw_into`` on a new buffer, and
-the shared ``spectra(spec, state, trials)`` returns the eigenvalues of (1/n)
-Y Y^H for a block of trials, one row per trial, as two identical lanes: the
-calling thread and one helper each take the next trial, run ``draw_into`` on a
-Y buffer of their own, so with the bits ``draw`` gives (``masses`` skips its
-Haar rotation, which cannot change the spectrum), and run the Hermitian kernel
-of :mod:`rmt.linalg` (zherk, then zheevd) on it.
-The kernel's ``ctypes`` calls release the GIL; where numpy's library lacks
-LAPACKE, the block runs as one lane on ``np.linalg.eigvalsh``.  A binding's
-``per_spectra`` maps this hook's block to its columns on the calling thread;
-``per_trial`` gets each trial's Y.
+N x n buffer, filling its Gaussian term once there, and ``binding(spec)`` is
+``rmt simulate``'s default.  :class:`ObservationModel` derives ``draw`` and
+``spectra(spec, state, trials)``, the eigenvalues of (1/n) Y Y^H for a block
+of trials, which two identical lanes form with the Hermitian kernel of
+:mod:`rmt.linalg` (zherk, then zheevd; ``np.linalg.eigvalsh`` in one lane
+where numpy's library lacks LAPACKE).  A binding's ``per_spectra`` maps that
+block to its columns on the calling thread; ``per_trial`` gets each trial's Y.
 
 Every block, serial or in a pool worker, runs with numpy's bundled OpenBLAS
 pinned to one thread and restores the caller's count afterwards, so results
@@ -111,7 +103,10 @@ class ObservationModel:
     trial Y of generator ``g`` into the caller's C-contiguous complex N x n
     buffer ``y``, with ``chunk`` as :func:`~rmt.linalg._gaussian_into`'s
     normals buffer, and returns Y: ``y`` itself, or a new array where Y is a
-    left product of it.  ``draw`` and ``spectra`` derive from it."""
+    left product of it.  ``draw`` and ``spectra`` derive from it.  ``draw``
+    passes no ``chunk``, so its unscaled Gaussians come from the public
+    :func:`~rmt.linalg.complex_gaussian` (``mp-null``'s Y in a new array),
+    where an instrumenter of the calling thread times them; a lane's are private."""
 
     def draw(self, spec, s, g):
         """One trial's Y, in a buffer of its own."""
@@ -171,6 +166,14 @@ class ObservationModel:
         return out
 
 
+def _normals(rows, cols, g, chunk):
+    """``complex_gaussian(rows, cols, g)``, called as such by ``draw`` (no
+    ``chunk``); a lane gets the same bits from the private fill on its buffer."""
+    if chunk is None:
+        return complex_gaussian(rows, cols, g)
+    return _gaussian_into(np.empty((rows, cols), dtype=complex), g, chunk=chunk)
+
+
 def _noise_into(y, g, chunk, sigma, signal):
     """``signal + sigma * w`` into ``y`` for the next N x n proper Gaussian w
     of ``g``: sigma * w in place, then the signal added to it, which gives the
@@ -191,7 +194,7 @@ class MpNullModel(ObservationModel):
         return SimpleNamespace(sigma=_snr_sigma(p) if "snr_db" in p else 1.0)
 
     def draw_into(self, spec, s, g, y, chunk=None):
-        return _gaussian_into(y, g, chunk=chunk)
+        return complex_gaussian(spec.n_dim, spec.n_samples, g) if chunk is None else _gaussian_into(y, g, chunk=chunk)
 
     def binding(self, spec):
         return EigBinding(spec.kind)
@@ -268,8 +271,8 @@ class IidChannelModel(ObservationModel):
 
     def draw_into(self, spec, s, g, y, chunk=None):
         # channel entries have variance 1/N so receive power stays bounded in N
-        h = _gaussian_into(np.empty((spec.n_dim, s.pdiag.size), dtype=complex), g) / math.sqrt(spec.n_dim)
-        x = _gaussian_into(np.empty((s.pdiag.size, spec.n_samples), dtype=complex), g, chunk=chunk)
+        h = _normals(spec.n_dim, s.pdiag.size, g, chunk) / math.sqrt(spec.n_dim)
+        x = _normals(s.pdiag.size, spec.n_samples, g, chunk)
         return _noise_into(y, g, chunk, s.sigma, h @ (s.scale * x))
 
     def binding(self, spec):
@@ -288,7 +291,7 @@ class DoaModel(ObservationModel):
         return SimpleNamespace(angles=angles, model=model, steering=steering_matrix(model, angles), sigma=_snr_sigma(p))
 
     def draw_into(self, spec, s, g, y, chunk=None):
-        x = _gaussian_into(np.empty((len(s.angles), spec.n_samples), dtype=complex), g, chunk=chunk)
+        x = _normals(len(s.angles), spec.n_samples, g, chunk)
         return _noise_into(y, g, chunk, s.sigma, s.steering @ x)
 
     def binding(self, spec):
@@ -325,7 +328,7 @@ class FailureModel(ObservationModel):
                                gain=gain, inv_sqrt=inv_sqrt, hypotheses=hypotheses, stats=stats)
 
     def draw_into(self, spec, s, g, y, chunk=None):
-        theta = _gaussian_into(np.empty((s.n_params, spec.n_samples), dtype=complex), g, chunk=chunk)
+        theta = _normals(s.n_params, spec.n_samples, g, chunk)
         return s.inv_sqrt @ _noise_into(y, g, chunk, math.sqrt(s.noise_var), s.network @ (s.gain * theta))
 
     def binding(self, spec):

@@ -27,7 +27,7 @@ def test_a_stopped_runner_takes_its_figure_process_down(tmp_path):
     # a paper-scale fig7 child left running kept a 2-core host busy for about ten minutes
     out = tmp_path / "runs.json"
     runner = subprocess.Popen([sys.executable, str(RUNNER), "fig7", "--out", str(out)], stderr=subprocess.PIPE)
-    children = []
+    children, passed = [], False
     try:
         deadline = time.monotonic() + 30
         while not children and time.monotonic() < deadline and runner.poll() is None:
@@ -38,12 +38,13 @@ def test_a_stopped_runner_takes_its_figure_process_down(tmp_path):
         assert runner.wait(timeout=5) == 128 + signal.SIGTERM
         assert not [pid for pid in children if os.path.exists(f"/proc/{pid}")]
         assert not out.exists()
+        passed = True
     finally:
         if runner.poll() is None:
             runner.kill()
-        for pid in children:
+        for pid in [] if passed else children:  # a passed run has reaped them, and their pids may be reused
             try:
-                os.kill(pid, signal.SIGKILL)  # only where the runner left them running
+                os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
         runner.wait(timeout=10)

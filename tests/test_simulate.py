@@ -227,6 +227,26 @@ def test_a_paper_scale_masses_draw_holds_under_two_and_a_half_ys():
     assert peak < 2.5 * y.nbytes, peak / y.nbytes
 
 
+@pytest.mark.parametrize("spec", DRAW_SPECS, ids=lambda spec: f"{spec.kind}-{spec.n_dim}x{spec.n_samples}")
+def test_a_draw_takes_its_unscaled_gaussians_from_complex_gaussian(spec, monkeypatch):
+    # a span recorder times the per-trial route's draws by wrapping complex_gaussian
+    # wherever rmt binds it; only the lanes keep to its private fill
+    calls = []
+
+    def counted(n_rows, n_cols, rng):
+        calls.append((n_rows, n_cols))
+        return complex_gaussian(n_rows, n_cols, rng)
+
+    for module in (linalg, simulate):
+        monkeypatch.setattr(module, "complex_gaussian", counted)
+    generate_trial(spec, 0)
+    s, n_dim, n = spec.state, spec.n_dim, spec.n_samples
+    want = {"mp-null": lambda: [(n_dim, n)], "masses": lambda: [(n_dim, n_dim)], "spike": lambda: [],
+            "iid-channel": lambda: [(n_dim, s.pdiag.size), (s.pdiag.size, n)],
+            "doa": lambda: [(len(s.angles), n)], "failure": lambda: [(s.n_params, n)]}[spec.kind]()
+    assert calls == want
+
+
 def test_iid_channel_power_bookkeeping():
     spec = ScenarioSpec(
         "iid-channel", 24, 2000, 6, 11,

@@ -42,13 +42,17 @@ def run_figure(figure: str, out_dir: pathlib.Path) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
     signal.pthread_sigmask(signal.SIG_BLOCK, STOPS)  # a stop waits until the child can be killed
-    pid = os.posix_spawn(sys.executable, argv, env, setsid=True, setsigmask=())
+    pid = None
     try:
+        pid = os.posix_spawn(sys.executable, argv, env, setsid=True, setsigmask=())
         signal.pthread_sigmask(signal.SIG_UNBLOCK, STOPS)
         _, status, usage = os.wait4(pid, 0)
     except BaseException:
-        os.killpg(pid, signal.SIGKILL)  # its session's group: pid, as setsid made it the leader
-        os.waitpid(pid, 0)
+        signal.pthread_sigmask(signal.SIG_BLOCK, STOPS)  # nor can a second stop cut the kill and reap short
+        if pid is not None:
+            os.killpg(pid, signal.SIGKILL)  # its session's group: pid, as setsid made it the leader
+            os.waitpid(pid, 0)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, STOPS)
         raise
     wall = time.perf_counter() - start
     manifest = out_dir / f"{figure}_manifest.json"
