@@ -98,8 +98,15 @@ def _write_csv(path, columns: dict) -> None:
     pathlib.Path(path).write_text(",".join(names) + "\n" + (row * len(data)) % tuple(data.ravel().tolist()))
 
 
+def _plain(value):
+    """``json.dumps``'s ``default``: an array as nested lists, a numpy scalar as its Python number."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2, default=_plain)
     if out:
         pathlib.Path(out).write_text(text + "\n")
     else:
@@ -148,10 +155,7 @@ def cmd_density(args) -> int:
 
 def cmd_estimate(args) -> int:
     y = _load_matrix(args.input)
-    n_dim = y.shape[0]
-    n_samples = args.n if args.n is not None else y.shape[1]
-    if n_samples < 1:
-        raise UsageError("--n must be at least 1")
+    n_dim, n_samples = y.shape
     try:
         mult = tuple(int(m) for m in args.mult.split(","))
     except ValueError as exc:
@@ -161,11 +165,11 @@ def cmd_estimate(args) -> int:
     if min(mult) < 1:
         raise UsageError(f"bad --mult {args.mult!r}, every multiplicity must be at least 1")
     eigs = np.clip(sample_spectrum(y), 0.0, None)
-    clusters = ge.clusters_from_gaps(eigs, args.K, mult)
+    clusters = ge.clusters_from_gaps(eigs, mult)
     if args.method == "classical":
         est = ge.classical_estimate(eigs, clusters)
     elif args.method == "iid-channel":
-        est = ge.power_estimate_iid_channel(eigs, n_dim, n_samples, clusters)
+        est = ge.power_estimate_iid_channel(eigs, n_samples, clusters)
     else:
         est = ge.g_estimate(eigs, n_samples, clusters)
     warnings = list(ge.separation_warnings(est.values, mult, n_dim, n_samples)) if args.check_separation else []
@@ -204,7 +208,7 @@ def cmd_doa(args) -> int:
 def cmd_detect(args) -> int:
     y = _load_matrix(args.input)
     eigs = np.clip(sample_spectrum(y), 0.0, None)
-    decision = sp.glrt_test(eigs, y.shape[0], y.shape[1], args.far)
+    decision = sp.glrt_test(eigs, y.shape[1], args.far)
     doc = validate(
         "detect",
         {
@@ -292,16 +296,6 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def cmd_simulate(args) -> int:
     spec = ScenarioSpec.from_json(pathlib.Path(args.spec).read_text())
     binding = sim.MODELS[spec.kind].binding(spec)
@@ -310,7 +304,7 @@ def cmd_simulate(args) -> int:
         "summary",
         {
             "kind": spec.kind,
-            "aggregates": _jsonable(summary.aggregates),
+            "aggregates": summary.aggregates,
             "runtime_s": summary.runtime_s,
             "seed_manifest": validate("seed_manifest", summary.seed_manifest),
         },
@@ -350,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--mult", required=True, help="comma-separated multiplicities")
     p.add_argument("--method", choices=("g", "classical", "iid-channel"), default="g")
-    p.add_argument("--n", type=int, default=None, help="sample count override")
     p.add_argument("--check-separation", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_estimate)

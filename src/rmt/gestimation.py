@@ -77,22 +77,20 @@ class ClusterAssignment:
             prev = b
 
     @classmethod
-    def top_ranges(cls, n_dim: int, multiplicities, gap_aligned: bool = True) -> "ClusterAssignment":
-        """Pack the clusters against the top of the spectrum, ascending order."""
+    def top_ranges(cls, n_dim: int, multiplicities) -> "ClusterAssignment":
+        """Pack the clusters against the top of ``n_dim`` eigenvalues, ascending order."""
         mult = tuple(int(m) for m in multiplicities)
         total = sum(mult)
         if total > n_dim:
             raise ParameterError("multiplicities exceed the number of eigenvalues")
         edges = tuple(accumulate(mult, initial=n_dim - total))
-        return cls(mult, tuple(zip(edges, edges[1:])), gap_aligned)
+        return cls(mult, tuple(zip(edges, edges[1:])))
 
 
 @dataclass(frozen=True)
 class PowerEstimate:
     values: tuple
     method: str
-    n_dim: int
-    n_samples: int | None = None
 
 
 def _check_eigs(eigs, clamped: bool = False) -> np.ndarray:
@@ -158,7 +156,7 @@ def classical_estimate(eigs, clusters: ClusterAssignment) -> PowerEstimate:
     """Cluster means: the n-consistent estimator, biased when N ~ n."""
     eigs = _check_eigs(eigs)
     _check_clusters(eigs, clusters)
-    return PowerEstimate(tuple(_classical_rows(eigs[None], clusters)[0].tolist()), "classical", eigs.size)
+    return PowerEstimate(tuple(_classical_rows(eigs[None], clusters)[0].tolist()), "classical")
 
 
 def mu_eigenvalues(eigs, denom: int) -> np.ndarray:
@@ -184,27 +182,26 @@ def g_estimate(eigs, n_samples: int, clusters: ClusterAssignment) -> PowerEstima
     if n_samples < 1:
         raise ParameterError("n must be >= 1")
     vals = tuple(_g_rows(eigs[None], n_samples, clusters)[0].tolist())
-    return PowerEstimate(vals, "g-estimator", eigs.size, n_samples)
+    return PowerEstimate(vals, "g-estimator")
 
 
-def power_estimate_iid_channel(eigs, n_dim: int, n_samples: int, clusters: ClusterAssignment) -> PowerEstimate:
-    """(N, n)-consistent source-power estimator for i.i.d. random channels.
+def power_estimate_iid_channel(eigs, n_samples: int, clusters: ClusterAssignment) -> PowerEstimate:
+    """(N, n)-consistent source-power estimator for i.i.d. random channels,
+    with N the number of eigenvalues.
 
     Uses both rank-one downdates (denominators N and n); refuses n <= N where
     the prefactor changes sign and the regime is not covered.
     """
     eigs = _check_eigs(eigs, clamped=True)
     _check_clusters(eigs, clusters)
-    if eigs.size != n_dim:
-        raise ParameterError("eigenvalue count must equal N")
-    if n_samples <= n_dim:
+    if n_samples <= eigs.size:
         raise ParameterError("i.i.d.-channel estimator requires n > N")
-    vals = tuple(_iid_channel_rows(eigs[None], n_dim, n_samples, clusters)[0].tolist())
-    return PowerEstimate(vals, "iid-channel", n_dim, n_samples)
+    vals = tuple(_iid_channel_rows(eigs[None], eigs.size, n_samples, clusters)[0].tolist())
+    return PowerEstimate(vals, "iid-channel")
 
 
-def clusters_from_gaps(eigs, k: int, multiplicities) -> ClusterAssignment:
-    """Assign the top sum(multiplicities) eigenvalues to K clusters by gaps.
+def clusters_from_gaps(eigs, multiplicities) -> ClusterAssignment:
+    """Assign the top sum(multiplicities) eigenvalues to K = len(multiplicities) clusters by gaps.
 
     The clusters are always the fixed-size partition from the top,
     :meth:`ClusterAssignment.top_ranges`.  The K-1 largest consecutive gaps
@@ -213,11 +210,8 @@ def clusters_from_gaps(eigs, k: int, multiplicities) -> ClusterAssignment:
     multiplicities.
     """
     eigs = _check_eigs(eigs)
-    mult = tuple(int(m) for m in multiplicities)
-    if len(mult) != k:
-        raise ParameterError("need one multiplicity per cluster")
-    clusters = ClusterAssignment.top_ranges(eigs.size, mult)  # refuses K < 1 and multiplicities that do not fit
-    return replace(clusters, gap_aligned=bool(_gap_aligned_rows(eigs[None], mult)[0]))
+    clusters = ClusterAssignment.top_ranges(eigs.size, multiplicities)  # refuses K < 1 and sizes that do not fit
+    return replace(clusters, gap_aligned=bool(_gap_aligned_rows(eigs[None], clusters.multiplicities)[0]))
 
 
 @dataclass(frozen=True)
@@ -232,20 +226,17 @@ class CltReport:
     ks_distance: float
 
 
-def clt_check(estimate_fn, k: int, trials: int, truth: float, n_dim: int) -> CltReport:
-    """Empirical distribution of N (P_hat_k - P_k) against its best-fit normal.
+def clt_check(sample) -> CltReport:
+    """A sample of N (P_hat_k - P_k), one value per trial, against its best-fit normal.
 
-    ``estimate_fn(trial)`` must return the estimate vector for one seeded
-    trial.  Fewer than 100 trials is refused as underpowered.
+    Fewer than 100 trials is refused as underpowered.
     """
     from scipy import stats as sstats  # deferred: its import costs ~0.5 s and only this check uses it
 
+    sample = np.asarray(sample, dtype=float)
+    trials = sample.size
     if trials < 100:
         raise ParameterError("clt_check needs at least 100 trials")
-    sample = np.empty(trials)
-    for t in range(trials):
-        values = estimate_fn(t)
-        sample[t] = n_dim * (float(values[k]) - truth)
     mean = float(np.mean(sample))
     sd = float(np.std(sample, ddof=1))
     ks = sstats.kstest(sample, "norm", args=(mean, sd)).statistic

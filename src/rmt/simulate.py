@@ -105,8 +105,9 @@ class ObservationModel:
     normals buffer, and returns Y: ``y`` itself, or a new array where Y is a
     left product of it.  ``draw`` and ``spectra`` derive from it.  ``draw``
     passes no ``chunk``, so its unscaled Gaussians come from the public
-    :func:`~rmt.linalg.complex_gaussian` (``mp-null``'s Y in a new array),
-    where an instrumenter of the calling thread times them; a lane's are private."""
+    :func:`~rmt.linalg.complex_gaussian` (``mp-null``'s Y in a new array,
+    which it scales in place), where an instrumenter of the calling thread
+    times them; a lane's are private."""
 
     def draw(self, spec, s, g):
         """One trial's Y, in a buffer of its own."""
@@ -185,16 +186,23 @@ def _noise_into(y, g, chunk, sigma, signal):
 
 
 class MpNullModel(ObservationModel):
-    """Y with i.i.d. unit-variance proper Gaussian entries; an optional
-    ``snr_db`` sets the noise level of :class:`DetectionRocBinding`."""
+    """Y = sigma W, W with i.i.d. unit-variance proper Gaussian entries; an
+    optional ``snr_db`` sets sigma (1 without it) for every binding, and
+    :class:`DetectionRocBinding` adds its signal to noise of the same level."""
 
     params = ("snr_db",)
 
     def setup(self, spec, p):
-        return SimpleNamespace(sigma=_snr_sigma(p) if "snr_db" in p else 1.0)
+        sigma = _snr_sigma(p) if "snr_db" in p else 1.0
+        return SimpleNamespace(sigma=sigma, scale=None if sigma == 1 else np.full((spec.n_dim, 1), sigma))
 
     def draw_into(self, spec, s, g, y, chunk=None):
-        return complex_gaussian(spec.n_dim, spec.n_samples, g) if chunk is None else _gaussian_into(y, g, chunk=chunk)
+        if chunk is not None:
+            return _gaussian_into(y, g, s.scale, chunk)
+        y = complex_gaussian(spec.n_dim, spec.n_samples, g)
+        if s.scale is not None:
+            y *= s.scale
+        return y
 
     def binding(self, spec):
         return EigBinding(spec.kind)
@@ -614,12 +622,11 @@ class DetectionRocBinding:
         # channel, signal and noise so trials stay self-contained.
         g = RngStream(spec.seed, trial + SETUP_STREAM).generator()
         n_dim, n_samples = spec.n_dim, spec.n_samples
-        sigma = spec.state.sigma
         h = complex_gaussian(n_dim, 1, g)[:, 0]
         x = complex_gaussian(1, n_samples, g)
         w = complex_gaussian(n_dim, n_samples, g)
-        y_alt = np.outer(h, np.ones(n_samples)) * x + sigma * w
-        e_null = sample_spectrum(sigma * y)
+        y_alt = h[:, None] * x + spec.state.sigma * w
+        e_null = sample_spectrum(y)
         e_alt = sample_spectrum(y_alt)
         return {
             "glrt_null": sp.glrt_statistic(e_null),

@@ -299,10 +299,12 @@ def false_alarm_threshold(far: float) -> float:
     return tw_quantile(table, 1 - far)
 
 
-def glrt_test(eigs, n_dim: int, n_samples: int, far: float) -> GlrtDecision:
-    """Reject noise iff the standardized GLRT statistic strictly exceeds :func:`false_alarm_threshold`."""
+def glrt_test(eigs, n_samples: int, far: float) -> GlrtDecision:
+    """Reject noise iff the GLRT statistic of the N = len(eigs) sample eigenvalues
+    from n samples, standardized, strictly exceeds :func:`false_alarm_threshold`."""
     thr = false_alarm_threshold(far)
     stat = glrt_statistic(eigs)
+    n_dim = len(eigs)
     std = tw_standardize(stat, n_dim, n_dim / n_samples)
     return GlrtDecision(std > thr, stat, std, thr, far)
 

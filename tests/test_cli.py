@@ -195,8 +195,6 @@ def test_estimate_command(masses_csv, tmp_path, capsys):
 
 def test_estimate_bad_arguments_are_usage_errors(masses_csv, capsys):
     base = ("estimate", "--input", str(masses_csv), "--K", "3")
-    # --n 0 is refused, not replaced by the column count
-    assert run_cli(*base, "--mult", "20,20,20", "--n", "0") == 2
     assert run_cli(*base, "--mult", "a,b,c") == 2
     # a multiplicity below 1 ended in ClusterAssignment's "range sizes must match multiplicities", exit 1
     for mult in ("0,30,30", "-1,31,30"):

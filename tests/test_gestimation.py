@@ -181,21 +181,21 @@ def test_iid_channel_noiseless_single_source():
         x = complex_gaussian(1, n_samples, g)
         y = math.sqrt(p_true) * h @ x
         eigs = np.clip(np.linalg.eigvalsh(y @ y.conj().T / n_samples), 0.0, None)
-        est = power_estimate_iid_channel(eigs, n_dim, n_samples, ClusterAssignment((1,), ((n_dim - 1, n_dim),)))
+        est = power_estimate_iid_channel(eigs, n_samples, ClusterAssignment((1,), ((n_dim - 1, n_dim),)))
         vals.append(est.values[0])
     assert abs(np.mean(vals) - p_true) < 0.15
 
 
 def test_iid_channel_rejects_n_not_greater():
     with pytest.raises(ParameterError):
-        power_estimate_iid_channel(np.ones(8), 8, 8, ClusterAssignment((1,), ((7, 8),)))
+        power_estimate_iid_channel(np.ones(8), 8, ClusterAssignment((1,), ((7, 8),)))
 
 
 # --- cluster recovery ----------------------------------------------------------------
 
 
 def test_clusters_from_gaps_huge_gap():
-    ca = clusters_from_gaps([1.0, 1.0, 1.0, 9.0, 9.0], 2, (3, 2))
+    ca = clusters_from_gaps([1.0, 1.0, 1.0, 9.0, 9.0], (3, 2))
     assert ca.ranges == ((0, 3), (3, 5))
     assert ca.gap_aligned
 
@@ -203,7 +203,7 @@ def test_clusters_from_gaps_huge_gap():
 def test_clusters_from_gaps_tie_and_fallback():
     # equally spaced: tie broken at the lowest split index gives sizes (1, 3),
     # conflicting with (2, 2), so the fixed-size partition is used and flagged
-    ca = clusters_from_gaps([1.0, 2.0, 3.0, 4.0], 2, (2, 2))
+    ca = clusters_from_gaps([1.0, 2.0, 3.0, 4.0], (2, 2))
     assert ca.ranges == ((0, 2), (2, 4))
     assert not ca.gap_aligned
 
@@ -213,16 +213,16 @@ def test_clusters_from_gaps_recovers_ground_truth():
     aligned = 0
     for trial in range(50):
         eigs = masses_eigs(values, mults, n_samples=900, seed=79, trial=trial)
-        ca = clusters_from_gaps(eigs, 3, mults)
+        ca = clusters_from_gaps(eigs, mults)
         aligned += ca.gap_aligned
     assert aligned / 50 >= 0.95
 
 
 def test_clusters_from_gaps_guards():
     with pytest.raises(ParameterError):
-        clusters_from_gaps([1.0, 2.0], 3, (1, 1, 1))
+        clusters_from_gaps([1.0, 2.0], (1, 1, 1))
     with pytest.raises(ParameterError):
-        clusters_from_gaps([1.0, 2.0], 1, (3,))
+        clusters_from_gaps([1.0, 2.0], (3,))
 
 
 # --- one spectrum and a block of them, against the one-spectrum formulas ------------------
@@ -269,9 +269,9 @@ def test_estimators_equal_the_one_spectrum_formulas_bit_for_bit(values, mults, n
         classical, g, iid, aligned = _one_spectrum_oracle(eigs, n_dim, n_samples, mults)
         assert classical_estimate(eigs, clusters).values == classical == tuple(stacked[0][t].tolist())
         assert g_estimate(eigs, n_samples, clusters).values == g == tuple(stacked[1][t].tolist())
-        assert clusters_from_gaps(eigs, len(mults), mults).gap_aligned == aligned == stacked[3][t]
+        assert clusters_from_gaps(eigs, mults).gap_aligned == aligned == stacked[3][t]
         if n_samples > n_dim:
-            got = power_estimate_iid_channel(eigs, n_dim, n_samples, clusters).values
+            got = power_estimate_iid_channel(eigs, n_samples, clusters).values
             assert got == iid == tuple(stacked[2][t].tolist())
 
 
@@ -280,7 +280,7 @@ def test_estimators_equal_the_one_spectrum_formulas_bit_for_bit(values, mults, n
 
 def test_clt_check_underpowered_refused():
     with pytest.raises(ParameterError):
-        clt_check(lambda t: (0.0,), k=0, trials=50, truth=0.0, n_dim=8)
+        clt_check(np.zeros(50))
 
 
 def test_clt_check_normality_of_g_estimator():
@@ -288,11 +288,12 @@ def test_clt_check_normality_of_g_estimator():
     n_dim, n_samples, trials = 128, 1280, 2000
     clusters = ClusterAssignment.top_ranges(n_dim, mults)
 
-    def estimate(trial):
-        eigs = masses_eigs(values, mults, n_samples, seed=2025, trial=trial)
-        return g_estimate(eigs, n_samples, clusters).values
-
-    report = clt_check(estimate, k=2, trials=trials, truth=7.0, n_dim=n_dim)
+    sample = np.empty(trials)
+    for t in range(trials):
+        eigs = masses_eigs(values, mults, n_samples, seed=2025, trial=t)
+        sample[t] = n_dim * (float(g_estimate(eigs, n_samples, clusters).values[2]) - 7.0)
+    report = clt_check(sample)
+    assert report.trials == trials
     assert abs(report.skewness) < 0.15
     assert abs(report.excess_kurtosis) < 0.3
     drift_allowance = 3 * math.sqrt(report.variance / trials) + 0.5

@@ -104,6 +104,32 @@ def test_spec_refuses_keys_it_would_not_read():
             ScenarioSpec.from_json(json.dumps(dict(doc, **{key: 1})))
 
 
+# per kind: N, n, a base params under which every param the kind reads matters, and another value for each
+PARAM_CASES = {
+    "mp-null": (6, 12, {"snr_db": 0.0}, {"snr_db": 20.0}),
+    "masses": (6, 12, {"atoms": [[1.0, 3], [4.0, 3]]}, {"atoms": [[1.0, 3], [5.0, 3]]}),
+    "spike": (6, 12, {"omegas": [2.0]}, {"omegas": [3.0]}),
+    "iid-channel": (6, 12, {"powers": [0.5, 2.0], "multiplicities": [1, 2], "snr_db": 6.0},
+                    {"powers": [0.5, 3.0], "multiplicities": [2, 1], "snr_db": 3.0}),
+    "doa": (6, 12, {"angles_deg": [-20.0, 40.0], "snr_db": 3.0, "spacing": 0.8},
+            {"angles_deg": [-20.0, 30.0], "snr_db": 6.0, "spacing": 0.5}),
+    "failure": (6, 24, {"n_params": 4, "failed_index": 1, "alpha": -0.5, "noise_var": 1.0, "far": 0.01},
+                {"n_params": 5, "failed_index": 2, "alpha": -0.3, "noise_var": 2.0, "far": 0.5}),
+}
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind, model in MODELS.items() for name in model.params])
+def test_every_scenario_param_acts(kind, name):
+    # a param that ScenarioSpec accepts but nothing reads would leave the run as it was
+    n_dim, n_samples, base, other = PARAM_CASES[kind]
+    assert set(base) == set(other) == set(MODELS[kind].params)
+    specs = [ScenarioSpec(kind, n_dim, n_samples, 20, 8, params) for params in (base, {**base, name: other[name]})]
+    if np.array_equal(generate_trial(specs[0], 0)[0], generate_trial(specs[1], 0)[0]):
+        base_agg, other_agg = (run_monte_carlo(spec, MODELS[kind].binding(spec)).aggregates for spec in specs)
+        assert base_agg.keys() != other_agg.keys() or any(
+            not np.array_equal(base_agg[key], other_agg[key]) for key in base_agg), name
+
+
 def test_failure_index_must_be_an_integer():
     # int() used to truncate 1.5 in every draw, so no localization could match it
     for idx in (1.5, True, "1"):
@@ -173,7 +199,7 @@ def _draw_oracle(spec, g):
     the same streams, in the same order, as one expression per kind."""
     s, n_dim, n = spec.state, spec.n_dim, spec.n_samples
     if spec.kind == "mp-null":
-        return complex_gaussian(n_dim, n, g)
+        return complex_gaussian(n_dim, n, g) if s.scale is None else s.sigma * complex_gaussian(n_dim, n, g)
     if spec.kind == "masses":
         u = haar_unitary(n_dim, g)
         return u @ (s.scale * complex_gaussian(n_dim, n, g))
@@ -193,6 +219,7 @@ def _draw_oracle(spec, g):
 
 DRAW_SPECS = [
     ScenarioSpec("mp-null", 7, 5000, 2, 31),  # 7 rows, 3 to a draw chunk
+    ScenarioSpec("mp-null", 10, 24, 2, 31, {"snr_db": 20.0}),
     ScenarioSpec("masses", 12, 40, 2, 32, {"atoms": [(1.0, 6), (4.0, 6)]}),
     ScenarioSpec("masses", 5, 3, 2, 32, {"atoms": [(0.5, 2), (2.0, 3)]}),  # c > 1
     ScenarioSpec("spike", 9, 3000, 2, 33, {"omegas": [3.0, 1.0]}),
@@ -357,7 +384,7 @@ def _spectrum_row(spec, binding, eigs):
     as `rmt estimate` calls them."""
     if isinstance(binding, GEstimatorBinding):
         mults, eigs = spec.state.mults, np.clip(eigs, 0.0, None)
-        clusters = clusters_from_gaps(eigs, len(mults), mults)
+        clusters = clusters_from_gaps(eigs, mults)
         return {"g": g_estimate(eigs, spec.n_samples, clusters).values,
                 "classical": classical_estimate(eigs, clusters).values, "gap_aligned": clusters.gap_aligned}
     if isinstance(binding, PowerNmseBinding):
@@ -365,7 +392,7 @@ def _spectrum_row(spec, binding, eigs):
         clusters = ClusterAssignment.top_ranges(spec.n_dim, mults)
         noise = spec.n_dim - sum(mults)
         noise_hat = float(np.mean(eigs[:noise])) if noise else 0.0
-        return {"g": power_estimate_iid_channel(eigs, spec.n_dim, spec.n_samples, clusters).values,
+        return {"g": power_estimate_iid_channel(eigs, spec.n_samples, clusters).values,
                 "classical": tuple(v - noise_hat for v in classical_estimate(eigs, clusters).values)}
     assert type(binding) is EigBinding
     return {"eigs": eigs}
@@ -548,6 +575,7 @@ def _hook_spectra(spec):
     ("spike", 8, 20, {"omegas": [2.0, 0.5]}),
     ("spike", 9, 4, {"omegas": [3.0]}),  # c > 1
     ("iid-channel", 6, 9, {"powers": [0.5, 2.0], "multiplicities": [1, 2], "snr_db": 6.0}),  # a signal product plus noise
+    ("mp-null", 10, 24, {"snr_db": 20.0}),  # sigma = 0.1
 ])
 def test_spectra_equal_the_draw_route_bit_for_bit(kind, n_dim, n_samples, params, seed):
     # the reused buffers hold each trial's draws in the draw route's order and scaling
@@ -941,7 +969,7 @@ def test_failure_binding_refuses_a_far_beyond_the_table():
     for far in (0.0, 1.0):
         with pytest.raises(ParameterError, match=r"must lie in \(0, 1\)"):
             FailureBinding(far=far)
-    assert FailureBinding(far=1e-2).threshold == glrt_test(np.ones(4), 4, 8, far=1e-2).threshold
+    assert FailureBinding(far=1e-2).threshold == glrt_test(np.ones(4), 8, far=1e-2).threshold
 
 
 def test_failure_hypotheses_are_per_scenario_state():

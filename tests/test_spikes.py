@@ -317,7 +317,7 @@ def test_tw_standardize_smallest_sign():
 def test_glrt_statistic_flat_spectrum():
     eigs = np.full(64, 3.7)
     assert abs(glrt_statistic(eigs) - 1.0) < 1e-12
-    decision = glrt_test(eigs, 64, 192, far=0.05)
+    decision = glrt_test(eigs, 192, far=0.05)
     assert decision.standardized < -5
     assert not decision.signal
 
@@ -347,7 +347,7 @@ def test_glrt_rejects_degenerate():
     with pytest.raises(SingularityError):
         glrt_statistic(np.zeros(4))
     with pytest.raises(ParameterError):
-        glrt_test(np.ones(4), 4, 8, far=0.0)
+        glrt_test(np.ones(4), 8, far=0.0)
 
 
 def test_glrt_refuses_a_far_beyond_the_table():
@@ -356,15 +356,15 @@ def test_glrt_refuses_a_far_beyond_the_table():
     eigs = np.linspace(0.5, 1.5, 4)
     for far in (1e-12, tail / 2, 1e-300):
         with pytest.raises(ParameterError, match="smallest usable rate is 3.82e-12"):
-            glrt_test(eigs, 4, 8, far=far)
+            glrt_test(eigs, 8, far=far)
     for far in (tail, 3.82e-12):
-        assert glrt_test(eigs, 4, 8, far=far).threshold <= TABLE.s[-1]
+        assert glrt_test(eigs, 8, far=far).threshold <= TABLE.s[-1]
 
 
 def test_false_alarm_threshold_is_the_table_quantile():
     for far in (1e-2, 0.5, 1e-6):
         assert false_alarm_threshold(far) == tw_quantile(TABLE, 1 - far)
-        assert glrt_test(np.linspace(0.5, 1.5, 4), 4, 8, far=far).threshold == false_alarm_threshold(far)
+        assert glrt_test(np.linspace(0.5, 1.5, 4), 8, far=far).threshold == false_alarm_threshold(far)
     for far in (0.0, 1.0, -0.1, math.nan):
         with pytest.raises(ParameterError, match=r"must lie in \(0, 1\)"):
             false_alarm_threshold(far)
