@@ -23,7 +23,7 @@ from . import simulate as sim
 from . import spikes as sp
 from .doa import SteeringModel, estimate_doa
 from .errors import DimensionError, ParameterError, RmtError
-from .linalg import load_matrix_bin, load_matrix_csv, sample_covariance, sample_spectrum
+from .linalg import load_matrix_bin, load_matrix_csv, sample_eigh, sample_spectrum
 from .schemas import validate
 from .stieltjes import SpectralModel, density_from_stieltjes, mp_density, mp_support, support_clusters
 from .simulate import FIGURE_IDS, ScenarioSpec, reproduce_figure, run_monte_carlo
@@ -105,8 +105,9 @@ def _plain(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _emit_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, default=_plain)
+def _emit_json(name: str, obj: dict, out: str | None) -> None:
+    """Validate ``obj`` against schema ``name``, then write it to ``out``, or to stdout when that is None."""
+    text = json.dumps(validate(name, obj), indent=2, default=_plain)
     if out:
         pathlib.Path(out).write_text(text + "\n")
     else:
@@ -175,7 +176,7 @@ def cmd_estimate(args) -> int:
     warnings = list(ge.separation_warnings(est.values, mult, n_dim, n_samples)) if args.check_separation else []
     if not clusters.gap_aligned:
         warnings.append("cluster boundaries were not confirmed by spectral gaps")
-    doc = validate(
+    _emit_json(
         "estimate",
         {
             "P_hat": [float(v) for v in est.values],
@@ -184,8 +185,8 @@ def cmd_estimate(args) -> int:
             "n": int(n_samples),
             "warnings": warnings,
         },
+        args.out,
     )
-    _emit_json(doc, args.out)
     return 0
 
 
@@ -194,11 +195,11 @@ def cmd_doa(args) -> int:
     model = SteeringModel(y.shape[0], args.spacing)
     grid = _parse_grid(args.grid)
     res = estimate_doa(y, args.K, model, grid, args.method)
-    doc = validate(
+    _emit_json(
         "doa",
         {"angles_deg": [float(a) for a in res.angles], "method": res.method, "complete": res.complete},
+        args.out,
     )
-    _emit_json(doc, args.out)
     if args.cost_out:
         cost_db = 10 * np.log10(np.maximum(res.costs, 1e-300))
         _write_csv(args.cost_out, {"theta_deg": res.grid, "cost_db": cost_db})
@@ -209,7 +210,7 @@ def cmd_detect(args) -> int:
     y = _load_matrix(args.input)
     eigs = np.clip(sample_spectrum(y), 0.0, None)
     decision = sp.glrt_test(eigs, y.shape[1], args.far)
-    doc = validate(
+    _emit_json(
         "detect",
         {
             "signal": bool(decision.signal),
@@ -218,8 +219,8 @@ def cmd_detect(args) -> int:
             "threshold": decision.threshold,
             "far": decision.false_alarm_rate,
         },
+        args.out,
     )
-    _emit_json(doc, args.out)
     return 0
 
 
@@ -243,11 +244,11 @@ def cmd_localize(args) -> int:
     usable, stats, skipped = sp.localizable_hypotheses(hyps, y.shape[0] / y.shape[1])
     if not usable:
         raise ParameterError("no hypothesis is in the detectable regime at this N/n")
-    eig = np.linalg.eigh(sample_covariance(y))
+    eig = sample_eigh(y)
     idx = 0 if side == "smallest" else -1
     lam = float(eig.eigenvalues[idx])
     best, scores = sp.localize_failure(lam, eig.eigenvectors[:, idx], usable, stats)
-    doc = validate(
+    _emit_json(
         "localize",
         {
             "k_hat": int(usable[best].index),
@@ -256,8 +257,8 @@ def cmd_localize(args) -> int:
             "side": side,
             "skipped_hypotheses": skipped,
         },
+        args.out,
     )
-    _emit_json(doc, args.out)
     return 0
 
 
@@ -300,7 +301,7 @@ def cmd_simulate(args) -> int:
     spec = ScenarioSpec.from_json(pathlib.Path(args.spec).read_text())
     binding = sim.MODELS[spec.kind].binding(spec)
     summary = run_monte_carlo(spec, binding, workers=args.workers)
-    doc = validate(
+    _emit_json(
         "summary",
         {
             "kind": spec.kind,
@@ -308,8 +309,8 @@ def cmd_simulate(args) -> int:
             "runtime_s": summary.runtime_s,
             "seed_manifest": validate("seed_manifest", summary.seed_manifest),
         },
+        args.out,
     )
-    _emit_json(doc, args.out)
     return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError, ParameterError
 from .gestimation import mu_eigenvalues
-from .linalg import sample_covariance
+from .linalg import sample_eigh
 
 __all__ = [
     "SteeringModel",
@@ -139,17 +139,23 @@ def estimate_doa(y, k: int, model: SteeringModel, grid, method: str = "gmusic") 
     if method not in ("music", "gmusic"):
         raise ParameterError(f"unknown method {method!r}")
     y = np.asarray(y, dtype=complex)
+    if y.shape[0] != model.n_sensors:
+        raise DimensionError("observation rows must match the sensor count")
+    return _doa_from_eigh(sample_eigh(y), y.shape[1], k, model, grid, method)
+
+
+def _doa_from_eigh(eig, n_samples: int, k: int, model: SteeringModel, grid, method: str) -> DoaResult:
+    """:func:`estimate_doa` past its boundary checks: one weighting of the eigenpairs
+    ``eig`` of the sample covariance of n samples, on a checked ``grid`` and ``method``."""
     n_dim = model.n_sensors
     if not (0 <= k < n_dim):
         raise ParameterError("need 0 <= K < N")
-    if y.shape[0] != n_dim:
-        raise DimensionError("observation rows must match the sensor count")
-    lam, u = np.linalg.eigh(sample_covariance(y))
+    lam, u = eig
     if method == "music":
         weights = np.zeros(n_dim)
         weights[: n_dim - k] = 1.0
     else:
-        weights = gmusic_weights(lam, y.shape[1], k)
+        weights = gmusic_weights(lam, n_samples, k)
     q = (u * weights) @ u.conj().T
     r = np.array([np.trace(q, j) for j in range(n_dim)])
     psi_max = math.pi * model.spacing  # psi = psi_max * sin(theta)

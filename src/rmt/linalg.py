@@ -33,10 +33,10 @@ from .errors import DimensionError, ParameterError
 
 __all__ = [
     "RngStream",
-    "HermitianEigen",
     "hermitian_eig",
     "sample_covariance",
     "sample_spectrum",
+    "sample_eigh",
     "complex_gaussian",
     "haar_unitary",
     "save_matrix_csv",
@@ -75,22 +75,6 @@ def _as_generator(rng) -> np.random.Generator:
     raise ParameterError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; column i of ``eigenvectors`` pairs
-    with ``eigenvalues[i]`` and the columns are orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
-
 def _check_square_hermitian(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -101,14 +85,13 @@ def _check_square_hermitian(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def hermitian_eig(a) -> HermitianEigen:
-    """Eigendecompose a Hermitian matrix, eigenvalues ascending.
+def hermitian_eig(a):
+    """Eigendecompose a Hermitian matrix from outside, eigenvalues ascending,
+    as numpy's ``EighResult``.
 
     Raises :class:`DimensionError` on non-square or non-Hermitian input.
     """
-    a = _check_square_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    return HermitianEigen(w, v)
+    return np.linalg.eigh(_check_square_hermitian(a))
 
 
 def _observations(y) -> np.ndarray:
@@ -140,6 +123,12 @@ def sample_spectrum(y) -> np.ndarray:
     y = _observations(y)
     n_dim = y.shape[0]
     return _eigvalsh_into(_gram_into(y, np.empty((n_dim, n_dim), dtype=complex)), np.empty(n_dim))
+
+
+def sample_eigh(y):
+    """Eigenpairs of the sample covariance (1/n) Y Y^H, eigenvalues ascending, as
+    numpy's ``EighResult``: the one route by which rmt reads sample eigenvectors."""
+    return np.linalg.eigh(sample_covariance(y))
 
 
 # --- the Hermitian kernel ----------------------------------------------------

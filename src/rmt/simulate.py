@@ -42,11 +42,11 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import (BLOCK_BLAS_THREADS, DRAW_CHUNK, RngStream, _blas_build, _eigvalsh_into, _gaussian_into,
-                     _gram_into, _numpy_openblas, _pinned_blas, complex_gaussian, haar_unitary, sample_covariance,
+                     _gram_into, _numpy_openblas, _pinned_blas, complex_gaussian, haar_unitary, sample_eigh,
                      sample_spectrum)
 from . import gestimation as ge
 from . import spikes as sp
-from .doa import SteeringModel, estimate_doa, steering_matrix
+from .doa import SteeringModel, _doa_from_eigh, steering_matrix
 from .stieltjes import SpectralModel, density_from_stieltjes, mp_density
 
 __all__ = [
@@ -658,10 +658,10 @@ class DoaResolutionBinding:
 
     def per_trial(self, spec, trial, y):
         s = spec.state
-        true, resolved = np.sort(np.asarray(s.angles)), {}
+        true, resolved, eig = np.sort(np.asarray(s.angles)), {}, sample_eigh(y)
         for method in ("music", "gmusic"):
-            # only the angles are read: a 3-point search range samples no cost curve
-            got = np.sort(np.asarray(estimate_doa(y, len(s.angles), s.model, (-90.0, 0.0, 90.0), method).angles))
+            # only the (sorted) angles are read: a 3-point search range samples no cost curve
+            got = np.asarray(_doa_from_eigh(eig, spec.n_samples, true.size, s.model, (-90.0, 0.0, 90.0), method).angles)
             resolved[method] = got.size == true.size and np.all(np.abs(got - true) <= self.window)
         return resolved
 
@@ -685,7 +685,7 @@ class FailureBinding:
 
     def per_trial(self, spec, trial, y):
         s = spec.state
-        eig = np.linalg.eigh(sample_covariance(y))
+        eig = sample_eigh(y)
         side = -1 if s.alpha > 0 else 0
         lam = float(eig.eigenvalues[side])
         standardize = sp.tw_standardize if side else sp.tw_standardize_smallest
@@ -754,9 +754,9 @@ def _fig5_curves(specs, aggs):
     spec = specs[0]
     grid = np.arange(-90.0, 90.0001, 0.05)
     y, _ = generate_trial(spec, 0)
-    out = {}
+    eig, out = sample_eigh(y), {}
     for method in ("music", "gmusic"):
-        res = estimate_doa(y, len(spec.state.angles), spec.state.model, grid, method)
+        res = _doa_from_eigh(eig, spec.n_samples, len(spec.state.angles), spec.state.model, grid, method)
         out[method] = {"theta_deg": grid, "cost_db": 10 * np.log10(np.maximum(res.costs, 1e-300))}
     return out | {"resolution": aggs[0]}
 

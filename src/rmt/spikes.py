@@ -109,7 +109,6 @@ class FailureHypothesis:
     index: int
     omega: float
     u: np.ndarray
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -301,7 +300,10 @@ def false_alarm_threshold(far: float) -> float:
 
 def glrt_test(eigs, n_samples: int, far: float) -> GlrtDecision:
     """Reject noise iff the GLRT statistic of the N = len(eigs) sample eigenvalues
-    from n samples, standardized, strictly exceeds :func:`false_alarm_threshold`."""
+    from n samples, standardized, strictly exceeds :func:`false_alarm_threshold`.
+    Refuses n < 1."""
+    if n_samples < 1:
+        raise ParameterError(f"need n >= 1 samples, got {n_samples}")
     thr = false_alarm_threshold(far)
     stat = glrt_statistic(eigs)
     n_dim = len(eigs)
@@ -436,7 +438,7 @@ def failure_hypotheses(h, inv_sqrt, alphas) -> list[FailureHypothesis]:
         nz = np.flatnonzero(np.abs(u) > 1e-12)[0]
         u = u * (np.conj(u[nz]) / abs(u[nz]))
         omega = ((1.0 + alpha) ** 2 - 1.0) * norm2
-        out.append(FailureHypothesis(k, omega, u, alpha))
+        out.append(FailureHypothesis(k, omega, u))
     return out
 
 

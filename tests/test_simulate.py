@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rmt.doa import estimate_doa
 from rmt.errors import ParameterError
 from rmt.gestimation import (ClusterAssignment, classical_estimate, clusters_from_gaps, g_estimate,
                              power_estimate_iid_channel)
@@ -931,6 +932,41 @@ def test_detection_roc_monotone():
         assert 0.0 <= rates[0] <= rates[-1] <= 1.0
 
 
+# --- DoA binding ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec("doa", 20, 150, 200, 1, {"angles_deg": [35.0, 37.0], "snr_db": 10.0}),
+    ScenarioSpec("doa", 4, 40, 20, 2, {"angles_deg": [-50.0, 0.0, 40.0], "snr_db": 10.0}),
+], ids=["fig5", "k-is-n-1"])
+def test_doa_binding_records_equal_two_estimates_per_trial(spec, monkeypatch):
+    # a trial decomposes Y once and weights it per method; estimate_doa decomposes per call
+    got, step = [], simulate._doa_from_eigh
+
+    def recorded(*args):
+        res = step(*args)
+        got.append(np.array(res.angles).tobytes())
+        return res
+
+    monkeypatch.setattr(simulate, "_doa_from_eigh", recorded)
+    records = run_monte_carlo(spec, DoaResolutionBinding()).records
+    true, want, flags = np.sort(spec.state.angles), [], {"music": [], "gmusic": []}
+    for trial in range(spec.trials):
+        y = generate_trial(spec, trial)[0]
+        for method in flags:
+            angles = np.sort(estimate_doa(y, len(true), spec.state.model, (-90.0, 0.0, 90.0), method).angles)
+            want.append(angles.tobytes())
+            flags[method].append(bool(angles.size == true.size and np.all(np.abs(angles - true) <= 1.0)))
+    assert got == want
+    assert {method: records[method].tolist() for method in flags} == flags
+
+
+def test_doa_binding_refuses_k_not_below_n():
+    spec = ScenarioSpec("doa", 3, 20, 2, 5, {"angles_deg": [-40.0, 0.0, 40.0], "snr_db": 10.0})
+    with pytest.raises(ParameterError, match=r"need 0 <= K < N"):
+        run_monte_carlo(spec, DoaResolutionBinding())
+
+
 # --- failure binding --------------------------------------------------------------------
 
 
@@ -983,7 +1019,10 @@ def test_failure_hypotheses_are_per_scenario_state():
         s = spec.state
         assert 0 < len(s.hypotheses) == len(s.stats) <= s.n_params
         for hyp, st in zip(s.hypotheses, s.stats):
-            assert hyp.alpha == s.alpha and (hyp.omega > 0) == (s.alpha > 0)
+            # omega_k = ((1 + alpha)^2 - 1) ||T^(-1/2) H e_k||^2 at the scenario's alpha
+            v = s.inv_sqrt @ s.network[:, hyp.index]
+            assert np.isclose(hyp.omega, ((1 + s.alpha) ** 2 - 1) * np.vdot(v, v).real, rtol=1e-12, atol=0)
+            assert (hyp.omega > 0) == (s.alpha > 0)
             assert (st.omega, st.ratio) == (hyp.omega, spec.ratio)
         got.append(tuple((h.index, h.omega) for h in s.hypotheses))
     assert len(set(got)) == len(specs)
@@ -1025,13 +1064,13 @@ def _record_runs(monkeypatch):
 
 
 def test_reproduce_fig5_gmusic_deeper_at_true_angles(two_blas_threads, monkeypatch):
-    runs, threads, estimate = _record_runs(monkeypatch), [], simulate.estimate_doa
+    runs, threads, decompose = _record_runs(monkeypatch), [], simulate.sample_eigh
 
     def recorded(*args):
         threads.append(OPENBLAS and OPENBLAS.get_threads())
-        return estimate(*args)
+        return decompose(*args)
 
-    monkeypatch.setattr(simulate, "estimate_doa", recorded)
+    monkeypatch.setattr(simulate, "sample_eigh", recorded)
     out = reproduce_figure("fig5", seed=1)
     grid = out["music"]["theta_deg"]
     for theta in (35.0, 37.0):
@@ -1042,8 +1081,8 @@ def test_reproduce_fig5_gmusic_deeper_at_true_angles(two_blas_threads, monkeypat
     assert out["manifest"]["workers"] == 1
     assert out["manifest"]["blas_threads"] == (None if OPENBLAS is None else BLOCK_BLAS_THREADS)
     assert out["manifest"]["specs"] == runs and len(runs) == 1
-    # both cost curves, drawn outside any block, run at the pinned count too
-    assert len(threads) == 2 * runs[0]["trials"] + 2 and set(threads) == {out["manifest"]["blas_threads"]}
+    # one decomposition per Y; the cost curves', drawn outside any block, runs at the pinned count too
+    assert len(threads) == runs[0]["trials"] + 1 and set(threads) == {out["manifest"]["blas_threads"]}
     assert two_blas_threads is None or two_blas_threads() == 2
 
 

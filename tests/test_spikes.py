@@ -348,6 +348,9 @@ def test_glrt_rejects_degenerate():
         glrt_statistic(np.zeros(4))
     with pytest.raises(ParameterError):
         glrt_test(np.ones(4), 8, far=0.0)
+    for n_samples in (0, -3):
+        with pytest.raises(ParameterError, match="need n >= 1"):
+            glrt_test(np.ones(4), n_samples, far=0.01)
 
 
 def test_glrt_refuses_a_far_beyond_the_table():
@@ -636,14 +639,14 @@ def _unit(n, k):
 
 
 def test_localize_single_hypothesis():
-    hyp = FailureHypothesis(0, 2.0, _unit(8, 0), 1.0)
+    hyp = FailureHypothesis(0, 2.0, _unit(8, 0))
     st = fluctuation_stats(2.0, 0.5)
     k, scores = localize_failure(3.0, _unit(8, 0), [hyp], [st])
     assert k == 0 and scores.size == 1
 
 
 def test_localize_tie_breaks_low_index():
-    hyp = FailureHypothesis(0, 2.0, _unit(8, 0), 1.0)
+    hyp = FailureHypothesis(0, 2.0, _unit(8, 0))
     st = fluctuation_stats(2.0, 0.5)
     k, scores = localize_failure(3.0, _unit(8, 0), [hyp, hyp], [st, st])
     assert k == 0
@@ -651,7 +654,7 @@ def test_localize_tie_breaks_low_index():
 
 
 def test_localize_requires_calibration():
-    hyp = FailureHypothesis(0, 2.0, _unit(4, 0), 1.0)
+    hyp = FailureHypothesis(0, 2.0, _unit(4, 0))
     with pytest.raises(ParameterError):
         localize_failure(3.0, _unit(4, 0), [hyp], [None])
 
@@ -673,7 +676,7 @@ def test_localize_matches_per_hypothesis_scores():
     hyps, stats = [], []
     for k, omega in enumerate((1.5, 2.0, 3.5, 0.9, 6.0)):
         u = complex_gaussian(n_dim, 1, g)[:, 0]
-        hyps.append(FailureHypothesis(k, omega, u / np.linalg.norm(u), 0.5))
+        hyps.append(FailureHypothesis(k, omega, u / np.linalg.norm(u)))
         stats.append(fluctuation_stats(omega, c))
     for _ in range(20):
         u_hat = complex_gaussian(n_dim, 1, g)[:, 0]
@@ -715,8 +718,8 @@ def test_localization_rate_well_separated():
     n_samples = int(n_dim / c)
     om_a, om_b = 3.0, 1.2
     hyps = [
-        FailureHypothesis(0, om_a, _unit(n_dim, 0), 0.0),
-        FailureHypothesis(1, om_b, _unit(n_dim, 1), 0.0),
+        FailureHypothesis(0, om_a, _unit(n_dim, 0)),
+        FailureHypothesis(1, om_b, _unit(n_dim, 1)),
     ]
     stats = [fluctuation_stats(om_a, c), fluctuation_stats(om_b, c)]
     hits = 0

@@ -11,7 +11,12 @@ with PYTHONPATH set to that tree:
   ``rmt detect``, ``rmt doa`` with ``--cost-out`` (both methods),
   ``rmt localize``, ``rmt density --clusters-out`` and ``rmt mp-density``,
   on input files drawn once, with OLD_SRC;
-* ``rmt simulate`` on one scenario per kind.
+* ``rmt simulate`` on one scenario per kind;
+* one script that prints the SHA-256 of every per-trial record column of
+  three desk runs at seed 1: fig5's spec under ``DoaResolutionBinding``,
+  fig8's first two under ``FailureBinding`` and fig6's under
+  ``DetectionRocBinding``.  Those figures report only rates, so a flipped
+  decision or a changed statistic that moves no rate shows only here.
 
 Every file a request writes, and its exit code, stdout and stderr, are
 compared between the trees byte for byte, except a reproduce manifest's
@@ -52,6 +57,20 @@ save_matrix_csv(out / "failure.csv", generate_trial(spec, 0)[0])
 
 FIGURES = "import json; from rmt.simulate import FIGURE_IDS; print(json.dumps(FIGURE_IDS))"
 
+# run under each tree: the per-trial record hashes, a line per column
+RECORDS = """
+import hashlib
+from rmt.simulate import FIGURES, MODELS, run_monte_carlo
+
+for fig, runs in (("fig5", 1), ("fig8", 2), ("fig6", 1)):
+    figure = FIGURES[fig]
+    for spec in figure.specs(1, True)[:runs]:
+        binding = figure.binding or MODELS[spec.kind].binding(spec)
+        for name, column in run_monte_carlo(spec, binding).records.items():
+            print(fig, f"n={spec.n_samples}", type(binding).__name__, name, column.dtype, column.shape,
+                  hashlib.sha256(column.tobytes()).hexdigest())
+"""
+
 SCENARIOS = {
     "mp-null": (64, 192, 20, {"snr_db": 0.0}),
     "masses": (30, 120, 10, {"atoms": [[1.0, 10], [3.0, 10], [7.0, 10]]}),
@@ -90,8 +109,9 @@ def python(src: pathlib.Path, args, cwd) -> subprocess.CompletedProcess:
 
 def run_tree(src: pathlib.Path, out: pathlib.Path, inputs: pathlib.Path, figures) -> None:
     out.mkdir()
-    for name, args in requests(inputs, figures):
-        done = python(src, ["-m", "rmt.cli", *args], out)
+    runs = [(name, ["-m", "rmt.cli", *args]) for name, args in requests(inputs, figures)]
+    for name, args in runs + [("records", ["-c", RECORDS])]:
+        done = python(src, args, out)
         (out / f"{name}.log").write_text(f"exit {done.returncode}\n--- stdout\n{done.stdout}--- stderr\n{done.stderr}")
 
 
