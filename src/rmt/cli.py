@@ -141,6 +141,8 @@ def cmd_density(args) -> int:
     else:
         hi = max(v for v, _ in atoms) * (1 + args.c**0.5) ** 2 * 1.4
         grid = _arange(0.01, hi, 0.01)
+        if grid.size == 0:
+            raise UsageError(f"the default grid 0.01:{hi:.6g}:0.01 is empty for atoms this small; pass --grid")
     dens = density_from_stieltjes(model, grid, eps=args.eps)
     clusters = support_clusters(model) if args.clusters_out else None  # may refuse: before any file is written
     _write_csv(args.out, {"x": dens.grid, "f": dens.values})
@@ -398,7 +400,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (RmtError, OSError, ValueError) as exc:
+    except (RmtError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

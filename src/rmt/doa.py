@@ -26,11 +26,8 @@ from .linalg import sample_eigh
 __all__ = [
     "SteeringModel",
     "DoaResult",
-    "steering_vector",
     "steering_matrix",
-    "music_cost",
     "gmusic_weights",
-    "weighted_cost",
     "estimate_doa",
 ]
 
@@ -58,29 +55,12 @@ class DoaResult:
     complete: bool = True
 
 
-def steering_vector(model: SteeringModel, theta_deg: float) -> np.ndarray:
-    """Unit-norm ULA steering vector at angle theta (degrees, broadside 0)."""
-    phase = math.pi * model.spacing * math.sin(math.radians(theta_deg))
-    m = np.arange(model.n_sensors)
-    return np.exp(1j * phase * m) / math.sqrt(model.n_sensors)
-
-
 def steering_matrix(model: SteeringModel, thetas_deg) -> np.ndarray:
     """Column-stacked steering vectors over a vector of angles."""
     thetas = np.atleast_1d(np.asarray(thetas_deg, dtype=float))
     phases = math.pi * model.spacing * np.sin(np.radians(thetas))
     m = np.arange(model.n_sensors)[:, None]
     return np.exp(1j * m * phases[None, :]) / math.sqrt(model.n_sensors)
-
-
-def music_cost(noise_space: np.ndarray, s: np.ndarray) -> float:
-    """Squared projection of s onto the noise subspace, in [0, 1]."""
-    noise_space = np.asarray(noise_space, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    if noise_space.ndim != 2 or s.ndim != 1 or noise_space.shape[0] != s.size:
-        raise DimensionError("noise space must be N x (N-K) and s of length N")
-    proj = noise_space.conj().T @ s
-    return float(np.real(np.vdot(proj, proj)))
 
 
 def gmusic_weights(eigs, n_samples: int, k: int) -> np.ndarray:
@@ -113,12 +93,6 @@ def gmusic_weights(eigs, n_samples: int, k: int) -> np.ndarray:
     return np.concatenate((1.0 + cross_sum(noise, signal), -cross_sum(signal, noise)))
 
 
-def weighted_cost(eigvecs: np.ndarray, weights, svecs: np.ndarray) -> np.ndarray:
-    """Quadratic form s^H (sum_i w_i u_i u_i^H) s for each steering column."""
-    proj = eigvecs.conj().T @ svecs
-    return np.asarray(weights) @ (np.abs(proj) ** 2)
-
-
 def estimate_doa(y, k: int, model: SteeringModel, grid, method: str = "gmusic") -> DoaResult:
     """Return the K deepest minima of the chosen cost, sorted, inside the grid's range.
 
@@ -134,7 +108,7 @@ def estimate_doa(y, k: int, model: SteeringModel, grid, method: str = "gmusic") 
     exist the result carries all of them with ``complete=False``.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0):
+    if grid.ndim != 1 or grid.size < 3 or not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
         raise ParameterError("angle grid must be ascending with >= 3 points")
     if method not in ("music", "gmusic"):
         raise ParameterError(f"unknown method {method!r}")

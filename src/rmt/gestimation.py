@@ -32,13 +32,11 @@ from .stieltjes import SpectralModel, support_clusters
 __all__ = [
     "ClusterAssignment",
     "PowerEstimate",
-    "CltReport",
     "classical_estimate",
     "mu_eigenvalues",
     "g_estimate",
     "power_estimate_iid_channel",
     "clusters_from_gaps",
-    "clt_check",
     "separation_warnings",
 ]
 
@@ -212,42 +210,6 @@ def clusters_from_gaps(eigs, multiplicities) -> ClusterAssignment:
     eigs = _check_eigs(eigs)
     clusters = ClusterAssignment.top_ranges(eigs.size, multiplicities)  # refuses K < 1 and sizes that do not fit
     return replace(clusters, gap_aligned=bool(_gap_aligned_rows(eigs[None], clusters.multiplicities)[0]))
-
-
-@dataclass(frozen=True)
-class CltReport:
-    """Empirical normality summary of N * (P_hat_k - P_k) over trials."""
-
-    trials: int
-    mean: float
-    variance: float
-    skewness: float
-    excess_kurtosis: float
-    ks_distance: float
-
-
-def clt_check(sample) -> CltReport:
-    """A sample of N (P_hat_k - P_k), one value per trial, against its best-fit normal.
-
-    Fewer than 100 trials is refused as underpowered.
-    """
-    from scipy import stats as sstats  # deferred: its import costs ~0.5 s and only this check uses it
-
-    sample = np.asarray(sample, dtype=float)
-    trials = sample.size
-    if trials < 100:
-        raise ParameterError("clt_check needs at least 100 trials")
-    mean = float(np.mean(sample))
-    sd = float(np.std(sample, ddof=1))
-    ks = sstats.kstest(sample, "norm", args=(mean, sd)).statistic
-    return CltReport(
-        trials=trials,
-        mean=mean,
-        variance=sd**2,
-        skewness=float(sstats.skew(sample)),
-        excess_kurtosis=float(sstats.kurtosis(sample)),
-        ks_distance=float(ks),
-    )
 
 
 def separation_warnings(p_values, multiplicities, n_dim: int, n_samples: int) -> tuple:

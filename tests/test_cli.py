@@ -158,6 +158,18 @@ def test_grid_size_is_capped_before_allocating(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_density_refuses_an_empty_default_grid(tmp_path, capsys):
+    # 1.4 (1 + sqrt(0.5))^2 * 0.001 < 0.01: it failed with exit 1 about a grid never passed
+    out, clusters = tmp_path / "x.csv", tmp_path / "clusters.json"
+    capsys.readouterr()
+    argv = ("density", "--atoms", "0.001:1", "--c", "0.5", "--out", str(out), "--clusters-out", str(clusters))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        "usage error: the default grid 0.01:0.0040799:0.01 is empty for atoms this small; pass --grid\n")
+    assert not out.exists() and not clusters.exists()
+    assert run_cli(*argv, "--grid", "0.0001:0.006:0.0001") == 0
+
+
 def test_bad_parameter_is_runtime_error(tmp_path):
     out = tmp_path / "x.csv"
     assert run_cli("density", "--atoms", "1:1.0", "--c", "-2", "--out", str(out)) == 1
@@ -608,6 +620,19 @@ def test_simulate_refuses_a_misspelled_key(tmp_path, capsys, kind, params, key):
     assert run_cli("simulate", "--spec", str(spec_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: unknown ") and f"{key!r}" in err and err.count("\n") == 1, err
+
+
+def test_simulate_reports_an_allocation_failure_in_one_line(tmp_path, capsys, monkeypatch):
+    # a record column too large to allocate ended in numpy's traceback
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array with shape (1000000000000, 4)")
+
+    monkeypatch.setattr(rmt.cli, "run_monte_carlo", refuse)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "mp-null", "N": 4, "n": 8, "trials": 10**12, "seed": 1}))
+    capsys.readouterr()
+    assert run_cli("simulate", "--spec", str(spec_path)) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 29.1 TiB for an array with shape (1000000000000, 4)\n"
 
 
 def test_simulate_refuses_a_failure_far_beyond_the_table(tmp_path, capsys):

@@ -3,20 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from rmt.doa import (
-    SteeringModel,
-    estimate_doa,
-    gmusic_weights,
-    music_cost,
-    steering_matrix,
-    steering_vector,
-    weighted_cost,
-)
+from rmt.doa import SteeringModel, _doa_from_eigh, estimate_doa, gmusic_weights, steering_matrix
 from rmt.errors import DegeneracyError, ParameterError
 from rmt.gestimation import mu_eigenvalues
 from rmt.linalg import RngStream, complex_gaussian, hermitian_eig, sample_covariance
 
 MODEL20 = SteeringModel(20)
+
+
+def steering_vector(model, theta_deg):
+    return steering_matrix(model, [theta_deg])[:, 0]
+
+
+def weighted_cost(eigvecs, weights, svecs):
+    """Quadratic form s^H (sum_i w_i u_i u_i^H) s for each steering column: the grid-scan
+    oracle for the root-MUSIC polynomial costs of estimate_doa."""
+    return np.asarray(weights) @ (np.abs(eigvecs.conj().T @ svecs) ** 2)
+
+
+def music_cost(noise_space, s):
+    """Squared projection of s onto the noise subspace, in [0, 1]."""
+    proj = noise_space.conj().T @ s
+    return float(np.real(np.vdot(proj, proj)))
 
 
 def doa_observation(model, angles, snr_db, n_samples, seed, trial=0):
@@ -69,19 +77,13 @@ def test_music_cost_projection_extremes():
 
 
 def test_music_cost_population_covariance_oracle():
-    # exact covariance: the cost vanishes at each true angle
+    # exact covariance: the MUSIC cost of estimate_doa's polynomial vanishes at each true angle
     angles = (-20.0, 5.0, 40.0)
     smat = steering_matrix(MODEL20, angles)
     t_cov = smat @ smat.conj().T + 0.1 * np.eye(20)
-    eig = hermitian_eig(t_cov)
-    noise_space = eig.eigenvectors[:, : 20 - len(angles)]
-    for theta in angles:
-        assert music_cost(noise_space, steering_vector(MODEL20, theta)) < 1e-10
-
-
-def test_music_cost_dimension_check():
-    with pytest.raises(ParameterError):
-        music_cost(np.eye(4, 2), np.ones(3, dtype=complex))
+    # the true angles as the grid; MUSIC's weights do not read the sample count
+    res = _doa_from_eigh(hermitian_eig(t_cov), 1000, len(angles), MODEL20, np.array(angles), "music")
+    assert np.all(np.abs(res.costs) < 1e-10), res.costs
 
 
 # --- G-MUSIC weights -----------------------------------------------------------------
@@ -300,3 +302,8 @@ def test_estimate_doa_guards():
         estimate_doa(y, 1, MODEL20, np.arange(-10, 10, 0.05), "bogus")
     with pytest.raises(ParameterError):
         estimate_doa(y, 20, MODEL20, np.arange(-10, 10, 0.05), "music")
+    # a NaN grid point returned a NaN cost, and a NaN first point dropped every minimum
+    for grid in ([-90.0, math.nan, 90.0], [math.nan, 0.0, 10.0, 20.0], [-90.0, 0.0, math.inf],
+                 [-math.inf, 0.0, 90.0], [-90.0, 0.0, 0.0, 90.0]):
+        with pytest.raises(ParameterError, match="angle grid must be ascending with >= 3 points"):
+            estimate_doa(y, 1, MODEL20, grid)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import rmt.gestimation as ge
 from rmt.gestimation import (
     ClusterAssignment,
     classical_estimate,
-    clt_check,
     clusters_from_gaps,
     g_estimate,
     mu_eigenvalues,
@@ -278,9 +278,19 @@ def test_estimators_equal_the_one_spectrum_formulas_bit_for_bit(values, mults, n
 # --- CLT check -------------------------------------------------------------------------
 
 
-def test_clt_check_underpowered_refused():
-    with pytest.raises(ParameterError):
-        clt_check(np.zeros(50))
+def clt_check(sample) -> SimpleNamespace:
+    """A sample of N (P_hat_k - P_k), one value per trial, against its best-fit normal."""
+    from scipy import stats
+
+    mean, sd = float(np.mean(sample)), float(np.std(sample, ddof=1))
+    return SimpleNamespace(
+        trials=sample.size,
+        mean=mean,
+        variance=sd**2,
+        skewness=float(stats.skew(sample)),
+        excess_kurtosis=float(stats.kurtosis(sample)),
+        ks_distance=float(stats.kstest(sample, "norm", args=(mean, sd)).statistic),
+    )
 
 
 def test_clt_check_normality_of_g_estimator():
