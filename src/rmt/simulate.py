@@ -18,8 +18,9 @@ N x n buffer, filling its Gaussian term once there, and ``binding(spec)`` is
 ``spectra(spec, state, trials)``, the eigenvalues of (1/n) Y Y^H for a block
 of trials, which two identical lanes form with the Hermitian kernel of
 :mod:`rmt.linalg` (zherk, then zheevd; ``np.linalg.eigvalsh`` in one lane
-where numpy's library lacks LAPACKE).  A binding's ``per_spectra`` maps that
-block to its columns on the calling thread; ``per_trial`` gets each trial's Y.
+where numpy's library lacks LAPACKE).  Every binding maps a block of trials
+to its record columns with ``per_block``; a spectrum binding's maps that
+block's spectra, on the calling thread.
 
 Every block, serial or in a pool worker, runs with numpy's bundled OpenBLAS
 pinned to one thread and restores the caller's count afterwards, so results
@@ -119,7 +120,7 @@ class ObservationModel:
         return self.draw_into(spec, s, g, y, chunk)
 
     def spectra(self, spec, s, trials):
-        """A (len(trials), N) array, the block ``per_spectra`` reads, whose row i
+        """A (len(trials), N) array, the block a spectrum binding reads, whose row i
         holds the ascending eigenvalues of (1/n) Y Y^H at trial ``trials[i]``.
 
         :data:`BLOCK_LANES` lanes, this thread and helpers, each take the next
@@ -442,68 +443,43 @@ BLOCK_LANES = 2  # threads, the caller's included, that run a spectrum-only bloc
 
 
 def _run_block(args):
-    """Record columns of one block of trials, run pinned: ``per_spectra`` maps
-    the model's ``spectra`` to them, ``per_trial``'s rows are written into them."""
+    """Record columns of one block of trials: the binding's ``per_block``, run
+    pinned, each column an array with one row per trial."""
     spec, binding, trials = args
-    model = MODELS[spec.kind]
     with _pinned_blas():
-        if hasattr(binding, "per_spectra"):
-            columns = binding.per_spectra(spec, trials, model.spectra(spec, spec.state, trials))
-            for name, column in columns.items():
-                if not isinstance(column, np.ndarray) or column.shape[:1] != (len(trials),):
-                    raise ParameterError(f"record {name!r} of trials {trials[0]}-{trials[-1]} must be an array with "
-                                         f"{len(trials)} rows, got {getattr(column, 'shape', type(column).__name__)}")
-            return columns
-        rows = (binding.per_trial(spec, t, model.draw(spec, spec.state, spec.stream(t).generator())) for t in trials)
-        for i, row in enumerate(rows):
-            values = {name: np.asarray(value) for name, value in row.items()}
-            if not i:  # the first trial sizes the columns; every row is written into them
-                columns = {name: np.empty((len(trials), *v.shape), v.dtype) for name, v in values.items()}
-                want = _layout(columns)
-            _check_layout({name: (v.dtype, v.shape) for name, v in values.items()}, want, trials[i], trials[0])
-            for name, value in values.items():
-                columns[name][i] = value
+        columns = binding.per_block(spec, trials)
+    for name, column in columns.items():
+        if not isinstance(column, np.ndarray) or column.shape[:1] != (len(trials),):
+            raise ParameterError(f"record {name!r} of trials {trials[0]}-{trials[-1]} must be an array with "
+                                 f"{len(trials)} rows, got {getattr(column, 'shape', type(column).__name__)}")
     return columns
 
 
 def _layout(columns) -> dict:
-    """Each column's dtype and the shape of one trial's value."""
-    return {name: (column.dtype, column.shape[1:]) for name, column in columns.items()}
-
-
-def _check_layout(got, want, trial, first):
-    """Raise :class:`ParameterError` unless trial ``trial``'s record names,
-    dtypes and shapes ``got`` equal trial ``first``'s, ``want``."""
-    if got.keys() != want.keys():
-        raise ParameterError(f"trial {trial} records {sorted(got)}, trial {first} {sorted(want)}")
-    for name, (dtype, shape) in got.items():
-        if (dtype, shape) != want[name]:
-            raise ParameterError(f"record {name!r} of trial {trial} is {dtype}{list(shape)}, "
-                                 f"of trial {first} {want[name][0]}{list(want[name][1])}")
+    """Each column's dtype and the shape of one trial's value, as ``float64[2]``."""
+    return {name: f"{column.dtype}{list(column.shape[1:])}" for name, column in columns.items()}
 
 
 def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
     """Execute all trials of a scenario under a binding and reduce.
 
-    The binding provides ``reduce(spec, records) -> dict`` and either
-    ``per_spectra(spec, trials, spectra) -> dict``, which maps a block's
-    ascending eigenvalues of (1/n) Y Y^H, one row per trial, to its record
-    columns (each an ndarray with a row per trial, or :class:`ParameterError`
-    names it), or ``per_trial(spec, trial, y) -> dict``, whose values are
-    written into columns sized from a block's first trial (a later shape or
-    dtype that differs raises :class:`ParameterError` naming it).  Records
-    are arrays with the trial axis first, row t holding trial t's value.
-    Trials run in blocks
+    The binding provides ``per_block(spec, trials) -> dict``, which returns a
+    block's record columns, each an ndarray whose row i holds trial
+    ``trials[i]``'s value (else :class:`ParameterError` names it), and
+    ``reduce(spec, records) -> dict``.  Records are arrays with the trial axis
+    first, row t holding trial t's value.  Trials run in blocks
     of consecutive indices, all of them in one block when serial and one block
     per pool task otherwise; the blocks' columns are joined in trial order, so
-    aggregates do not depend on worker scheduling.  Every block runs at the
+    aggregates do not depend on worker scheduling, and a block whose names,
+    dtypes or row shapes differ from the first block's raises
+    :class:`ParameterError` naming it.  Every block runs at the
     same pinned BLAS thread count, recorded in the summary with the worker
     count; ``workers`` must be an integer >= 1, and the pool starts no more
     processes than there are blocks.
     """
     workers = _integer(workers, "workers", 1)
-    if not (hasattr(binding, "per_spectra") or hasattr(binding, "per_trial")) or not hasattr(binding, "reduce"):
-        raise ParameterError("binding must expose per_spectra or per_trial, and reduce")
+    if not (hasattr(binding, "per_block") and hasattr(binding, "reduce")):
+        raise ParameterError("binding must expose per_block and reduce")
     if getattr(binding, "kind", spec.kind) != spec.kind:
         raise ParameterError(f"binding for kind {binding.kind!r} is incompatible with {spec.kind!r}")
     t0 = time.perf_counter()
@@ -517,7 +493,9 @@ def run_monte_carlo(spec: ScenarioSpec, binding, workers: int = 1) -> McSummary:
             parts = list(pool.map(_run_block, blocks))
         want = _layout(parts[0])
         for (_, _, block), part in zip(blocks, parts):
-            _check_layout(_layout(part), want, block[0], 0)
+            if _layout(part) != want:  # else the join casts a dtype silently or fails unnamed
+                raise ParameterError(f"trials {block[0]}-{block[-1]} record {_layout(part)}, "
+                                     f"trials 0-{size - 1} {want}")
         records = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     else:
         records = _run_block((spec, binding, trials))
@@ -541,7 +519,25 @@ def histogram(values, bins: int, value_range=None):
 # --- bindings ----------------------------------------------------------------
 
 
-class EigBinding:
+class _SpectrumBinding:
+    """Base of the bindings that read only the sample spectra: ``per_block``
+    maps the model's ``spectra`` of the block through ``per_spectra(spec,
+    trials, spectra)``, each row the ascending eigenvalues of one trial."""
+
+    def per_block(self, spec, trials):
+        return self.per_spectra(spec, trials, MODELS[spec.kind].spectra(spec, spec.state, trials))
+
+
+def _sample_eighs(spec, trials):
+    """The eigenpairs of each trial's sample covariance, one trial at a time on
+    the calling thread: the model's draw, as :func:`generate_trial` gives it,
+    through :func:`~rmt.linalg.sample_eigh`."""
+    model = MODELS[spec.kind]
+    for t in trials:
+        yield sample_eigh(model.draw(spec, spec.state, spec.stream(t).generator()))
+
+
+class EigBinding(_SpectrumBinding):
     """Record each trial's sample-covariance spectrum (any kind): the block's spectra, uncopied."""
 
     def __init__(self, kind: str):
@@ -555,7 +551,7 @@ class EigBinding:
         return {"all_eigs": eigs.ravel(), "per_trial_max": eigs[:, -1], "per_trial_min": eigs[:, 0]}
 
 
-class PowerNmseBinding:
+class PowerNmseBinding(_SpectrumBinding):
     """Backs the fig4 experiment: i.i.d.-channel estimates vs classical cluster means.
 
     The classical route assumes n >> N and N >> M_k: cluster mean minus the
@@ -586,7 +582,7 @@ class PowerNmseBinding:
         }
 
 
-class GEstimatorBinding:
+class GEstimatorBinding(_SpectrumBinding):
     """Masses-kind: Eq-for-Eq comparison of the cluster-mean and G estimators, per block."""
 
     kind = "masses"
@@ -611,29 +607,25 @@ class GEstimatorBinding:
         }
 
 
-class DetectionRocBinding:
+class DetectionRocBinding(_SpectrumBinding):
     """Backs the fig6 experiment: GLRT and condition-number statistics per trial
-    under both hypotheses (noise only / rank-one channel plus noise)."""
+    under both hypotheses: noise only, read from the block's spectra, and a
+    rank-one channel plus noise of the same level, drawn per trial."""
 
     kind = "mp-null"
 
-    def per_trial(self, spec, trial, y):
-        # y is the null draw; the alternative reuses the same stream for its
-        # channel, signal and noise so trials stay self-contained.
-        g = RngStream(spec.seed, trial + SETUP_STREAM).generator()
-        n_dim, n_samples = spec.n_dim, spec.n_samples
-        h = complex_gaussian(n_dim, 1, g)[:, 0]
-        x = complex_gaussian(1, n_samples, g)
-        w = complex_gaussian(n_dim, n_samples, g)
-        y_alt = h[:, None] * x + spec.state.sigma * w
-        e_null = sample_spectrum(y)
-        e_alt = sample_spectrum(y_alt)
-        return {
-            "glrt_null": sp.glrt_statistic(e_null),
-            "glrt_alt": sp.glrt_statistic(e_alt),
-            "cond_null": sp.condition_number_statistic(e_null),
-            "cond_alt": sp.condition_number_statistic(e_alt),
-        }
+    def per_spectra(self, spec, trials, spectra):
+        # the alternative draws its channel, signal and noise from a stream of the trial's own
+        records = {name: np.empty(len(trials)) for name in ("glrt_null", "glrt_alt", "cond_null", "cond_alt")}
+        for i, trial in enumerate(trials):
+            g = RngStream(spec.seed, trial + SETUP_STREAM).generator()
+            h = complex_gaussian(spec.n_dim, 1, g)[:, 0]
+            x = complex_gaussian(1, spec.n_samples, g)
+            w = complex_gaussian(spec.n_dim, spec.n_samples, g)
+            for side, eigs in (("null", spectra[i]), ("alt", sample_spectrum(h[:, None] * x + spec.state.sigma * w))):
+                records[f"glrt_{side}"][i] = sp.glrt_statistic(eigs)
+                records[f"cond_{side}"][i] = sp.condition_number_statistic(eigs)
+        return records
 
     def reduce(self, spec, records):
         return dict(records)
@@ -656,13 +648,16 @@ class DoaResolutionBinding:
     def __init__(self, window_deg: float = 1.0):
         self.window = window_deg
 
-    def per_trial(self, spec, trial, y):
+    def per_block(self, spec, trials):
         s = spec.state
-        true, resolved, eig = np.sort(np.asarray(s.angles)), {}, sample_eigh(y)
-        for method in ("music", "gmusic"):
-            # only the (sorted) angles are read: a 3-point search range samples no cost curve
-            got = np.asarray(_doa_from_eigh(eig, spec.n_samples, true.size, s.model, (-90.0, 0.0, 90.0), method).angles)
-            resolved[method] = got.size == true.size and np.all(np.abs(got - true) <= self.window)
+        true = np.sort(np.asarray(s.angles))
+        resolved = {method: np.zeros(len(trials), bool) for method in ("music", "gmusic")}
+        for i, eig in enumerate(_sample_eighs(spec, trials)):
+            for method, column in resolved.items():
+                # only the (sorted) angles are read: a 3-point search range samples no cost curve
+                got = np.asarray(_doa_from_eigh(eig, spec.n_samples, true.size, s.model, (-90.0, 0.0, 90.0),
+                                                method).angles)
+                column[i] = got.size == true.size and np.all(np.abs(got - true) <= self.window)
         return resolved
 
     def reduce(self, spec, records):
@@ -683,17 +678,17 @@ class FailureBinding:
     def __init__(self, far: float):
         self.threshold = sp.false_alarm_threshold(far)
 
-    def per_trial(self, spec, trial, y):
+    def per_block(self, spec, trials):
         s = spec.state
-        eig = sample_eigh(y)
         side = -1 if s.alpha > 0 else 0
-        lam = float(eig.eigenvalues[side])
         standardize = sp.tw_standardize if side else sp.tw_standardize_smallest
-        detected = standardize(lam, spec.n_dim, spec.ratio) > self.threshold
-        localized = False
-        if detected and s.hypotheses:
-            best, _ = sp.localize_failure(lam, eig.eigenvectors[:, side], s.hypotheses, s.stats)
-            localized = s.hypotheses[best].index == s.failed
+        detected, localized = np.zeros(len(trials), bool), np.zeros(len(trials), bool)
+        for i, eig in enumerate(_sample_eighs(spec, trials)):
+            lam = float(eig.eigenvalues[side])
+            detected[i] = standardize(lam, spec.n_dim, spec.ratio) > self.threshold
+            if detected[i] and s.hypotheses:
+                best, _ = sp.localize_failure(lam, eig.eigenvectors[:, side], s.hypotheses, s.stats)
+                localized[i] = s.hypotheses[best].index == s.failed
         return {"detected": detected, "localized": localized}
 
     def reduce(self, spec, records):

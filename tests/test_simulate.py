@@ -16,9 +16,10 @@ from rmt.gestimation import (ClusterAssignment, classical_estimate, clusters_fro
                              power_estimate_iid_channel)
 import rmt.linalg as linalg
 import rmt.simulate as simulate
-from rmt.linalg import (_eigvalsh_into, _numpy_openblas, _pinned_blas, complex_gaussian, haar_unitary,
-                        sample_covariance, sample_spectrum)
-from rmt.spikes import glrt_test
+from rmt.linalg import (RngStream, _eigvalsh_into, _numpy_openblas, _pinned_blas, complex_gaussian, haar_unitary,
+                        sample_covariance, sample_eigh, sample_spectrum)
+from rmt.spikes import (condition_number_statistic, glrt_statistic, glrt_test, localize_failure, tw_standardize,
+                        tw_standardize_smallest)
 from rmt.simulate import (
     BLOCK_BLAS_THREADS,
     FIGURE_IDS,
@@ -376,7 +377,7 @@ def test_run_monte_carlo_binding_compatibility():
     spec = ScenarioSpec("mp-null", 4, 8, 1, 0)
     with pytest.raises(ParameterError):
         run_monte_carlo(spec, PowerNmseBinding())
-    with pytest.raises(ParameterError, match="per_spectra or per_trial"):
+    with pytest.raises(ParameterError, match="per_block and reduce"):
         run_monte_carlo(spec, type("ReduceOnly", (), {"reduce": lambda self, spec, records: {}})())
 
 
@@ -399,25 +400,66 @@ def _spectrum_row(spec, binding, eigs):
     return {"eigs": eigs}
 
 
+def _detection_row(spec, trial):
+    """fig6's four statistics of one trial: the null on generate_trial's Y, the
+    alternative on a rank-one channel plus noise drawn from the trial's stream
+    above SETUP_STREAM."""
+    g = RngStream(spec.seed, trial + SETUP_STREAM).generator()
+    h = complex_gaussian(spec.n_dim, 1, g)[:, 0]
+    x = complex_gaussian(1, spec.n_samples, g)
+    w = complex_gaussian(spec.n_dim, spec.n_samples, g)
+    e_null = sample_spectrum(generate_trial(spec, trial)[0])
+    e_alt = sample_spectrum(h[:, None] * x + spec.state.sigma * w)
+    return {"glrt_null": glrt_statistic(e_null), "glrt_alt": glrt_statistic(e_alt),
+            "cond_null": condition_number_statistic(e_null), "cond_alt": condition_number_statistic(e_alt)}
+
+
+def _failure_row(spec, trial, threshold):
+    """fig8's flags of one trial, from the extreme eigenpair of generate_trial's Y."""
+    s, eig = spec.state, sample_eigh(generate_trial(spec, trial)[0])
+    side = -1 if s.alpha > 0 else 0
+    lam = float(eig.eigenvalues[side])
+    standardize = tw_standardize if side else tw_standardize_smallest
+    detected = standardize(lam, spec.n_dim, spec.ratio) > threshold
+    localized = False
+    if detected and s.hypotheses:
+        best, _ = localize_failure(lam, eig.eigenvectors[:, side], s.hypotheses, s.stats)
+        localized = s.hypotheses[best].index == s.failed
+    return {"detected": detected, "localized": localized}
+
+
+def _doa_row(spec, trial, window):
+    """fig5's flags of one trial: each method's estimate_doa on generate_trial's Y."""
+    y, true, row = generate_trial(spec, trial)[0], np.sort(spec.state.angles), {}
+    for method in ("music", "gmusic"):
+        got = np.sort(estimate_doa(y, true.size, spec.state.model, (-90.0, 0.0, 90.0), method).angles)
+        row[method] = bool(got.size == true.size and np.all(np.abs(got - true) <= window))
+    return row
+
+
 def _trial_by_trial(spec, binding):
     """The binding's dict of every trial, made one trial at a time outside the
-    engine: ``per_trial`` on generate_trial's Y, a spectrum binding's values
-    from the public estimators on its sample_spectrum.  masses' spectra hook
-    skips the Haar rotation, which moves the spectrum at rounding level, so
-    there the spectrum is the unrotated Y's."""
+    engine from the public functions: fig5, fig6 and fig8's on generate_trial's
+    Y, a spectrum binding's values from the public estimators on its
+    sample_spectrum.  masses' spectra hook skips the Haar rotation, which
+    moves the spectrum at rounding level, so there the spectrum is the
+    unrotated Y's."""
     rows = []
     with _pinned_blas():
         for t in range(spec.trials):
-            if hasattr(binding, "per_trial"):
-                rows.append(binding.per_trial(spec, t, generate_trial(spec, t)[0]))
-                continue
-            if spec.kind == "masses":
+            if isinstance(binding, DetectionRocBinding):
+                rows.append(_detection_row(spec, t))
+            elif isinstance(binding, FailureBinding):
+                rows.append(_failure_row(spec, t, binding.threshold))
+            elif isinstance(binding, DoaResolutionBinding):
+                rows.append(_doa_row(spec, t, binding.window))
+            elif spec.kind == "masses":
                 g = spec.stream(t).generator()
                 haar_unitary(spec.n_dim, g)
                 y = spec.state.scale * complex_gaussian(spec.n_dim, spec.n_samples, g)
+                rows.append(_spectrum_row(spec, binding, sample_spectrum(y)))
             else:
-                y = generate_trial(spec, t)[0]
-            rows.append(_spectrum_row(spec, binding, sample_spectrum(y)))
+                rows.append(_spectrum_row(spec, binding, sample_spectrum(generate_trial(spec, t)[0])))
     return rows
 
 
@@ -525,32 +567,35 @@ def test_per_trial_records_peak_near_their_columns():
 
 
 class _Drifting:
-    """Records one value whose shape or dtype, or one name, changes at trial 3."""
+    """Records one column whose row shape or dtype, or one name, changes in
+    the blocks from trial 3 on."""
 
     kind = "mp-null"
 
     def __init__(self, change):
         self.change = change
 
-    def per_trial(self, spec, trial, y):
-        row = y.real[0]
-        if trial < 3:
-            return {"top": row[-2:], "n": 1}
-        return {"shape": {"top": row[-1:], "n": 1}, "dtype": {"top": row[-2:], "n": 1.0},
-                "name": {"top": row[-2:], "m": 1}}[self.change]
+    def per_block(self, spec, trials):
+        top, n = np.zeros((len(trials), 2)), np.ones(len(trials), np.int64)
+        if trials[0] < 3:
+            return {"top": top, "n": n}
+        return {"shape": {"top": top[:, :1], "n": n}, "dtype": {"top": top, "n": n.astype(float)},
+                "name": {"top": top, "m": n}}[self.change]
 
     def reduce(self, spec, records):
         return {}
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [2])
 @pytest.mark.parametrize("change, match", [
-    ("shape", r"record 'top' of trial 3 is float64\[1\], of trial 0 float64\[2\]"),
-    ("dtype", r"record 'n' of trial 3 is float64\[\], of trial 0 int64\[\]"),
-    ("name", r"trial 3 records \['m', 'top'\], trial 0 \['n', 'top'\]"),
+    ("shape", r"trials 3-3 record \{'top': 'float64\[1\]', 'n': 'int64\[\]'\}, "
+              r"trials 0-0 \{'top': 'float64\[2\]', 'n': 'int64\[\]'\}"),
+    ("dtype", r"trials 3-3 record \{'top': 'float64\[2\]', 'n': 'float64\[\]'\}"),
+    ("name", r"trials 3-3 record \{'top': 'float64\[2\]', 'm': 'int64\[\]'\}"),
 ], ids=["shape", "dtype", "name"])
 def test_a_record_that_changes_shape_dtype_or_name_is_refused(change, match, workers):
-    # a column sized from the first trial would broadcast or cast a later value silently
+    # six trials at two workers run as blocks of one; joining a later block's
+    # columns to the first's would cast a dtype silently or fail without naming it
     with pytest.raises(ParameterError, match=match):
         run_monte_carlo(ScenarioSpec("mp-null", 4, 8, 6, 1), _Drifting(change), workers)
 
@@ -819,11 +864,13 @@ class _RaiseOnTrial3(EigBinding):
         return {"eigs": spectra, "threads": np.full(len(trials), OPENBLAS.get_threads())}
 
 
-class _PerTrialThreads:
+class _BlockThreads:
+    """Not a spectrum binding: records the BLAS thread count its block runs at."""
+
     kind = "iid-channel"
 
-    def per_trial(self, spec, trial, y):
-        return {"threads": OPENBLAS.get_threads()}
+    def per_block(self, spec, trials):
+        return {"threads": np.full(len(trials), OPENBLAS.get_threads())}
 
     def reduce(self, spec, records):
         return {}
@@ -840,8 +887,8 @@ def test_blocks_pin_one_thread_and_restore_the_callers_count(two_blas_threads):
     ok = run_monte_carlo(ScenarioSpec("mp-null", 40, 30, 3, 3), _RaiseOnTrial3("mp-null"))
     assert ok.records["threads"].tolist() == [BLOCK_BLAS_THREADS] * 3 and get() == 2
     iid = ScenarioSpec("iid-channel", 6, 9, 3, 4, {"powers": [1.0], "multiplicities": [2], "snr_db": 3.0})
-    per_trial = run_monte_carlo(iid, _PerTrialThreads())
-    assert per_trial.records["threads"].tolist() == [BLOCK_BLAS_THREADS] * 3 and get() == 2
+    block = run_monte_carlo(iid, _BlockThreads())
+    assert block.records["threads"].tolist() == [BLOCK_BLAS_THREADS] * 3 and get() == 2
     assert threading.active_count() == threads
 
 

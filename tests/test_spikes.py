@@ -8,6 +8,7 @@ import pytest
 
 from rmt.errors import ParameterError, RegimeError, SingularityError
 from rmt.linalg import RngStream, complex_gaussian, hermitian_eig, sample_covariance
+from rmt.simulate import EigBinding, ScenarioSpec, run_monte_carlo
 from rmt.spikes import (
     FailureHypothesis,
     FluctuationStats,
@@ -330,16 +331,14 @@ def test_glrt_scale_invariance():
 
 
 def test_glrt_null_calibration():
-    # empirical false-alarm rate at nominal 0.05 within +-0.02 over 5000 trials
-    n_dim, n_samples, far, trials = 64, 192, 0.05, 5000
+    # empirical false-alarm rate at nominal 0.05 within +-0.02 over 5000 trials;
+    # trial t's Y is complex_gaussian(64, 192, RngStream(2024, t))
+    spec, far = ScenarioSpec("mp-null", 64, 192, 5000, 2024), 0.05
     thr = tw_quantile(TABLE, 1 - far)
-    c = n_dim / n_samples
     hits = 0
-    for t in range(trials):
-        y = complex_gaussian(n_dim, n_samples, RngStream(2024, t))
-        eigs = np.linalg.eigvalsh(sample_covariance(y))
-        hits += tw_standardize(glrt_statistic(eigs), n_dim, c) > thr
-    rate = hits / trials
+    for eigs in run_monte_carlo(spec, EigBinding("mp-null")).records["eigs"]:
+        hits += tw_standardize(glrt_statistic(eigs), spec.n_dim, spec.ratio) > thr
+    rate = hits / spec.trials
     assert 0.03 <= rate <= 0.07, f"empirical FAR {rate:.4f}"
 
 
