@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+ANGLE_SLACK_DEG = 1e-6  # past +-90 degrees: the rounding of a `rmt doa` arange grid of up to 10^6 points
+
+
 @dataclass(frozen=True)
 class SteeringModel:
     """Uniform linear array: sensor count and spacing in half-wavelengths."""
@@ -105,11 +108,15 @@ def estimate_doa(y, k: int, model: SteeringModel, grid, method: str = "gmusic") 
     root angles, wrapping); off-circle pairs (z, 1/conj z) show no sign change,
     so no |z| - 1 tolerance decides anything.  The grid only bounds the search
     (minima strictly inside it) and samples ``costs``.  If fewer than K minima
-    exist the result carries all of them with ``complete=False``.
+    exist the result carries all of them with ``complete=False``.  Grid angles
+    beyond [-90, 90] degrees, which would sample the cost at the aliased angle,
+    are refused.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3 or not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
         raise ParameterError("angle grid must be ascending with >= 3 points")
+    if grid[0] < -90.0 - ANGLE_SLACK_DEG or grid[-1] > 90.0 + ANGLE_SLACK_DEG:
+        raise ParameterError("angle grid must lie within [-90, 90] degrees: beyond, it samples the aliased angle")
     if method not in ("music", "gmusic"):
         raise ParameterError(f"unknown method {method!r}")
     y = np.asarray(y, dtype=complex)

@@ -8,7 +8,10 @@ distinct population values, three estimators are provided:
 * the (N, n)-consistent estimator
       P_hat_k = (n / N_k) * sum_{m in cluster_k} (lambda_m - mu_m)
   where mu are the ascending eigenvalues of diag(lambda) - (1/n) s s^T with
-  s = sqrt(lambda) entrywise;
+  s = sqrt(lambda) entrywise, that is the roots of the secular equation
+  (1/n) sum_k lambda_k / (lambda_k - mu) = 1 (Mestre, IEEE T-IT 54(11),
+  2008), found as such by LAPACK's rank-one-update solver, in O(N^2) a
+  spectrum, not by a dense O(N^3) eigensolve;
 * the i.i.d.-channel power estimator
       P_hat_k = N n / (M_k (n - N)) * sum_{i in cluster_k} (mu_i - eta_i)
   with eta the same construction at denominator N; the sign convention is
@@ -27,6 +30,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ParameterError
+from .linalg import _rank_one_eigvals
 from .stieltjes import SpectralModel, support_clusters
 
 __all__ = [
@@ -107,18 +111,20 @@ def _check_clusters(eigs: np.ndarray, clusters: ClusterAssignment) -> None:
         raise ParameterError("cluster indices out of range for the eigenvalue vector")
 
 
-_MU_STACK = 1 << 14  # matrix entries per batched eigvalsh call (128 KB)
-
-
 def _mu_rows(eigs: np.ndarray, denom: int) -> np.ndarray:
-    """:func:`mu_eigenvalues` of each row of ``eigs``, clipped to zero from below."""
-    eye, out = np.eye(eigs.shape[1]), np.empty_like(eigs)
-    step = max(1, _MU_STACK // eye.size)
-    for a in range(0, len(eigs), step):
-        lam = np.clip(eigs[a:a + step, :, None], 0.0, None)
-        s = np.sqrt(lam)
-        out[a:a + step] = np.linalg.eigvalsh(lam * eye - s * s.transpose(0, 2, 1) / denom)
-    return out
+    """:func:`mu_eigenvalues` of each row of ``eigs``, clipped to zero from below,
+    as the roots of the secular equation (1/denom) sum_k lambda_k / (lambda_k - mu) = 1.
+
+    mu(Lambda - rho s s^T) = -eig(-Lambda + rho s s^T): poles -lambda, ascending,
+    unit-norm weights sqrt(lambda) / ||sqrt(lambda)|| and rho = sum(lambda) / denom,
+    solved in O(N^2) a row (:func:`rmt.linalg._rank_one_eigvals`), whose poles
+    must ascend: each row is sorted first, as a no-op on a sample spectrum.
+    """
+    lam = np.sort(np.clip(eigs, 0.0, None), axis=1)
+    total = lam.sum(axis=1)
+    norm = np.sqrt(total)
+    z = np.sqrt(lam[:, ::-1]) / np.where(norm > 0, norm, 1.0)[:, None]
+    return np.negative(_rank_one_eigvals(-lam[:, ::-1], z, total / denom)[:, ::-1])
 
 
 def _cluster_sums(x: np.ndarray, clusters: ClusterAssignment) -> np.ndarray:

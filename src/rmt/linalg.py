@@ -14,13 +14,16 @@ triangle in place.  Both come from numpy's own library, not from
 ``scipy.linalg.blas``: importing scipy loads a second OpenBLAS with a thread
 pool of its own, and a zherk Gram through it slowed CLI sessions ~40% on a
 2-core host.  Where numpy ships no OpenBLAS, the Gram is one complex product
-and the eigensolve ``np.linalg.eigvalsh``, with the same conventions.
+and the eigensolve ``np.linalg.eigvalsh``, with the same conventions.  The
+eigenvalues of a diagonal plus rank-one matrix (the G-estimator's mu) come
+from the same library's ``dlaed8`` and ``dlaed9``, or from ``eigvalsh``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import mmap
 import os
 import struct
@@ -144,8 +147,9 @@ BLOCK_BLAS_THREADS = 1  # a Monte-Carlo block's OpenBLAS threads, where numpy's 
 @functools.cache  # looked up on the first Gram, never at import
 def _numpy_openblas():
     """The OpenBLAS bundled with numpy, as ``get_threads``, ``set_threads``,
-    ``zherk``, ``zheevd`` (None where the library has no LAPACKE) and its
-    build string ``config``, or None when this numpy build does not ship it.
+    ``zherk``, ``zheevd`` (None where the library has no LAPACKE), the
+    Fortran ``dlaed8`` and ``dlaed9`` (both None unless it exports both) and
+    its build string ``config``, or None when this numpy build does not ship it.
     scipy's copy is never used."""
     import ctypes
     import glob
@@ -170,8 +174,14 @@ def _numpy_openblas():
         if zheevd is not None:
             zheevd.restype = i64
             zheevd.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr)
+        dlaed8, dlaed9 = (getattr(lib, f"scipy_dlaed{k}_64_", None) for k in (8, 9))
+        if dlaed8 and dlaed9:  # Fortran: every argument by reference
+            dlaed8.restype, dlaed8.argtypes = None, (ptr,) * 22
+            dlaed9.restype, dlaed9.argtypes = None, (ptr,) * 13
+        else:
+            dlaed8 = dlaed9 = None
         return SimpleNamespace(get_threads=get, set_threads=put, zherk=zherk, zheevd=zheevd,
-                               config=config().decode("ascii", "replace"))
+                               dlaed8=dlaed8, dlaed9=dlaed9, config=config().decode("ascii", "replace"))
     return None
 
 
@@ -252,6 +262,63 @@ def _eigvalsh_into(gram, w):
     return w
 
 
+def _packed(dtype, **sizes):
+    """One zeroed buffer of ``dtype`` cut into consecutive arrays of the named
+    ``sizes``, as a namespace of the arrays and a dict of their addresses: one
+    ``ctypes.data`` lookup in place of twenty, which doubled a 12-pole row's time."""
+    buf = np.zeros(sum(sizes.values()), dtype=dtype)
+    arrays, ptrs, at, base = {}, {}, 0, buf.ctypes.data
+    for name, size in sizes.items():
+        arrays[name], ptrs[name] = buf[at:at + size], base + buf.itemsize * at
+        at += size
+    return SimpleNamespace(**arrays), ptrs
+
+
+def _rank_one_eigvals(d, z, rho):
+    """Ascending eigenvalues of diag(d_b) + rho_b z_b z_b^T for each row b of
+    the (B, K) ``d``, each row ascending, with unit-norm rows ``z`` and the
+    (B,) ``rho`` >= 0.
+
+    A row is the merge step of LAPACK's divide and conquer without
+    eigenvectors: ``dlaed8`` deflates zero and tiny weights and tied or nearly
+    tied poles, each moving an eigenvalue by at most its tolerance 8 eps
+    max|d|, and ``dlaed9`` finds the rest as the roots of the secular equation
+    1 + rho sum_k z_k^2 / (d_k - x) = 0, one ``dlaed4`` each, in O(K^2).  A
+    row with rho = 0 is d.  Without those routines each row is
+    ``np.linalg.eigvalsh`` of its dense matrix."""
+    blas = _numpy_openblas()
+    out = np.array(d, dtype=float)
+    if not (blas and blas.dlaed9):
+        for b in np.flatnonzero(rho):
+            out[b] = np.linalg.eigvalsh(np.diag(d[b]) + rho[b] * np.outer(z[b], z[b]))
+        return out
+    k = d.shape[1]
+    # Fortran ILP64: every argument by reference, the integers 64-bit; dlaed8 returns K in kk, dlaed9 reads it
+    ints, int_ptrs = _packed(np.int64, icompq=1, kk=1, n=1, one=1, givptr=1, info=1,
+                             indxq=k, perm=k, givcol=2 * k, indxp=k, indx=k)
+    floats, float_ptrs = _packed(np.float64, rho=1, row=k, z=k, dlamda=k, w=k, givnum=2 * k, roots=k,
+                                 q=k * k, s=k * k)  # q is dlaed9's workspace, s its unread vectors
+    ints.n[0], ints.one[0], ints.indxq[:] = k, 1, np.arange(1, k + 1)  # each row is one sorted half
+    kk, info, rho2, row, z2, roots = ints.kk, ints.info, floats.rho, floats.row, floats.z, floats.roots
+    ptr = {**int_ptrs, **float_ptrs}
+    laed8 = [ptr[name] for name in ("icompq kk n n row q n indxq rho n z dlamda q n w perm givptr givcol givnum "
+                                    "indxp indx info").split()]
+    laed9 = [ptr[name] for name in "kk one kk kk roots q kk rho dlamda w s kk info".split()]
+    for b in np.flatnonzero(rho):
+        # the cut at K leaves dlaed8's second half empty; it scales z by 1/sqrt(2) and doubles rho
+        row[:], rho2[0] = d[b], rho[b] / 2
+        np.multiply(z[b], math.sqrt(2), out=z2)
+        blas.dlaed8(*laed8)
+        if info[0] == 0 and kk[0]:
+            blas.dlaed9(*laed9)
+        if info[0]:
+            raise np.linalg.LinAlgError(f"rank-one update did not converge (LAPACK dlaed8/dlaed9 info {info[0]})")
+        m = kk[0]  # the first m eigenvalues are roots, the rest deflated poles
+        out[b, :m], out[b, m:] = roots[:m], row[m:]
+    out.sort(axis=1)
+    return out
+
+
 DRAW_CHUNK = 16384  # normals per draw call (128 KB), so the draw buffer stays in cache
 
 
@@ -261,25 +328,29 @@ def _gaussian_into(y, g, scale=None, chunk=None):
     ``scale``, and return it.
 
     The stream fills every real part, then every imaginary part, as
-    :func:`complex_gaussian` orders them, as many rows of n normals per call
-    as the C-contiguous float64 buffer ``chunk`` holds (about ``DRAW_CHUNK``
-    when made here, where it is None or shorter than a row); each chunk is
-    written into its rows of y times sqrt(1/2), then times ``scale``, so
-    nothing of Y's size is drawn or scaled apart from y itself.
+    :func:`complex_gaussian` orders them: one pass over those 2N rows of n
+    normals, as many rows per call as the C-contiguous float64 buffer
+    ``chunk`` holds (about ``DRAW_CHUNK`` when made here, where it is None or
+    shorter than a row), so a chunk may end in the imaginary parts and a draw
+    of up to ``DRAW_CHUNK`` normals is one call.  Each chunk is written into
+    its rows of y times sqrt(1/2), then times ``scale``, so nothing of Y's
+    size is drawn or scaled apart from y itself.
     """
     n_dim, n = y.shape
     if chunk is None or chunk.size < n:
-        chunk = np.empty(min(n_dim, max(1, DRAW_CHUNK // n)) * n)
-    rows, half = min(n_dim, chunk.size // n), np.sqrt(0.5)
+        chunk = np.empty(min(2 * n_dim, max(1, DRAW_CHUNK // n)) * n)
+    rows, half = min(2 * n_dim, chunk.size // n), np.sqrt(0.5)
     chunk = chunk.reshape(-1)[:rows * n].reshape(rows, n)
-    for part in (y.real, y.imag):
-        for r in range(0, n_dim, rows):
-            x = chunk[:n_dim - r]
-            g.standard_normal(out=x)
-            rows_y = part[r:r + len(x)]
-            np.multiply(x, half, out=rows_y)
-            if scale is not None:
-                np.multiply(rows_y, scale[r:r + len(x)], out=rows_y)
+    for r in range(0, 2 * n_dim, rows):
+        x = chunk[:2 * n_dim - r]
+        g.standard_normal(out=x)
+        for part, first in ((y.real, 0), (y.imag, n_dim)):  # the rows of x that fall in this part
+            a, b = max(r, first), min(r + len(x), first + n_dim)
+            if a < b:
+                rows_y = part[a - first:b - first]
+                np.multiply(x[a - r:b - r], half, out=rows_y)
+                if scale is not None:
+                    np.multiply(rows_y, scale[a - first:b - first], out=rows_y)
     return y
 
 

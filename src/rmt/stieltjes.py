@@ -21,7 +21,8 @@ coefficients, x lies in the support exactly when it has a non-real root
 is read from the upper root of that conjugate pair; outside the support every
 root is real and f(x) = 0.  The support itself needs no grid: the cluster
 edges are the right-hand side, read as a real function x(m), at its real
-critical points.
+critical points.  They are found once per model, and the density solves only
+the grid points inside them; every other point reads 0 without a solve.
 
 For the white (single-atom) population the polynomial is the quadratic
 c*z*m^2 + (z+c-1)*m + 1 = 0 whose Im>0 root is the closed-form
@@ -31,6 +32,7 @@ Marchenko-Pastur transform; it serves as the oracle for the generic solver.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -99,6 +101,11 @@ class SpectralModel:
     def weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms])
 
+    @functools.cached_property
+    def _support(self):
+        """The support's edges and masses, found once per model: see :func:`_support_edges`."""
+        return _support_edges(self)
+
 
 @dataclass(frozen=True)
 class StieltjesSolution:
@@ -120,7 +127,8 @@ class Density:
 
     ``values`` is the continuous part only; the (1 - 1/c)^+ mass at zero is
     ``mass_at_zero``.  ``skipped`` lists grid points left unsolved; the exact
-    solver leaves none (points at x <= 0 read 0 and count as solved).
+    solver leaves none (points at x <= 0 or off the support read 0 and count
+    as solved).
     """
 
     grid: np.ndarray
@@ -266,13 +274,17 @@ def solve_companion_stieltjes(model: SpectralModel, z: complex) -> StieltjesSolu
 def density_from_stieltjes(model: SpectralModel, grid, eps: float = 0.0) -> Density:
     """Reconstruct the limiting density on a real grid as f = Im m_F(x + i*eps)/pi.
 
-    At the default ``eps = 0`` the density is exact: each x > 0 is solved on
-    the real axis with real coefficients, f is 0 wherever every root is real,
-    and points at x <= 0, where the leading coefficient vanishes, read 0
-    unsolved (as in :func:`mp_density`).  An ``eps > 0`` evaluates the
-    smoothed transform at z = x + i*eps instead and takes out the smoothed
-    Dirac mass at zero.  All solved points form one batch of
-    companion-polynomial roots, so ``Density.skipped`` is empty.
+    At the default ``eps = 0`` the density is exact: each x > 0 inside an
+    edge pair of the model's support (:func:`support_clusters`, found once
+    per model) is solved on the real axis with real coefficients, and every
+    other point reads 0, as the solve gives wherever every root is real;
+    points at x <= 0, where the leading coefficient vanishes, read 0 as in
+    :func:`mp_density`.  Where double precision cannot resolve the edges
+    around some atom, every x > 0 is solved.  An ``eps > 0`` evaluates the
+    smoothed transform at z = x + i*eps on the whole grid instead and takes
+    out the smoothed Dirac mass at zero.  All solved points form one batch
+    of companion-polynomial roots, one eigensolve each, so
+    ``Density.skipped`` is empty.
     """
     if not (0 <= eps < math.inf):
         raise ParameterError("eps must be nonnegative and finite")
@@ -281,6 +293,9 @@ def density_from_stieltjes(model: SpectralModel, grid, eps: float = 0.0) -> Dens
         raise ParameterError("grid must be a nonempty ascending finite 1-d vector")
     c = model.ratio
     solved = slice(None) if eps else grid > 0
+    if not eps and model._support[1] is not None:
+        lo, hi = model._support[0].T
+        solved &= np.any((grid[:, None] >= lo) & (grid[:, None] <= hi), axis=1)
     x = grid[solved]
     z = x + 1j * eps if eps else x
     m_f = (_companion_roots(model, z) - (c - 1) / z) / c
@@ -314,8 +329,10 @@ def _polish_critical(u, t, w, c):
     return u
 
 
-def support_clusters(model: SpectralModel) -> SupportClusters:
-    """Exact support intervals of the limiting density, with their masses.
+def _support_edges(model: SpectralModel):
+    """The support's clusters as ascending (lo, hi) rows of an array, and their
+    masses, or None for the masses where some atom's pole lies in no cluster
+    or in two: this never refuses.
 
     The edges are x(m) = -a(m)/b(m) (see :func:`_companion_polynomial`) at the
     real roots of a'b - ab' (Silverstein & Choi, J. Multivariate Anal. 54,
@@ -325,10 +342,9 @@ def support_clusters(model: SpectralModel) -> SupportClusters:
     the edges around an atom of small c w_k hold to rounding, not sqrt(eps).
     A cluster holds the weights of the poles u = -t_k between its edges, less
     the (1 - 1/c)^+ mass at zero if it spans u = 0 (m = +-infinity).  Every
-    pole lies inside exactly one cluster, since x'(m) -> -infinity there.
-    Where c w_k is so small that double precision merges the two edges around
-    a pole, that pole falls outside every cluster, and :class:`ParameterError`
-    is raised rather than a cluster dropped.
+    pole lies inside exactly one cluster, since x'(m) -> -infinity there;
+    where c w_k is so small that double precision merges the two edges around
+    a pole, that pole falls outside every cluster and the masses are None.
     """
     a, b = _companion_polynomial(model)
     critical = np.polysub(np.polymul(np.polyder(a), b), np.polymul(a, np.polyder(b)))
@@ -348,11 +364,23 @@ def support_clusters(model: SpectralModel) -> SupportClusters:
     lo, hi = u[0::2, None], u[1::2, None]
     poles_inside = (-t - lo) * (-t - hi) < 0
     if not np.all(poles_inside.sum(axis=0) == 1):
-        raise ParameterError(f"the support at c = {c:g} is too narrow around some atom for double precision "
-                             "to resolve its edges")
+        return x.reshape(-1, 2), None
     spans_zero = (lo * hi < 0)[:, 0]
-    masses = poles_inside @ w - spans_zero * max(0.0, 1 - 1 / c)
-    return SupportClusters(tuple(map(tuple, x.reshape(-1, 2).tolist())), tuple(masses.tolist()))
+    return x.reshape(-1, 2), poles_inside @ w - spans_zero * max(0.0, 1 - 1 / c)
+
+
+def support_clusters(model: SpectralModel) -> SupportClusters:
+    """Exact support intervals of the limiting density, with their masses
+    (:func:`_support_edges`, found once per model).
+
+    Where c w_k is so small that double precision merges the two edges around
+    a pole, :class:`ParameterError` is raised rather than a cluster dropped.
+    """
+    edges, masses = model._support
+    if masses is None:
+        raise ParameterError(f"the support at c = {model.ratio:g} is too narrow around some atom for double "
+                             "precision to resolve its edges")
+    return SupportClusters(tuple(map(tuple, edges.tolist())), tuple(masses.tolist()))
 
 
 def capacity_identity(h, noise_var: float):

@@ -273,6 +273,16 @@ def test_doa_command(tmp_path):
     assert run_cli("doa", "--input", str(path), "--K", "2", "--spacing", "1.5") == 1  # aliased directions
 
 
+def test_doa_refuses_a_grid_beyond_ninety_degrees(tmp_path, capsys):
+    path = tmp_path / "y.csv"
+    save_matrix_csv(path, complex_gaussian(10, 40, RngStream(9)))
+    capsys.readouterr()
+    assert run_cli("doa", "--input", str(path), "--K", "1", "--grid=-200:200:1", "--out", str(tmp_path / "d.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: angle grid must lie within [-90, 90] degrees") and err.count("\n") == 1, err
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_localize_command(tmp_path):
     g = RngStream(8).generator()
     n_dim = 10

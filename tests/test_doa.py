@@ -307,3 +307,15 @@ def test_estimate_doa_guards():
                  [-math.inf, 0.0, 90.0], [-90.0, 0.0, 0.0, 90.0]):
         with pytest.raises(ParameterError, match="angle grid must be ascending with >= 3 points"):
             estimate_doa(y, 1, MODEL20, grid)
+
+
+def test_estimate_doa_refuses_angles_beyond_ninety_degrees():
+    # -200:200:1 sampled the cost at arcsin(sin theta): spurious minima at -200 and 160 degrees
+    y = doa_observation(MODEL20, (20.0,), 10.0, 100, seed=48)
+    for grid in (np.arange(-200.0, 201.0), np.arange(-90.0, 91.0) + 1e-3, np.arange(-91.0, 90.0)):
+        with pytest.raises(ParameterError, match=r"angle grid must lie within \[-90, 90\] degrees"):
+            estimate_doa(y, 1, MODEL20, grid)
+    # the rounding of an arange grid past 90 degrees is not refused
+    grid = np.arange(-90.0, 90.005, 0.01)
+    assert grid[-1] > 90.0
+    assert estimate_doa(y, 1, MODEL20, grid).complete

@@ -15,7 +15,8 @@ from rmt.gestimation import (
     power_estimate_iid_channel,
     separation_warnings,
 )
-from rmt.linalg import RngStream, complex_gaussian, hermitian_eig
+from rmt import linalg
+from rmt.linalg import RngStream, _numpy_openblas, complex_gaussian, hermitian_eig, sample_spectrum
 
 
 def masses_eigs(values, mults, n_samples, seed, trial=0):
@@ -105,6 +106,82 @@ def test_mu_interlacing():
         mu = mu_eigenvalues(lam, 30)
         assert np.all(mu <= lam + 1e-12)
         assert np.all(lam[:-1] <= mu[1:] + 1e-12)
+
+
+def mu_dense(lam, denom):
+    """The oracle: eigvalsh of the dense diag(lambda) - sqrt(lambda) sqrt(lambda)^T / denom."""
+    s = np.sqrt(lam)
+    return np.linalg.eigvalsh(np.diag(lam) - np.outer(s, s) / denom)
+
+
+def mu_cases():
+    """(spectrum, denominator) pairs: random spectra of N = 1..300, exact zeros,
+    exact ties, spectra out of order, and the rank-deficient spectra of c > 1
+    draws as `rmt estimate` clips them, whose zeros carry rounding of either sign."""
+    rng = RngStream(61).generator()
+    for n_dim in list(range(1, 41)) + [64, 100, 128, 300]:
+        lam = np.sort(rng.uniform(0.0, 5.0, n_dim))
+        for denom in sorted({1, max(1, n_dim // 2), n_dim, 3 * n_dim + 1}):
+            yield lam, denom
+    yield np.zeros(4), 3
+    yield np.array([0.0, 0.0, 0.0, 0.5, 2.0, 2.0]), 4
+    yield np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 5.0]), 4
+    yield np.repeat([1.0, 3.0, 7.0], 5), 20
+    yield np.concatenate([np.zeros(3), np.sort(rng.uniform(1.0, 2.0, 4)), np.full(6, 2.5)]), 5
+    yield np.array([3.0, 1.0, 2.0, 0.5, 0.0, 2.0]), 4  # mu_eigenvalues takes any order
+    yield rng.permutation(rng.uniform(0.0, 5.0, 50)), 70
+    for n_dim, n_samples in ((300, 200), (300, 100), (120, 119), (60, 30)):
+        third = n_dim // 3
+        x = complex_gaussian(n_dim, n_samples, RngStream(62, n_samples))
+        y = np.sqrt(np.repeat([1.0, 3.0, 7.0], [third, third, n_dim - 2 * third]))[:, None] * x
+        lam = np.clip(sample_spectrum(y), 0.0, None)
+        assert np.sum(lam < 1e-12 * lam[-1]) == n_dim - n_samples
+        for denom in (n_samples, n_dim):
+            yield lam, denom
+
+
+def test_mu_rows_agree_with_the_dense_eigensolve():
+    # stated in advance: 1e-13 of the matrix's norm bound max(lambda_max, sum(lambda) / denom);
+    # both routes are backward stable, each off by a few eps of that bound
+    for lam, denom in mu_cases():
+        got = mu_eigenvalues(lam, denom)
+        scale = max(lam.max(), lam.sum() / denom) or 1.0
+        assert np.all(np.diff(got) >= 0), (lam.size, denom)
+        assert np.max(np.abs(got - mu_dense(lam, denom))) <= 1e-13 * scale, (lam.size, denom)
+
+
+def test_mu_rows_of_a_block_equal_its_rows_one_at_a_time():
+    # 300 columns: longer than numpy's 128-element summation block
+    rng = RngStream(63).generator()
+    for n_dim in (24, 300):
+        block = np.sort(rng.uniform(0.0, 4.0, (6, n_dim)), axis=1)
+        block[3] = 0.0
+        block[5, :7] = 0.0
+        rows = ge._mu_rows(block, 30)
+        for lam, row in zip(block, rows):
+            assert row.tobytes() == mu_eigenvalues(lam, 30).tobytes()
+
+
+def test_mu_rows_without_lapack_fall_back_to_the_dense_eigensolve(monkeypatch):
+    monkeypatch.setattr(linalg, "_numpy_openblas", lambda: None)
+    for lam, denom in mu_cases():
+        scale = max(lam.max(), lam.sum() / denom) or 1.0
+        assert np.max(np.abs(ge._mu_rows(lam[None], denom)[0] - mu_dense(lam, denom))) <= 1e-13 * scale
+
+
+@pytest.mark.skipif(_numpy_openblas() is None, reason="this numpy build does not bundle OpenBLAS")
+def test_mu_rows_same_bits_at_one_and_two_blas_threads():
+    blas = _numpy_openblas()
+    cases = [(lam, denom) for lam, denom in mu_cases() if lam.size >= 64]
+    before = blas.get_threads()
+    try:
+        got = {}
+        for threads in (1, 2):
+            blas.set_threads(threads)
+            got[threads] = [ge._mu_rows(lam[None], denom).tobytes() for lam, denom in cases]
+    finally:
+        blas.set_threads(before)
+    assert got[1] == got[2]
 
 
 def test_mu_rejects_negative():
@@ -231,11 +308,9 @@ def test_clusters_from_gaps_guards():
 def _one_spectrum_oracle(eigs, n_dim, n_samples, mults):
     """classical, g, iid-channel and gap flag of one ascending spectrum, one
     cluster at a time: the estimators' formulas as written before they ran over
-    a trial axis."""
+    a trial axis, with mu from the public one-spectrum route."""
     def mu(denom):
-        lam = np.clip(eigs, 0.0, None)
-        s = np.sqrt(lam)
-        return np.linalg.eigvalsh(np.diag(lam) - np.outer(s, s) / denom)
+        return mu_eigenvalues(np.clip(eigs, 0.0, None), denom)
 
     start = n_dim - sum(mults)
     idx = [np.arange(a, a + m) for a, m in zip(np.cumsum((start,) + mults[:-1]), mults)]

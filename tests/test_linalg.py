@@ -278,6 +278,36 @@ def test_chunked_fill_equals_one_draw_bit_for_bit(shape):
     assert g.standard_normal() == h.standard_normal()
 
 
+class CountingGenerator:
+    """A numpy Generator that counts its standard_normal calls."""
+
+    def __init__(self, g):
+        self.g, self.calls = g, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.g.standard_normal(*args, **kwargs)
+
+
+# one pass over the 2N rows of real, then imaginary parts: 4 x 8 is one call; 256 x 768, at 21 rows a
+# chunk, takes 25 calls where a pass per part took 26; 4 x 2048 is DRAW_CHUNK normals, one call, and
+# 4 x 2049 one row more than a chunk of 7 rows; 6 x 1200 is one row under a chunk of 13, 7 x 1200 one over
+@pytest.mark.parametrize("shape, calls", [((1, 1), 1), ((4, 8), 1), ((256, 768), 25), ((4, 2047), 1),
+                                          ((4, 2048), 1), ((4, 2049), 2), ((6, 1200), 1), ((7, 1200), 2)])
+def test_fill_is_one_draw_split_into_real_and_imaginary_halves(shape, calls):
+    n_rows, n_cols = shape
+    normals = RngStream(43, 1).generator().standard_normal(2 * n_rows * n_cols)
+    want = np.empty(shape, dtype=complex)
+    np.multiply(normals[:n_rows * n_cols].reshape(shape), np.sqrt(0.5), out=want.real)
+    np.multiply(normals[n_rows * n_cols:].reshape(shape), np.sqrt(0.5), out=want.imag)
+    g = CountingGenerator(RngStream(43, 1).generator())
+    assert linalg._gaussian_into(np.empty(shape, dtype=complex), g).tobytes() == want.tobytes()
+    assert g.calls == calls
+    scale = np.linspace(0.5, 3.0, n_rows)[:, None]
+    got = linalg._gaussian_into(np.empty(shape, dtype=complex), RngStream(43, 1).generator(), scale)
+    assert got.tobytes() == (scale * want).tobytes()
+
+
 def special_values_matrix():
     a = np.empty((2, 4), dtype=complex)
     a.real = [[1.0, -0.0, 5e-324, np.nan], [-np.inf, 0.0, 2.5e-310, -3.0]]

@@ -340,13 +340,71 @@ def test_exact_density_solves_real_companions_at_positive_x_only(monkeypatch):
     for c in (0.5, 2.0):
         model = SpectralModel.from_multiplicities((1.0, 3.0), (1, 1), c)
         values = density_from_stieltjes(model, grid).values
-        assert np.all(values[grid <= 0] == 0.0)
-        assert np.any(values > 0)
-        assert stacks[-1].dtype == np.float64 and stacks[-1].shape == (4, 3, 3)
-    assert np.all(density_from_stieltjes(model, [-1.0, 0.0]).values == 0.0)  # nothing to solve
-    # an explicit eps > 0 keeps the complex route
+        (lo, hi), = support_clusters(model).intervals
+        inside = (grid >= lo) & (grid <= hi)
+        assert inside.tolist() == [False, False, False, False, True, True, False]
+        # only the points inside the support are solved; every other x > 0 reads exactly 0
+        assert stacks[-1].dtype == np.float64 and stacks[-1].shape == (2, 3, 3)
+        assert np.all(values[inside] > 0) and np.all(values[~inside] == 0.0)
+    assert np.all(density_from_stieltjes(model, [-1.0, 0.0, 0.1, 20.0]).values == 0.0)  # nothing to solve
+    assert stacks[-1].shape == (0, 3, 3)
+    # an explicit eps > 0 keeps the complex route, on every point
     density_from_stieltjes(model, grid, eps=1e-3)
     assert stacks[-1].dtype == np.complex128 and stacks[-1].shape == (7, 3, 3)
+
+
+def all_points_density(model, grid):
+    """The exact density with a companion solve at every x > 0, the support
+    unused: each point's own real eigensolve, 0 wherever every root is real."""
+    a, b = _companion_polynomial(model)
+    c, x = model.ratio, grid[grid > 0]
+    coeffs = a + x[:, None] * b
+    degree = b.size - 1
+    companion = np.zeros((x.size, degree, degree))
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    m_under = roots[np.arange(x.size), np.argmax(roots.imag, axis=1)]
+    values = np.zeros_like(grid)
+    values[grid > 0] = ((m_under - (c - 1) / x) / c).imag / np.pi
+    return np.maximum(values, 0.0)
+
+
+@pytest.mark.parametrize("atoms, c", [
+    (((1.0, 0.5), (4.0, 0.5)), 0.1),
+    (((1.0, 0.5), (4.0, 0.5)), 2.0),
+    (((1.0, 1 / 3), (3.0, 1 / 3), (7.0, 1 / 3)), 0.1),
+    (((1.0, 1 / 3), (3.0, 1 / 3), (4.0, 1 / 3)), 0.5),
+    (((1.0, 1 / 3), (3.0, 1 / 3), (7.0, 1 / 3)), 1.0),
+    (((0.5, 0.2), (2.0, 0.3), (9.0, 0.5)), 3.0),
+    (((1.0, 1e-20), (3.0, 1 - 1e-20)), 0.5),  # the atom at 1 too light for its edges to resolve
+    (((1.0, 0.5), (3.0, 0.5)), 1e-16),  # its edges merge around the atom at 1
+], ids=["two-atom", "two-atom-c2", "fig3-top", "three-atom", "c1", "three-atom-c3", "light-atom", "tiny-c"])
+def test_restricted_density_equals_an_all_points_solve_bit_for_bit(atoms, c):
+    model = SpectralModel(atoms, c)
+    grid = np.arange(-0.5, 40.0, 0.005)
+    assert density_from_stieltjes(model, grid).values.tobytes() == all_points_density(model, grid).tobytes()
+    _, masses = model._support
+    if masses is None:  # the density still succeeds where the support is refused
+        with pytest.raises(ParameterError, match="too narrow around some atom"):
+            support_clusters(model)
+
+
+def test_the_support_is_found_once_per_model(monkeypatch, tmp_path):
+    from rmt import stieltjes
+    from rmt.cli import main
+
+    calls, found = [], stieltjes._support_edges
+    monkeypatch.setattr(stieltjes, "_support_edges", lambda model: calls.append(model) or found(model))
+    model = SpectralModel(((1.0, 0.5), (4.0, 0.5)), 0.1)
+    for _ in range(2):
+        density_from_stieltjes(model, np.arange(0.05, 8.0, 0.05))
+        support_clusters(model)
+    assert calls == [model]
+    # `rmt density --clusters-out` writes the density and the clusters from one search
+    assert main(["density", "--atoms", "1:0.5,4:0.5", "--c", "0.1", "--out", str(tmp_path / "f.csv"),
+                 "--clusters-out", str(tmp_path / "c.json")]) == 0
+    assert len(calls) == 2
 
 
 def test_smoothed_density_keeps_its_bits():

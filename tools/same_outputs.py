@@ -8,9 +8,11 @@ with PYTHONPATH set to that tree:
 
 * ``rmt reproduce FIG --seed 1`` at desk scale for every figure id of OLD_SRC;
 * ``rmt estimate`` with each ``--method`` and with ``--check-separation``,
-  ``rmt detect``, ``rmt doa`` with ``--cost-out`` (both methods),
-  ``rmt localize``, ``rmt density --clusters-out`` and ``rmt mp-density``,
-  on input files drawn once, with OLD_SRC;
+  and on a rank-deficient input (n < N), ``rmt detect``, ``rmt doa`` with
+  ``--cost-out`` (both methods), ``rmt localize``, ``rmt density
+  --clusters-out``, ``rmt density`` at c > 1 and on a model with an atom too
+  light for ``support_clusters`` to resolve, and ``rmt mp-density``, on input
+  files drawn once, with OLD_SRC;
 * ``rmt simulate`` on one scenario per kind;
 * one script that prints the SHA-256 of every per-trial record column of
   three desk runs at seed 1: fig5's spec under ``DoaResolutionBinding``,
@@ -46,6 +48,7 @@ out = pathlib.Path(sys.argv[1])
 def draw(kind, n_dim, n_samples, params):
     return generate_trial(ScenarioSpec(kind, n_dim, n_samples, 1, 7, params), 0)[0]
 save_matrix_bin(out / "masses.bin", draw("masses", 120, 1200, {"atoms": [[1.0, 40], [3.0, 40], [7.0, 40]]}))
+save_matrix_bin(out / "masses-wide.bin", draw("masses", 120, 80, {"atoms": [[1.0, 40], [3.0, 40], [7.0, 40]]}))
 save_matrix_csv(out / "spike.csv", draw("spike", 60, 240, {"omegas": [2.0]}))
 save_matrix_bin(out / "doa.bin", draw("doa", 20, 150, {"angles_deg": [35.0, 37.0], "snr_db": 25.0}))
 spec = ScenarioSpec("failure", 10, 120, 1, 8, {"n_params": 10, "alpha": -1.0, "failed_index": 2})
@@ -89,6 +92,8 @@ def requests(inputs: pathlib.Path, figures):
     for method in ("g", "classical", "iid-channel"):
         yield f"estimate-{method}", ["estimate", *masses, "--method", method, "--out", f"estimate-{method}.json"]
     yield "estimate-separation", ["estimate", *masses, "--check-separation", "--out", "estimate-separation.json"]
+    yield "estimate-wide", ["estimate", "--input", str(inputs / "masses-wide.bin"), "--K", "3", "--mult", "40,40,40",
+                            "--out", "estimate-wide.json"]
     yield "detect", ["detect", "--input", str(inputs / "spike.csv"), "--far", "0.01", "--out", "detect.json"]
     for method in ("music", "gmusic"):
         yield f"doa-{method}", ["doa", "--input", str(inputs / "doa.bin"), "--K", "2", "--method", method,
@@ -97,6 +102,8 @@ def requests(inputs: pathlib.Path, figures):
                        "--model", str(inputs / "failure_model.json"), "--out", "localize.json"]
     yield "density", ["density", "--atoms", "1:0.3,3:0.3,7:0.4", "--c", "0.1", "--out", "density.csv",
                       "--clusters-out", "density-clusters.json"]
+    yield "density-c2", ["density", "--atoms", "1:0.5,4:0.5", "--c", "2", "--out", "density-c2.csv"]
+    yield "density-light", ["density", "--atoms", "1:1e-20,3:1", "--c", "0.5", "--out", "density-light.csv"]
     yield "mp-density", ["mp-density", "--c", "0.5", "--grid", "0:3:0.01", "--out", "mp-density.csv"]
     for kind in SCENARIOS:
         yield f"simulate-{kind}", ["simulate", "--spec", str(inputs / f"{kind}.json"), "--out", f"simulate-{kind}.json"]
