@@ -21,8 +21,10 @@ coefficients, x lies in the support exactly when it has a non-real root
 is read from the upper root of that conjugate pair; outside the support every
 root is real and f(x) = 0.  The support itself needs no grid: the cluster
 edges are the right-hand side, read as a real function x(m), at its real
-critical points.  They are found once per model, and the density solves only
-the grid points inside them; every other point reads 0 without a solve.
+critical points, the real eigenvalues of one 2K x 2K matrix that linearizes
+the critical-point equation.  They are found once per model, and the density
+solves only the grid points inside them; every other point reads 0 without a
+solve.
 
 For the white (single-atom) population the polynomial is the quadratic
 c*z*m^2 + (z+c-1)*m + 1 = 0 whose Im>0 root is the closed-form
@@ -306,55 +308,32 @@ def density_from_stieltjes(model: SpectralModel, grid, eps: float = 0.0) -> Dens
     return Density(grid, np.maximum(values, 0.0), mass0)
 
 
-def _polish_critical(u, t, w, c):
-    """Newton steps on the real critical points u of x(1/u), the roots of
-    s(u) = c sum_k w_k t_k^2 / (t_k + u)^2 = 1, taken as s^(-1/2) = 1: near a
-    pole -t_k that form is linear in |t_k + u|, so one atom's roots are exact
-    after one step.  ``np.roots`` places the near-double roots either side of
-    a pole only to about sqrt(eps) |u|; three steps converge quadratically
-    from there.  A step that crosses a pole or does not shrink
-    |s^(-1/2) - 1| (near a double root, where s' vanishes) is not taken."""
-    def terms(u):
-        v = t + u[:, None]
-        return v, c * np.sum(w * t**2 / v**2, axis=1)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(3):
-            v, s = terms(u)
-            new = u + s * (np.sqrt(s) - 1) / (c * np.sum(w * t**2 / v**3, axis=1))
-            v_new, s_new = terms(new)
-            take = ((np.abs(1 / np.sqrt(s_new) - 1) < np.abs(1 / np.sqrt(s) - 1))
-                    & np.all((v_new > 0) == (v > 0), axis=1))
-            u = np.where(take, new, u)
-    return u
-
-
 def _support_edges(model: SpectralModel):
     """The support's clusters as ascending (lo, hi) rows of an array, and their
     masses, or None for the masses where some atom's pole lies in no cluster
     or in two: this never refuses.
 
-    The edges are x(m) = -a(m)/b(m) (see :func:`_companion_polynomial`) at the
-    real roots of a'b - ab' (Silverstein & Choi, J. Multivariate Anal. 54,
-    1995), solved in u = 1/m so that the root running off to m = infinity as
-    c -> 1 stays well conditioned; at c = 1 it gives the lowest edge x = 0.
-    Each real root is polished by Newton steps (:func:`_polish_critical`), so
-    the edges around an atom of small c w_k hold to rounding, not sqrt(eps).
+    The edges are x(m) = -a(m)/b(m) (see :func:`_companion_polynomial`) at its
+    real critical points (Silverstein & Choi, J. Multivariate Anal. 54, 1995),
+    solved in u = 1/m so that the one running off to m = infinity as c -> 1
+    stays finite; at c = 1 it gives the lowest edge x = 0.  They are the roots
+    of c sum_k w_k t_k^2 / (t_k + u)^2 = 1, that is of det((T + u I)^2 - b b^T)
+    with T = diag(t) and b = sqrt(c w) t, and so the eigenvalues of the 2K x 2K
+    linearization [[-T, I], [b b^T, -T]]: one real eigensolve, no polynomial
+    coefficient expanded, and the real ones are those whose imaginary part the
+    real Schur form leaves exactly 0.
     A cluster holds the weights of the poles u = -t_k between its edges, less
     the (1 - 1/c)^+ mass at zero if it spans u = 0 (m = +-infinity).  Every
     pole lies inside exactly one cluster, since x'(m) -> -infinity there;
     where c w_k is so small that double precision merges the two edges around
     a pole, that pole falls outside every cluster and the masses are None.
     """
-    a, b = _companion_polynomial(model)
-    critical = np.polysub(np.polymul(np.polyder(a), b), np.polymul(a, np.polyder(b)))
-    u = np.roots(critical[::-1])
     t, w, c = model.values(), model.weights(), model.ratio
-    # a[0] = 0 zeroes the leading coefficient of a'b - ab', so u = 0 is a spurious root;
+    b = np.sqrt(c * w) * t
+    u = np.linalg.eigvals(np.block([[-np.diag(t), np.eye(t.size)], [np.outer(b, b), -np.diag(t)]]))
+    u = u[u.imag == 0].real
     # a root on a pole is two edges merged in rounding, and leaves that pole outside every cluster
-    u = u[(np.abs(u.imag) <= 1e-9 * np.abs(u)) & (u != 0)].real
     u = u[np.all(t + u[:, None] != 0, axis=1)]
-    u = _polish_critical(u, t, w, c)
     x = u * (c * np.sum(w * t / (t + u[:, None]), axis=1) - 1)  # x(m) at m = 1/u
     order = np.argsort(x)
     order = order[x[order] > 0]

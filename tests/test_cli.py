@@ -101,6 +101,31 @@ def test_density_clusters_exact_above_c_one(tmp_path):
     assert abs(doc[0]["mass"] - 0.5) < 1e-9
 
 
+def test_density_clusters_of_seven_close_atoms(tmp_path):
+    # one cluster, about [1.8327, 13.3407], though two pairs of atoms lie within 0.09 and 0.25
+    atoms = ("3.9491150903732257:0.038565129198216856,4.614324546202566:0.330722287777603,"
+             "5.753138470512517:0.09527164396950308,5.840605942331388:0.15881636866550325,"
+             "6.845571749049451:0.07555946078434438,7.740395167012181:0.1522700584535571,"
+             "7.984354309636584:0.14879505115127223")
+    clusters = tmp_path / "clusters.json"
+    assert run_cli("density", "--atoms", atoms, "--c", "0.17289034686900923", "--out", str(tmp_path / "d.csv"),
+                   "--clusters-out", str(clusters)) == 0
+    (doc,) = json.loads(clusters.read_text())
+    assert abs(doc["lo"] - 1.8327) < 1e-4 and abs(doc["hi"] - 13.3407) < 1e-4 and abs(doc["mass"] - 1.0) < 1e-12
+
+
+def test_density_of_six_close_atoms_has_mass_one(tmp_path):
+    # four clusters, three atoms within 5.58..5.80: the density is solved inside all of them and no other
+    atoms = ("1.249586445937074:0.20836043577824387,5.581832270135483:0.12165974486714823,"
+             "5.620285800630414:0.20143465309183042,5.796345931840999:0.11446412473362506,"
+             "6.6426622998788725:0.18613993563119702,8.664197692803588:0.1679411058979554")
+    out = tmp_path / "d.csv"
+    assert run_cli("density", "--atoms", atoms, "--c", "0.006946147411187864", "--grid", "0.5:10:0.001",
+                   "--out", str(out)) == 0
+    _, data = read_csv(out)
+    assert abs(np.trapezoid(data[:, 1], data[:, 0]) - 1.0) < 1e-3
+
+
 def _run_as_process(*argv):
     """``rmt`` in a child process, so a warning or a traceback on its stderr shows."""
     src = str(pathlib.Path(rmt.__file__).resolve().parents[1])

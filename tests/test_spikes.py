@@ -693,7 +693,6 @@ def test_localize_matches_per_hypothesis_scores():
 def test_exact_separation_three_mass_scenario():
     # each limiting support interval captures exactly its population
     # multiplicity of sample eigenvalues in >= 99% of trials
-    from rmt.simulate import ScenarioSpec, generate_trial
     from rmt.stieltjes import SpectralModel, support_clusters
 
     model = SpectralModel.from_multiplicities((1.0, 3.0, 7.0), (1, 1, 1), 0.1)
@@ -701,9 +700,7 @@ def test_exact_separation_three_mass_scenario():
     assert len(intervals) == 3
     spec = ScenarioSpec("masses", 300, 3000, 100, 57, {"atoms": [(1.0, 100), (3.0, 100), (7.0, 100)]})
     good = 0
-    for t in range(spec.trials):
-        y, _ = generate_trial(spec, t)
-        eigs = np.linalg.eigvalsh(sample_covariance(y))
+    for eigs in run_monte_carlo(spec, EigBinding("masses")).records["eigs"]:
         counts = [
             int(np.sum((eigs > lo - 0.05) & (eigs < hi + 0.05))) for lo, hi in intervals
         ]

@@ -370,24 +370,47 @@ def all_points_density(model, grid):
     return np.maximum(values, 0.0)
 
 
-@pytest.mark.parametrize("atoms, c", [
-    (((1.0, 0.5), (4.0, 0.5)), 0.1),
-    (((1.0, 0.5), (4.0, 0.5)), 2.0),
-    (((1.0, 1 / 3), (3.0, 1 / 3), (7.0, 1 / 3)), 0.1),
-    (((1.0, 1 / 3), (3.0, 1 / 3), (4.0, 1 / 3)), 0.5),
-    (((1.0, 1 / 3), (3.0, 1 / 3), (7.0, 1 / 3)), 1.0),
-    (((0.5, 0.2), (2.0, 0.3), (9.0, 0.5)), 3.0),
-    (((1.0, 1e-20), (3.0, 1 - 1e-20)), 0.5),  # the atom at 1 too light for its edges to resolve
-    (((1.0, 0.5), (3.0, 0.5)), 1e-16),  # its edges merge around the atom at 1
-], ids=["two-atom", "two-atom-c2", "fig3-top", "three-atom", "c1", "three-atom-c3", "light-atom", "tiny-c"])
-def test_restricted_density_equals_an_all_points_solve_bit_for_bit(atoms, c):
+# six to eight atoms, several of them close together, at small c: their supports
+# have 4, 1 and 7 clusters, with edges a few 1e-3 apart in the third
+SIX_ATOMS = ((1.249586445937074, 0.20836043577824387), (5.581832270135483, 0.12165974486714823),
+             (5.620285800630414, 0.20143465309183042), (5.796345931840999, 0.11446412473362506),
+             (6.6426622998788725, 0.18613993563119702), (8.664197692803588, 0.1679411058979554))
+SEVEN_ATOMS = ((3.9491150903732257, 0.038565129198216856), (4.614324546202566, 0.330722287777603),
+               (5.753138470512517, 0.09527164396950308), (5.840605942331388, 0.15881636866550325),
+               (6.845571749049451, 0.07555946078434438), (7.740395167012181, 0.1522700584535571),
+               (7.984354309636584, 0.14879505115127223))
+EIGHT_ATOMS = ((1.9093035677392665, 0.04596787256100602), (4.101960208378212, 0.1426410914937411),
+               (4.3329818985524655, 0.1813618633432), (5.835027196578663, 0.1641190200794468),
+               (6.297120384800134, 0.11830464856738951), (6.595125208199592, 0.1991700317095642),
+               (6.696904462919871, 0.04859914173607128), (8.741522682508956, 0.09983633050958118))
+
+
+@pytest.mark.parametrize("atoms, c, clusters", [
+    (((1.0, 0.5), (4.0, 0.5)), 0.1, 2),
+    (((1.0, 0.5), (4.0, 0.5)), 2.0, 1),
+    (((1.0, 1 / 3), (3.0, 1 / 3), (7.0, 1 / 3)), 0.1, 3),
+    (((1.0, 1 / 3), (3.0, 1 / 3), (4.0, 1 / 3)), 0.5, 1),
+    (((1.0, 1 / 3), (3.0, 1 / 3), (7.0, 1 / 3)), 1.0, 1),
+    (((0.5, 0.2), (2.0, 0.3), (9.0, 0.5)), 3.0, 1),
+    (((1.0, 1e-20), (3.0, 1 - 1e-20)), 0.5, 1),  # the atom at 1 too light to split a cluster off
+    (((1.0, 0.5), (3.0, 0.5)), 1e-16, None),  # its edges merge around the atom at 1: refused
+    (SIX_ATOMS, 0.006946147411187864, 4),
+    (SEVEN_ATOMS, 0.17289034686900923, 1),
+    (EIGHT_ATOMS, 0.0014921068309634972, 7),
+], ids=["two-atom", "two-atom-c2", "fig3-top", "three-atom", "c1", "three-atom-c3", "light-atom", "tiny-c",
+        "six-atoms", "seven-atoms", "eight-atoms"])
+def test_restricted_density_equals_an_all_points_solve_bit_for_bit(atoms, c, clusters):
     model = SpectralModel(atoms, c)
-    grid = np.arange(-0.5, 40.0, 0.005)
+    # whole multiples of the step, so the point at 0 is 0: at the 4.4e-16 that
+    # np.arange(-0.5, 40.0, 0.005) puts there, the all-points solve reads a density
+    # of up to 5.5 for the six- to eight-atom models, whose supports start above 1
+    grid = np.arange(-100, 8000) * 0.005
     assert density_from_stieltjes(model, grid).values.tobytes() == all_points_density(model, grid).tobytes()
-    _, masses = model._support
-    if masses is None:  # the density still succeeds where the support is refused
+    if clusters is None:  # the density still succeeds where the support is refused
         with pytest.raises(ParameterError, match="too narrow around some atom"):
             support_clusters(model)
+    else:
+        assert len(support_clusters(model).intervals) == clusters
 
 
 def test_the_support_is_found_once_per_model(monkeypatch, tmp_path):
@@ -457,9 +480,8 @@ def test_support_clusters_refuse_edges_double_precision_merges():
 
 @pytest.mark.parametrize("c", [10.0**-e for e in range(4, 17)])
 def test_support_clusters_edges_at_tiny_c(c):
-    # np.roots places the edges, a near-double pair around the pole u = -1, only
-    # to about sqrt(eps); they were off by 2e-10 sqrt(c) at c = 1e-12 and by
-    # 0.16 sqrt(c) at 1e-16 before Newton steps polished them
+    # the edges (1 -+ sqrt(c))^2 are a near-double pair of critical points around
+    # the pole u = -1; each must hold to a small fraction of the cluster's width
     a, b, _ = mp_support(c)
     clusters = support_clusters(SpectralModel(SINGLE_ATOM, c))
     assert clusters.masses == (1.0,)
@@ -476,22 +498,24 @@ def continuous_density(model, grid, eps=1e-9):
 
 
 def grid_oracle_models():
-    """50 models (K = 1..5, c log-uniform on [0.01, 5], every fifth at c = 1),
+    """100 models (50 with K = 1..5 and 50 with K = 6..8, each set from a
+    stream of its own; c log-uniform on [0.01, 5], every fifth at c = 1),
     each with its exact clusters, a 4000-point grid past the top edge, and the
     grid points inside a cluster and away from every edge."""
-    rng = RngStream(23).generator()
-    for trial in range(50):
-        atoms = random_atoms(rng, rng.integers(1, 6))
-        c = 1.0 if trial % 5 == 0 else float(10 ** rng.uniform(-2, np.log10(5)))
-        model = SpectralModel(atoms, c)
-        clusters = support_clusters(model)
-        edges = np.ravel(clusters.intervals)
-        grid = np.linspace(1e-3, 1.2 * edges[-1], 4000)
-        inside = np.zeros(grid.size, dtype=bool)
-        for lo, hi in clusters.intervals:
-            inside |= (grid > lo) & (grid < hi)
-        away = np.min(np.abs(grid[:, None] - edges), axis=1) > 1e-3 * edges[-1]
-        yield model, clusters, grid, inside, away
+    for seed, k_range in ((23, (1, 6)), (24, (6, 9))):
+        rng = RngStream(seed).generator()
+        for trial in range(50):
+            atoms = random_atoms(rng, rng.integers(*k_range))
+            c = 1.0 if trial % 5 == 0 else float(10 ** rng.uniform(-2, np.log10(5)))
+            model = SpectralModel(atoms, c)
+            clusters = support_clusters(model)
+            edges = np.ravel(clusters.intervals)
+            grid = np.linspace(1e-3, 1.2 * edges[-1], 4000)
+            inside = np.zeros(grid.size, dtype=bool)
+            for lo, hi in clusters.intervals:
+                inside |= (grid > lo) & (grid < hi)
+            away = np.min(np.abs(grid[:, None] - edges), axis=1) > 1e-3 * edges[-1]
+            yield model, clusters, grid, inside, away
 
 
 def test_support_clusters_match_grid_oracle():

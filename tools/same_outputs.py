@@ -10,9 +10,9 @@ with PYTHONPATH set to that tree:
 * ``rmt estimate`` with each ``--method`` and with ``--check-separation``,
   and on a rank-deficient input (n < N), ``rmt detect``, ``rmt doa`` with
   ``--cost-out`` (both methods), ``rmt localize``, ``rmt density
-  --clusters-out``, ``rmt density`` at c > 1 and on a model with an atom too
-  light for ``support_clusters`` to resolve, and ``rmt mp-density``, on input
-  files drawn once, with OLD_SRC;
+  --clusters-out`` on three atoms and on six, three of them close together,
+  ``rmt density`` at c > 1 and on a model with an atom of weight 1e-20, and
+  ``rmt mp-density``, on input files drawn once, with OLD_SRC;
 * ``rmt simulate`` on one scenario per kind;
 * one script that prints the SHA-256 of every per-trial record column of
   three desk runs at seed 1: fig5's spec under ``DoaResolutionBinding``,
@@ -84,6 +84,12 @@ SCENARIOS = {
 }
 
 
+# six atoms, three of them within 5.58..5.80, whose support has four clusters at c = 0.0069
+SIX_ATOMS = ("1.249586445937074:0.20836043577824387,5.581832270135483:0.12165974486714823,"
+             "5.620285800630414:0.20143465309183042,5.796345931840999:0.11446412473362506,"
+             "6.6426622998788725:0.18613993563119702,8.664197692803588:0.1679411058979554")
+
+
 def requests(inputs: pathlib.Path, figures):
     """(name, rmt arguments) of every request; outputs are named relative to the tree's directory."""
     for fig in figures:
@@ -104,6 +110,8 @@ def requests(inputs: pathlib.Path, figures):
                       "--clusters-out", "density-clusters.json"]
     yield "density-c2", ["density", "--atoms", "1:0.5,4:0.5", "--c", "2", "--out", "density-c2.csv"]
     yield "density-light", ["density", "--atoms", "1:1e-20,3:1", "--c", "0.5", "--out", "density-light.csv"]
+    yield "density-six", ["density", "--atoms", SIX_ATOMS, "--c", "0.006946147411187864", "--out", "density-six.csv",
+                          "--clusters-out", "density-six-clusters.json"]
     yield "mp-density", ["mp-density", "--c", "0.5", "--grid", "0:3:0.01", "--out", "mp-density.csv"]
     for kind in SCENARIOS:
         yield f"simulate-{kind}", ["simulate", "--spec", str(inputs / f"{kind}.json"), "--out", f"simulate-{kind}.json"]
